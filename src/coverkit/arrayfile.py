@@ -24,8 +24,8 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import MAX_ALPHABET, SYMBOL_DIGITS, SymbolMatrix
-from .errors import ConsistencyError, FormatError
+from .core import MAX_ALPHABET, SymbolMatrix, decode_symbol
+from .errors import AlphabetError, ConsistencyError, FormatError
 
 KINDS = ("universal", "cff", "raw")
 
@@ -176,15 +176,10 @@ def read_array(text: str) -> tuple[SymbolMatrix, ArrayFileHeader]:
         where = f"line {i + 2}"
         if len(line) != header.n:
             raise FormatError(f"{where}: row has {len(line)} symbols, expected n={header.n}")
-        row = []
-        for ch in line:
-            sym = SYMBOL_DIGITS.find(ch)
-            if sym < 0:
-                raise FormatError(f"{where}: {ch!r} is not a symbol digit")
-            if sym >= header.q:
-                raise FormatError(f"{where}: symbol {sym} out of range for q={header.q}")
-            row.append(sym)
-        rows.append(tuple(row))
+        try:
+            rows.append(tuple(decode_symbol(ch, header.q, where=where) for ch in line))
+        except AlphabetError as exc:
+            raise FormatError(str(exc)) from None
     matrix = SymbolMatrix(n=header.n, q=header.q, rows=tuple(rows))
     return matrix, header
 

@@ -12,6 +12,12 @@ Three routes:
 * ``construct_cff_sperner`` solves the (1, 1) case exactly with an
   antichain of half-size subsets.
 
+Its conditional-expectations engine, ``_greedy_cover``, is shared with
+``construct_universal_greedy``: the density scheme of Bryce & Colbourn
+(2009). A constraint is a list of (column, symbol) requirements, so (R, S)
+reads "1 on R, 0 on S", and undecided symbols are drawn with probabilities
+proportional to integer weights: (s, r) here, (1,) * q for universal sets.
+
 Every constructor verifies its own output before returning it.
 """
 
@@ -19,14 +25,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb, log
+from typing import Iterable, Sequence
 
 from .core import CffSpec, SymbolMatrix
 from .errors import ConvergenceError, ParameterError, ResourceLimitError
-from .verify import verify_cff
+from .verify import Verdict, _cff_pairs, verify_cff
 
-# Hard cap on the number of (R, S) constraints a constructor will track.
+# Hard cap on the number of constraints a constructor will track.
 CONSTRAINT_CAP = 2**26
 
 # Las Vegas batch cap; hitting it means the spec is far beyond desk scale.
@@ -71,28 +78,86 @@ def greedy_row_bound(num_constraints: int, coverage_rate: float) -> int:
     return int(log(num_constraints) / -log(1.0 - coverage_rate)) + 1
 
 
+def _num_pairs(spec: CffSpec) -> int:
+    return comb(spec.n, spec.r) * comb(spec.n - spec.r, spec.s)
+
+
 def derandomized_size_bound(spec: CffSpec) -> int:
     """The guaranteed row-count bound of the derandomized constructor."""
-    m_total = comb(spec.n, spec.r) * comb(spec.n - spec.r, spec.s)
     p = spec.r / spec.d
     c = p**spec.r * (1.0 - p) ** spec.s  # 0**0 == 1 covers the edges
-    return greedy_row_bound(m_total, c)
+    return greedy_row_bound(_num_pairs(spec), c)
 
 
-def _constraint_cap_check(spec: CffSpec) -> int:
-    m_total = comb(spec.n, spec.r) * comb(spec.n - spec.r, spec.s)
+def _check_constraint_cap(m_total: int) -> None:
     if m_total > CONSTRAINT_CAP:
         raise ResourceLimitError(
             f"constraint set of size {m_total} exceeds the cap of {CONSTRAINT_CAP}"
         )
-    return m_total
 
 
-def _checked(m: SymbolMatrix, spec: CffSpec) -> SymbolMatrix:
-    verdict = verify_cff(m, spec.r, spec.s)
-    if not verdict.valid:  # pragma: no cover - constructor correctness guard
+def _checked(m: SymbolMatrix, verdict: Verdict) -> SymbolMatrix:
+    """``m``, once its own verifier's ``verdict`` says it is valid."""
+    if not verdict.valid:
         raise AssertionError(f"constructed matrix fails its own spec: {verdict.witness}")
     return m
+
+
+def _greedy_cover(
+    n: int, requirements: Iterable[Iterable[tuple[int, int]]], weights: Sequence[int]
+) -> tuple[SymbolMatrix, GreedyTrace]:
+    """Emit rows by conditional expectations until every constraint is met.
+
+    A constraint is a list of (column, symbol) requirements. Undecided
+    symbols are independent, c with probability weights[c] / W for
+    W = sum(weights). Each constraint keeps the exact numerator, over W**k
+    for k requirements, of the chance the current row meets it: 0 once an
+    earlier row met it or a decided symbol conflicts. Column j takes the
+    symbol c with the largest gain tally // weights[c] * W (tally sums the
+    numerators requiring c at j), ties to the smallest; the division is
+    exact, since each of those numerators still has the factor weights[c].
+    """
+    q, total = len(weights), sum(weights)
+    # by_column[j][c]: the constraints requiring symbol c at column j.
+    by_column: list[list[list[int]]] = [[[] for _ in range(q)] for _ in range(n)]
+    # fresh[i]: constraint i's numerator at the start of a row; 0 once a row met it.
+    fresh: list[int] = []
+    for i, reqs in enumerate(requirements):
+        base = 1
+        for j, c in reqs:
+            by_column[j][c].append(i)
+            base *= weights[c]
+        fresh.append(base)
+
+    remaining = len(fresh)
+    rows: list[tuple[int, ...]] = []
+    trace_rows: list[GreedyTraceRow] = []
+    while remaining:
+        num = fresh.copy()
+        row = []
+        for groups in by_column:
+            best, best_gain = 0, -1
+            for c, members in enumerate(groups):
+                gain = sum(map(num.__getitem__, members)) // weights[c] * total
+                if gain > best_gain:
+                    best, best_gain = c, gain
+            row.append(best)
+            for c, members in enumerate(groups):
+                if c == best:
+                    w = weights[c]
+                    for i in members:
+                        num[i] = num[i] // w * total
+                else:
+                    for i in members:
+                        num[i] = 0
+        # Every column is decided: a constraint still nonzero is met by the row.
+        covered = list(compress(range(len(num)), num))
+        for i in covered:
+            fresh[i] = 0
+        remaining -= len(covered)
+        rows.append(tuple(row))
+        trace_rows.append(GreedyTraceRow(rows[-1], len(covered), remaining))
+    return SymbolMatrix(n=n, q=q, rows=tuple(rows)), GreedyTrace(tuple(trace_rows))
 
 
 def _constant_row_family(spec: CffSpec) -> tuple[SymbolMatrix, GreedyTrace]:
@@ -100,95 +165,31 @@ def _constant_row_family(spec: CffSpec) -> tuple[SymbolMatrix, GreedyTrace]:
     bit = 0 if spec.r == 0 else 1
     row = (bit,) * spec.n
     m = SymbolMatrix(n=spec.n, q=2, rows=(row,))
-    m_total = comb(spec.n, spec.r) * comb(spec.n - spec.r, spec.s)
-    trace = GreedyTrace((GreedyTraceRow(row, m_total, 0),))
-    return _checked(m, spec), trace
+    trace = GreedyTrace((GreedyTraceRow(row, _num_pairs(spec), 0),))
+    return _checked(m, verify_cff(m, spec.r, spec.s)), trace
 
 
 def construct_cff_derandomized(spec: CffSpec) -> tuple[SymbolMatrix, GreedyTrace]:
     """Build an (n, (r, s))-cover-free family by conditional expectations.
 
-    Rows are emitted one at a time; within a row, bit j is fixed to the
-    value that maximizes the conditional expected number of still-uncovered
-    constraints the row will cover, ties broken toward 0. The comparison is
-    exact: both candidate expectations are integer numerators over the
-    common denominator d**d, so bit decisions are platform-independent.
+    Rows are emitted one at a time by ``_greedy_cover`` with symbol weights
+    (s, r): within a row, bit j is fixed to the value that maximizes the
+    conditional expected number of still-uncovered constraints the row will
+    cover, ties broken toward 0. The comparison is exact: both candidate
+    expectations are integer numerators over the common denominator d**d,
+    so bit decisions are platform-independent.
 
     The row count satisfies floor(ln M / -ln(1-c)) + 1 with
     M = C(n,r) * C(n-r,s) and c = p**r (1-p)**s.
     """
-    m_total = _constraint_cap_check(spec)
+    _check_constraint_cap(_num_pairs(spec))
     if spec.r == 0 or spec.s == 0:
         return _constant_row_family(spec)
-
-    n, r, s, d = spec.n, spec.r, spec.s, spec.d
-    # num[a][b] = r**a * s**b * d**(d-a-b): the numerator of p**a (1-p)**b
-    # over the common denominator d**d.
-    num = [[r**a * s**b * d ** (d - a - b) for b in range(s + 1)] for a in range(r + 1)]
-
-    # Constraint index: per-column membership lists for R and S sides.
-    col_r: list[list[int]] = [[] for _ in range(n)]
-    col_s: list[list[int]] = [[] for _ in range(n)]
-    idx = 0
-    cols = range(n)
-    for R in combinations(cols, r):
-        taken = set(R)
-        rest = [j for j in cols if j not in taken]
-        for S in combinations(rest, s):
-            for j in R:
-                col_r[j].append(idx)
-            for j in S:
-                col_s[j].append(idx)
-            idx += 1
-    assert idx == m_total
-
-    uncovered = bytearray([1]) * m_total
-    remaining = m_total
-    rows: list[tuple[int, ...]] = []
-    trace_rows: list[GreedyTraceRow] = []
-
-    while remaining:
-        # alive[i]: constraint i is uncovered and no decided bit of the
-        # current row conflicts with it yet.
-        alive = bytearray(uncovered)
-        a = [r] * m_total  # undecided positions of each constraint's R side
-        b = [s] * m_total  # and of its S side
-        bits = []
-        for j in range(n):
-            t1 = 0
-            for i in col_r[j]:
-                if alive[i]:
-                    t1 += num[a[i] - 1][b[i]]
-            t0 = 0
-            for i in col_s[j]:
-                if alive[i]:
-                    t0 += num[a[i]][b[i] - 1]
-            if t1 > t0:
-                bits.append(1)
-                for i in col_s[j]:
-                    alive[i] = 0
-                for i in col_r[j]:
-                    if alive[i]:
-                        a[i] -= 1
-            else:
-                bits.append(0)
-                for i in col_r[j]:
-                    alive[i] = 0
-                for i in col_s[j]:
-                    if alive[i]:
-                        b[i] -= 1
-        covered = 0
-        for i in range(m_total):
-            if alive[i]:
-                uncovered[i] = 0
-                covered += 1
-        remaining -= covered
-        row = tuple(bits)
-        rows.append(row)
-        trace_rows.append(GreedyTraceRow(row, covered, remaining))
-
-    m = SymbolMatrix(n=n, q=2, rows=tuple(rows))
-    return _checked(m, spec), GreedyTrace(tuple(trace_rows))
+    r, s = spec.r, spec.s
+    symbols = (1,) * r + (0,) * s
+    requirements = (zip(R + S, symbols) for R, S, _, _ in _cff_pairs(spec.n, r, s))
+    m, trace = _greedy_cover(spec.n, requirements, (s, r))
+    return _checked(m, verify_cff(m, r, s)), trace
 
 
 def construct_cff_randomized(spec: CffSpec, seed: int, batch: int = 16) -> SymbolMatrix:
@@ -199,7 +200,7 @@ def construct_cff_randomized(spec: CffSpec, seed: int, batch: int = 16) -> Symbo
     (spec, seed, batch). For r = 0 or s = 0 the constant-row closed form is
     returned directly.
     """
-    _constraint_cap_check(spec)
+    _check_constraint_cap(_num_pairs(spec))
     if batch < 1:
         raise ParameterError(f"batch must be positive, got {batch}")
     if spec.r == 0 or spec.s == 0:
@@ -208,20 +209,8 @@ def construct_cff_randomized(spec: CffSpec, seed: int, batch: int = 16) -> Symbo
     n, r, s = spec.n, spec.r, spec.s
     p = r / spec.d
     rng = random.Random(seed)
-
-    pending: list[tuple[int, int]] = []  # (rmask, smask) still uncovered
-    cols = range(n)
-    for R in combinations(cols, r):
-        rmask = 0
-        for j in R:
-            rmask |= 1 << j
-        taken = set(R)
-        rest = [j for j in cols if j not in taken]
-        for S in combinations(rest, s):
-            smask = 0
-            for j in S:
-                smask |= 1 << j
-            pending.append((rmask, smask))
+    # (rmask, smask) of each constraint still uncovered
+    pending = [(rmask, smask) for _, _, rmask, smask in _cff_pairs(n, r, s)]
 
     rows: list[tuple[int, ...]] = []
     for _ in range(MAX_BATCHES):
@@ -237,7 +226,7 @@ def construct_cff_randomized(spec: CffSpec, seed: int, batch: int = 16) -> Symbo
         ]
         if not pending:
             m = SymbolMatrix(n=n, q=2, rows=tuple(rows))
-            return _checked(m, spec)
+            return _checked(m, verify_cff(m, r, s))
     raise ConvergenceError(
         f"no ({spec.n}, ({spec.r}, {spec.s})) family after {MAX_BATCHES} batches of {batch}"
     )
@@ -272,4 +261,4 @@ def construct_cff_sperner(n: int) -> SymbolMatrix:
         tuple(1 if i in block else 0 for block in chosen) for i in range(rows)
     )
     m = SymbolMatrix(n=n, q=2, rows=matrix_rows)
-    return _checked(m, CffSpec(n=n, r=1, s=1))
+    return _checked(m, verify_cff(m, 1, 1))

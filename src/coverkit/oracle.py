@@ -27,10 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Literal, Sequence
+from typing import Callable, Literal
 
 from .core import CffSpec, SymbolMatrix, UniversalSpec
 from .errors import ParameterError
+from .verify import _cff_pairs
 
 # Candidate row spaces larger than this are out of the oracle's scale.
 ROW_SPACE_CAP = 2**20
@@ -74,20 +75,27 @@ class _OutOfNodes(Exception):
 
 
 def _search_minimal(
-    candidates: Sequence[tuple[int, ...]],
-    cover: list[int],
+    cover_of: Callable[[tuple[int, ...]], int],
     num_constraints: int,
     budget: SearchBudget,
     *,
     n: int,
     q: int,
     start: int,
-    nodes_used: int,
 ) -> SearchOutcome:
+    """Search over all q**n candidate rows; ``cover_of(row)`` is the bitmask
+    of the constraints a row meets. Each precomputed mask costs one node."""
+    limit = budget.node_limit
+    candidates = list(product(range(q), repeat=n))
+    cover = []
+    nodes = 0
+    for row in candidates:
+        nodes += 1
+        if nodes > limit:
+            return SearchOutcome("budget_exceeded", nodes=nodes)
+        cover.append(cover_of(row))
     count = len(candidates)
     full = (1 << num_constraints) - 1
-    nodes = nodes_used
-    limit = budget.node_limit
 
     suffix_or = [0] * (count + 1)
     suffix_max = [0] * (count + 1)
@@ -156,6 +164,8 @@ def _search_minimal(
                 return SearchOutcome("found", size=size, certificate=certificate, nodes=nodes)
     except _OutOfNodes:
         return SearchOutcome("budget_exceeded", nodes=nodes)
+    finally:
+        del dfs  # a self-referencing closure: free its masks now, not at the next gc
     return SearchOutcome("infeasible", nodes=nodes)
 
 
@@ -173,15 +183,8 @@ def minimal_universal_size(
 
     subsets = list(combinations(range(n), d))
     qd = q**d
-    num_constraints = len(subsets) * qd
 
-    candidates = list(product(range(q), repeat=n))
-    cover = []
-    nodes = 0
-    for row in candidates:
-        nodes += 1
-        if nodes > budget.node_limit:
-            return SearchOutcome("budget_exceeded", nodes=nodes)
+    def cover_of(row: tuple[int, ...]) -> int:
         mask = 0
         base = 0
         for S in subsets:
@@ -190,11 +193,9 @@ def minimal_universal_size(
                 idx = idx * q + row[j]
             mask |= 1 << (base + idx)
             base += qd
-        cover.append(mask)
+        return mask
 
-    return _search_minimal(
-        candidates, cover, num_constraints, budget, n=n, q=q, start=qd, nodes_used=nodes
-    )
+    return _search_minimal(cover_of, len(subsets) * qd, budget, n=n, q=q, start=qd)
 
 
 def minimal_cff_size(spec: CffSpec, budget: SearchBudget = SearchBudget()) -> SearchOutcome:
@@ -206,27 +207,9 @@ def minimal_cff_size(spec: CffSpec, budget: SearchBudget = SearchBudget()) -> Se
     if 2**n > ROW_SPACE_CAP:
         return SearchOutcome("budget_exceeded", nodes=0)
 
-    pairs = []
-    cols = range(n)
-    for R in combinations(cols, r):
-        rmask = 0
-        for j in R:
-            rmask |= 1 << j
-        taken = set(R)
-        rest = [j for j in cols if j not in taken]
-        for S in combinations(rest, s):
-            smask = 0
-            for j in S:
-                smask |= 1 << j
-            pairs.append((rmask, smask))
+    pairs = [(rmask, smask) for _, _, rmask, smask in _cff_pairs(n, r, s)]
 
-    candidates = list(product(range(2), repeat=n))
-    cover = []
-    nodes = 0
-    for row in candidates:
-        nodes += 1
-        if nodes > budget.node_limit:
-            return SearchOutcome("budget_exceeded", nodes=nodes)
+    def cover_of(row: tuple[int, ...]) -> int:
         rowmask = 0
         for j, bit in enumerate(row):
             rowmask |= bit << j
@@ -234,8 +217,6 @@ def minimal_cff_size(spec: CffSpec, budget: SearchBudget = SearchBudget()) -> Se
         for c, (rmask, smask) in enumerate(pairs):
             if rowmask & rmask == rmask and rowmask & smask == 0:
                 mask |= 1 << c
-        cover.append(mask)
+        return mask
 
-    return _search_minimal(
-        candidates, cover, len(pairs), budget, n=n, q=2, start=1, nodes_used=nodes
-    )
+    return _search_minimal(cover_of, len(pairs), budget, n=n, q=2, start=1)

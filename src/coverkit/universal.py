@@ -8,25 +8,28 @@ obtained by complementing the mirror component, which halves the work.
 
 ``construct_universal_greedy`` is a direct conditional-expectations build
 over the (columns, pattern) constraints and works for any alphabet size.
+It runs the engine of ``construct_cff_derandomized`` with symbol weights
+(1,) * q, for which the cover-free constructor passes (s, r).
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from typing import Literal
 
 from .cff import (
-    CONSTRAINT_CAP,
     GreedyTrace,
-    GreedyTraceRow,
+    _check_constraint_cap,
+    _checked,
+    _greedy_cover,
     construct_cff_derandomized,
     construct_cff_randomized,
     construct_cff_sperner,
     greedy_row_bound,
 )
 from .core import CffSpec, SymbolMatrix, UniversalSpec, complement, dedup_rows
-from .errors import ParameterError, ResourceLimitError
+from .errors import ParameterError
 from .verify import verify_universal
 
 CffMethod = Literal["derandomized", "randomized", "sperner_where_applicable"]
@@ -66,7 +69,8 @@ def build_universal_lemma1(
 
     Builds F(n, (i, d-i)) for i = 0..floor(d/2) with the requested method,
     supplies i > floor(d/2) as the complement of the mirror component, and
-    returns the deduplicated union merged in component order i = 0..d.
+    returns the deduplicated union merged in component order i = 0..d,
+    verified as a whole before it is returned.
 
     The union ranges over all of i = 0..d: every weight class of patterns,
     including the all-ones one, needs its component. ``seed``/``batch``
@@ -82,81 +86,27 @@ def build_universal_lemma1(
     for i in range(d + 1):
         part = built[i] if i <= d // 2 else complement(built[d - i])
         merged.extend(part.rows)
-    return dedup_rows(SymbolMatrix(n=n, q=2, rows=tuple(merged)))
+    union = dedup_rows(SymbolMatrix(n=n, q=2, rows=tuple(merged)))
+    return _checked(union, verify_universal(union, d))
 
 
 def construct_universal_greedy(spec: UniversalSpec) -> tuple[SymbolMatrix, GreedyTrace]:
     """Direct conditional-expectations construction of an (n, d)-universal
     set over any alphabet.
 
-    Rows are built symbol by symbol against the uncovered (columns,
-    pattern) constraints, undecided symbols modeled as uniform over the
-    alphabet. Candidate expectations are compared as exact integers over
-    the common denominator q**d; ties go to the smallest symbol. The row
-    count satisfies floor(ln(C(n,d) q**d) / -ln(1 - q**-d)) + 1.
+    Rows are built symbol by symbol by ``_greedy_cover`` against the
+    uncovered (columns, pattern) constraints, undecided symbols modeled as
+    uniform over the alphabet (symbol weights (1,) * q). Candidate
+    expectations are compared as exact integers over the common denominator
+    q**d; ties go to the smallest symbol. The row count satisfies
+    floor(ln(C(n,d) q**d) / -ln(1 - q**-d)) + 1.
     """
     n, d, q = spec.n, spec.d, spec.q
-    m_total = comb(n, d) * q**d
-    if m_total > CONSTRAINT_CAP:
-        raise ResourceLimitError(
-            f"constraint set of size {m_total} exceeds the cap of {CONSTRAINT_CAP}"
-        )
-
-    # col_req[j]: (constraint index, required symbol) for constraints whose
-    # column set contains j.
-    col_req: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    idx = 0
-    for S in combinations(range(n), d):
-        for pat in range(q**d):
-            digits = []
-            rest = pat
-            for _ in range(d):
-                rest, sym = divmod(rest, q)
-                digits.append(sym)
-            digits.reverse()
-            for j, sym in zip(S, digits):
-                col_req[j].append((idx, sym))
-            idx += 1
-    assert idx == m_total
-
-    qpow = [q**k for k in range(d + 1)]
-    uncovered = bytearray([1]) * m_total
-    remaining = m_total
-    rows: list[tuple[int, ...]] = []
-    trace_rows: list[GreedyTraceRow] = []
-
-    while remaining:
-        alive = bytearray(uncovered)
-        undecided = [d] * m_total  # undecided positions of each constraint
-        symbols = []
-        for j in range(n):
-            tallies = [0] * q
-            for i, sym in col_req[j]:
-                if alive[i]:
-                    tallies[sym] += qpow[d - undecided[i] + 1]
-            best = 0
-            for c in range(1, q):
-                if tallies[c] > tallies[best]:
-                    best = c
-            symbols.append(best)
-            for i, sym in col_req[j]:
-                if alive[i]:
-                    if sym != best:
-                        alive[i] = 0
-                    else:
-                        undecided[i] -= 1
-        covered = 0
-        for i in range(m_total):
-            if alive[i]:
-                uncovered[i] = 0
-                covered += 1
-        remaining -= covered
-        row = tuple(symbols)
-        rows.append(row)
-        trace_rows.append(GreedyTraceRow(row, covered, remaining))
-
-    m = SymbolMatrix(n=n, q=q, rows=tuple(rows))
-    verdict = verify_universal(m, d)
-    if not verdict.valid:  # pragma: no cover - constructor correctness guard
-        raise AssertionError(f"constructed matrix fails its own spec: {verdict.witness}")
-    return m, GreedyTrace(tuple(trace_rows))
+    _check_constraint_cap(comb(n, d) * q**d)
+    requirements = (
+        zip(S, pattern)
+        for S in combinations(range(n), d)
+        for pattern in product(range(q), repeat=d)
+    )
+    m, trace = _greedy_cover(n, requirements, (1,) * q)
+    return _checked(m, verify_universal(m, d)), trace

@@ -20,7 +20,7 @@ constraint so they are deterministic and testable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator, Literal, Union
 
 from .core import CffSpec, SymbolMatrix, UniversalSpec
@@ -66,14 +66,6 @@ class Verdict:
 _VALID = Verdict("valid")
 
 
-def _pattern_tuple(index: int, d: int, q: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(d):
-        index, sym = divmod(index, q)
-        digits.append(sym)
-    return tuple(reversed(digits))
-
-
 def _check_universal_params(m: SymbolMatrix, d: int) -> None:
     if not 1 <= d <= m.n:
         raise ParameterError(f"need 1 <= d <= n, got d={d}, n={m.n}")
@@ -83,13 +75,8 @@ def _check_universal_params(m: SymbolMatrix, d: int) -> None:
         )
 
 
-def verify_universal(m: SymbolMatrix, d: int) -> Verdict:
-    """Check that every d columns of ``m`` exhibit all q**d patterns.
-
-    Returns a valid verdict, or the lexicographically first missing
-    (columns, pattern) pair under (subset, then pattern) order.
-    """
-    _check_universal_params(m, d)
+def _missing_universal(m: SymbolMatrix, d: int) -> Iterator[UniversalWitness]:
+    """Every (columns, pattern) pair ``m`` misses, in (subset, then pattern) order."""
     q = m.q
     total = q**d
     for S in combinations(range(m.n), d):
@@ -105,9 +92,24 @@ def verify_universal(m: SymbolMatrix, d: int) -> Verdict:
                 if hits == total:
                     break
         if hits != total:
-            missing = seen.index(0)
-            return Verdict("violated", UniversalWitness(S, _pattern_tuple(missing, d, q)))
-    return _VALID
+            for pattern, shown in zip(product(range(q), repeat=d), seen):
+                if not shown:
+                    yield UniversalWitness(S, pattern)
+
+
+def _verdict(missing: Iterator[Witness]) -> Verdict:
+    witness = next(missing, None)
+    return _VALID if witness is None else Verdict("violated", witness)
+
+
+def verify_universal(m: SymbolMatrix, d: int) -> Verdict:
+    """Check that every d columns of ``m`` exhibit all q**d patterns.
+
+    Returns a valid verdict, or the lexicographically first missing
+    (columns, pattern) pair under (subset, then pattern) order.
+    """
+    _check_universal_params(m, d)
+    return _verdict(_missing_universal(m, d))
 
 
 def _check_cff_params(m: SymbolMatrix, r: int, s: int) -> None:
@@ -119,13 +121,33 @@ def _check_cff_params(m: SymbolMatrix, r: int, s: int) -> None:
         raise ParameterError(f"need r+s <= n, got r+s={r + s}, n={m.n}")
 
 
-def _cff_pairs(n: int, r: int, s: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All disjoint (R, S) column pairs in lexicographic (R, then S) order."""
+def _cff_pairs(
+    n: int, r: int, s: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int, int]]:
+    """All disjoint (R, S) column pairs in lexicographic (R, then S) order,
+    each with the bitmasks of R and S (bit j = column j)."""
     cols = range(n)
     for R in combinations(cols, r):
-        taken = set(R)
-        rest = [j for j in cols if j not in taken]
-        yield from ((R, S) for S in combinations(rest, s))
+        rmask = 0
+        for j in R:
+            rmask |= 1 << j
+        rest = [j for j in cols if not rmask >> j & 1]
+        for S in combinations(rest, s):
+            smask = 0
+            for j in S:
+                smask |= 1 << j
+            yield R, S, rmask, smask
+
+
+def _missing_cff(m: SymbolMatrix, r: int, s: int) -> Iterator[CffWitness]:
+    """Every (R, S) pair no row of ``m`` separates, in (R, then S) order."""
+    masks = m.row_masks
+    for R, S, rmask, smask in _cff_pairs(m.n, r, s):
+        for row in masks:
+            if row & rmask == rmask and row & smask == 0:
+                break
+        else:
+            yield CffWitness(R, S)
 
 
 def verify_cff(m: SymbolMatrix, r: int, s: int) -> Verdict:
@@ -135,27 +157,13 @@ def verify_cff(m: SymbolMatrix, r: int, s: int) -> Verdict:
     (R, S) pair.
     """
     _check_cff_params(m, r, s)
-    masks = m.row_masks
-    for R, S in _cff_pairs(m.n, r, s):
-        rmask = 0
-        for j in R:
-            rmask |= 1 << j
-        smask = 0
-        for j in S:
-            smask |= 1 << j
-        for row in masks:
-            if row & rmask == rmask and row & smask == 0:
-                break
-        else:
-            return Verdict("violated", CffWitness(R, S))
-    return _VALID
+    return _verdict(_missing_cff(m, r, s))
 
 
 def count_uncovered(m: SymbolMatrix, spec: UniversalSpec | CffSpec) -> int:
     """Exact number of unmet constraints of ``m`` against ``spec``.
 
-    Zero exactly when the corresponding verifier returns valid. Used as the
-    progress metric by the greedy constructors and in reports.
+    Zero exactly when the corresponding verifier returns valid.
     """
     if spec.n != m.n:
         raise ParameterError(f"spec has n={spec.n} but matrix has n={m.n}")
@@ -163,35 +171,10 @@ def count_uncovered(m: SymbolMatrix, spec: UniversalSpec | CffSpec) -> int:
         if spec.q != m.q:
             raise ParameterError(f"spec has q={spec.q} but matrix has q={m.q}")
         _check_universal_params(m, spec.d)
-        q, d = m.q, spec.d
-        total = q**d
-        missing = 0
-        for S in combinations(range(m.n), d):
-            seen = bytearray(total)
-            hits = 0
-            for row in m.rows:
-                idx = 0
-                for j in S:
-                    idx = idx * q + row[j]
-                if not seen[idx]:
-                    seen[idx] = 1
-                    hits += 1
-                    if hits == total:
-                        break
-            missing += total - hits
-        return missing
-    if isinstance(spec, CffSpec):
+        missing: Iterator[Witness] = _missing_universal(m, spec.d)
+    elif isinstance(spec, CffSpec):
         _check_cff_params(m, spec.r, spec.s)
-        masks = m.row_masks
-        missing = 0
-        for R, S in _cff_pairs(m.n, spec.r, spec.s):
-            rmask = 0
-            for j in R:
-                rmask |= 1 << j
-            smask = 0
-            for j in S:
-                smask |= 1 << j
-            if not any(row & rmask == rmask and row & smask == 0 for row in masks):
-                missing += 1
-        return missing
-    raise ParameterError(f"unsupported spec type {type(spec).__name__}")
+        missing = _missing_cff(m, spec.r, spec.s)
+    else:
+        raise ParameterError(f"unsupported spec type {type(spec).__name__}")
+    return sum(1 for _ in missing)

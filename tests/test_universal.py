@@ -3,11 +3,14 @@ from math import comb, log
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import coverkit.universal
 from coverkit import (
     ParameterError,
     ResourceLimitError,
+    SymbolMatrix,
     UniversalSpec,
     build_universal_lemma1,
+    dedup_rows,
     construct_universal_greedy,
     universal_greedy_size_bound,
     verify_cff,
@@ -50,6 +53,16 @@ class TestLemma1:
     def test_no_duplicate_rows(self):
         m = build_universal_lemma1(6, 3)
         assert len(set(m.rows)) == m.num_rows
+
+    def test_union_is_verified_before_it_is_returned(self, monkeypatch):
+        # n = d = 3 needs all eight rows, so losing one in the union breaks it
+        def drop_first_row(m):
+            kept = dedup_rows(m)
+            return SymbolMatrix(n=kept.n, q=kept.q, rows=kept.rows[1:])
+
+        monkeypatch.setattr(coverkit.universal, "dedup_rows", drop_first_row)
+        with pytest.raises(AssertionError):
+            build_universal_lemma1(3, 3)
 
     def test_randomized_method_is_seed_deterministic(self):
         a = build_universal_lemma1(5, 2, "randomized", seed=9)

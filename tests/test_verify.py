@@ -26,6 +26,28 @@ def full_enumeration(n, q):
     return SymbolMatrix(n=n, q=q, rows=tuple(product(range(q), repeat=n)))
 
 
+def unmet_universal(m, d):
+    """Definitional list of the (columns, pattern) constraints no row meets,
+    in (subset, then pattern) order."""
+    return [
+        UniversalWitness(S, pattern)
+        for S in combinations(range(m.n), d)
+        for pattern in product(range(m.q), repeat=d)
+        if not any(all(row[j] == p for j, p in zip(S, pattern)) for row in m.rows)
+    ]
+
+
+def unmet_cff(m, r, s):
+    """Definitional list of the (R, S) pairs no row separates, in (R, then S)
+    order."""
+    return [
+        CffWitness(R, S)
+        for R in combinations(range(m.n), r)
+        for S in combinations([j for j in range(m.n) if j not in R], s)
+        if not any(all(row[j] == 1 for j in R) and all(row[j] == 0 for j in S) for row in m.rows)
+    ]
+
+
 class TestVerifyUniversal:
     @pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (2, 3)])
     def test_full_enumeration_is_universal(self, n, q):
@@ -158,6 +180,23 @@ class TestCountUncovered:
             return
         spec = CffSpec(m.n, r, s)
         assert (count_uncovered(m, spec) == 0) == verify_cff(m, r, s).valid
+
+    @given(matrices(max_n=5, max_rows=8, qs=(2, 3)), st.integers(1, 3))
+    @settings(max_examples=80)
+    def test_matches_definition_universal(self, m, d):
+        d = min(d, m.n)
+        unmet = unmet_universal(m, d)
+        assert count_uncovered(m, UniversalSpec(m.n, d, m.q)) == len(unmet)
+        assert verify_universal(m, d).witness == (unmet[0] if unmet else None)
+
+    @given(matrices(max_n=5, max_rows=8), st.integers(0, 3), st.integers(0, 3))
+    @settings(max_examples=80)
+    def test_matches_definition_cff(self, m, r, s):
+        if not 1 <= r + s <= m.n:
+            return
+        unmet = unmet_cff(m, r, s)
+        assert count_uncovered(m, CffSpec(m.n, r, s)) == len(unmet)
+        assert verify_cff(m, r, s).witness == (unmet[0] if unmet else None)
 
 
 class TestProperties:
