@@ -17,6 +17,13 @@ Its conditional-expectations engine, ``_greedy_cover``, is shared with
 (2009). A constraint is a list of (column, symbol) requirements, so (R, S)
 reads "1 on R, 0 on S", and undecided symbols are drawn with probabilities
 proportional to integer weights: (s, r) here, (1,) * q for universal sets.
+The engine is bit-sliced: Python ints serve as bitsets over the constraint
+index, one per (column, symbol) for the constraints requiring that symbol
+there and one per distinct coverage numerator for the constraints holding
+it. Deciding a column costs one AND and popcount per (numerator, symbol)
+pair and a few ANDs per numerator to move the chosen symbol's constraints
+to their new numerator: the count of operations does not grow with the
+number of constraints, and each is one pass in C over a bitset's words.
 
 Every constructor verifies its own output before returning it.
 """
@@ -25,8 +32,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, compress
-from math import comb, log
+from itertools import combinations
+from math import comb
 from typing import Iterable, Sequence
 
 from .core import CffSpec, SymbolMatrix
@@ -70,12 +77,64 @@ class GreedyTrace:
         return len(self.rows)
 
 
-def greedy_row_bound(num_constraints: int, coverage_rate: float) -> int:
-    """Rows needed when every row covers at least ``coverage_rate`` of what
-    remains: floor(ln M / -ln(1 - c)) + 1. A rate of 1 means one row."""
-    if num_constraints <= 1 or coverage_rate >= 1.0:
+def _power_bounds(base: int, k: int, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo * 2**e <= base**k <= hi * 2**e, by square and
+    multiply, rounding lo down and hi up to ``bits`` bits after each step."""
+    lo = hi = 1
+    e = 0
+    for bit in bin(k)[2:]:
+        lo, hi, e = lo * lo, hi * hi, 2 * e
+        if bit == "1":
+            lo, hi = lo * base, hi * base
+        cut = hi.bit_length() - bits
+        if cut > 0:
+            lo, hi, e = lo >> cut, -(-hi >> cut), e + cut
+    return lo, hi, e
+
+
+def _power_below(m: int, a: int, b: int, k: int) -> bool:
+    """Whether m * a**k < b**k, for 0 <= a < b, decided exactly.
+
+    The two powers are bounded at rising precision until the bounds settle
+    the comparison; at worst the precision reaches the powers' own size,
+    where the bounds are the exact values. So the cost follows how close
+    the two sides are, not the size of the powers.
+    """
+    bits = 64
+    while True:
+        a_lo, a_hi, ae = _power_bounds(a, k, bits)
+        b_lo, b_hi, be = _power_bounds(b, k, bits)
+        e = min(ae, be)
+        if (m * a_hi) << (ae - e) < b_lo << (be - e):
+            return True
+        if (m * a_lo) << (ae - e) >= b_hi << (be - e):
+            return False
+        bits *= 2
+
+
+def greedy_row_bound(num_constraints: int, covered: int, whole: int) -> int:
+    """Rows needed when every row covers at least the fraction covered/whole
+    of what remains: the least k with M * (whole - covered)**k < whole**k for
+    M constraints, in exact integers. In real arithmetic this is
+    floor(ln M / -ln(1 - c)) + 1. M <= 1 or a rate of 1 means one row."""
+    if num_constraints <= 1 or covered >= whole:
         return 1
-    return int(log(num_constraints) / -log(1.0 - coverage_rate)) + 1
+
+    def enough(k: int) -> bool:
+        return _power_below(num_constraints, whole - covered, whole, k)
+
+    # Double, then bisect: k reaches ~4e5 at c = 5**-6.
+    hi = 1
+    while not enough(hi):
+        hi *= 2
+    lo = hi // 2  # not enough: hi == 1 or hi was doubled past it; M > 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if enough(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _num_pairs(spec: CffSpec) -> int:
@@ -84,9 +143,9 @@ def _num_pairs(spec: CffSpec) -> int:
 
 def derandomized_size_bound(spec: CffSpec) -> int:
     """The guaranteed row-count bound of the derandomized constructor."""
-    p = spec.r / spec.d
-    c = p**spec.r * (1.0 - p) ** spec.s  # 0**0 == 1 covers the edges
-    return greedy_row_bound(_num_pairs(spec), c)
+    r, s, d = spec.r, spec.s, spec.d
+    # c = p**r (1-p)**s at p = r/d; 0**0 == 1 covers the edges
+    return greedy_row_bound(_num_pairs(spec), r**r * s**s, d**d)
 
 
 def _check_constraint_cap(m_total: int) -> None:
@@ -103,60 +162,99 @@ def _checked(m: SymbolMatrix, verdict: Verdict) -> SymbolMatrix:
     return m
 
 
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _bitset(indices: Iterable[int], size: int) -> int:
+    """The int with bit i set for each i in ``indices``, all below ``size``.
+
+    Packed through one byte per bit: setting bits one at a time on a
+    Python int copies it on every step, which is quadratic in ``size``.
+    """
+    flags = bytearray(size)
+    for i in indices:
+        flags[i] = 1
+    return int(flags.translate(_BIT_DIGITS)[::-1], 2) if size else 0
+
+
 def _greedy_cover(
     n: int, requirements: Iterable[Iterable[tuple[int, int]]], weights: Sequence[int]
 ) -> tuple[SymbolMatrix, GreedyTrace]:
     """Emit rows by conditional expectations until every constraint is met.
 
-    A constraint is a list of (column, symbol) requirements. Undecided
-    symbols are independent, c with probability weights[c] / W for
-    W = sum(weights). Each constraint keeps the exact numerator, over W**k
-    for k requirements, of the chance the current row meets it: 0 once an
-    earlier row met it or a decided symbol conflicts. Column j takes the
-    symbol c with the largest gain tally // weights[c] * W (tally sums the
-    numerators requiring c at j), ties to the smallest; the division is
-    exact, since each of those numerators still has the factor weights[c].
+    A constraint is a list of (column, symbol) requirements on distinct
+    columns. Undecided symbols are independent, c with probability
+    weights[c] / W for W = sum(weights). Each constraint has an exact
+    numerator, over W**k for k requirements, of the chance the current row
+    meets it: 0 once an earlier row met it or a decided symbol conflicts.
+    Column j takes the symbol c with the largest gain tally // weights[c] * W
+    (tally sums the numerators requiring c at j), ties to the smallest; the
+    division is exact, since each of those numerators still has the factor
+    weights[c].
+
+    The state is bit-sliced: each set of constraints is a Python int with
+    bit i for constraint i. ``need[j][c]`` is the set requiring symbol c at
+    column j, ``live`` the set no earlier row has met, and ``groups`` maps
+    each nonzero numerator to the set of constraints holding it. Column j
+    tallies each symbol by AND and popcount against every group; fixing it
+    to c moves the members of ``need[j][c]`` from numerator v to
+    v // weights[c] * W, drops the members requiring another symbol and
+    leaves the rest. Once every column is decided, the union of the groups
+    is what the row met. Equal weights keep at most k + 1 numerators, so a
+    column costs a few dozen big-int operations, not a Python step per
+    constraint.
     """
     q, total = len(weights), sum(weights)
     # by_column[j][c]: the constraints requiring symbol c at column j.
     by_column: list[list[list[int]]] = [[[] for _ in range(q)] for _ in range(n)]
-    # fresh[i]: constraint i's numerator at the start of a row; 0 once a row met it.
-    fresh: list[int] = []
+    # by_start[v]: the constraints whose numerator at the start of a row is v.
+    by_start: dict[int, list[int]] = {}
+    size = 0
     for i, reqs in enumerate(requirements):
-        base = 1
+        start = 1
         for j, c in reqs:
             by_column[j][c].append(i)
-            base *= weights[c]
-        fresh.append(base)
+            start *= weights[c]
+        by_start.setdefault(start, []).append(i)
+        size = i + 1
+    need = [[_bitset(members, size) for members in groups] for groups in by_column]
+    # untouched[j]: the constraints with no requirement at column j.
+    untouched = [~sum(sets) for sets in need]  # the sets of a column are disjoint
+    start_sets = {v: _bitset(members, size) for v, members in by_start.items()}
 
-    remaining = len(fresh)
+    live = (1 << size) - 1  # constraints no earlier row has met
+    remaining = size
     rows: list[tuple[int, ...]] = []
     trace_rows: list[GreedyTraceRow] = []
-    while remaining:
-        num = fresh.copy()
+    while live:
+        groups = {v: members & live for v, members in start_sets.items()}
         row = []
-        for groups in by_column:
+        for sets, rest in zip(need, untouched):
             best, best_gain = 0, -1
-            for c, members in enumerate(groups):
-                gain = sum(map(num.__getitem__, members)) // weights[c] * total
+            for c, members in enumerate(sets):
+                tally = sum(v * (s & members).bit_count() for v, s in groups.items())
+                gain = tally // weights[c] * total
                 if gain > best_gain:
                     best, best_gain = c, gain
             row.append(best)
-            for c, members in enumerate(groups):
-                if c == best:
-                    w = weights[c]
-                    for i in members:
-                        num[i] = num[i] // w * total
-                else:
-                    for i in members:
-                        num[i] = 0
-        # Every column is decided: a constraint still nonzero is met by the row.
-        covered = list(compress(range(len(num)), num))
-        for i in covered:
-            fresh[i] = 0
-        remaining -= len(covered)
+            kept, w = sets[best], weights[best]
+            moved: dict[int, int] = {}
+            for v, s in groups.items():
+                stay, met = s & rest, s & kept
+                if stay:
+                    moved[v] = moved.get(v, 0) | stay
+                if met:
+                    u = v // w * total
+                    moved[u] = moved.get(u, 0) | met
+            groups = moved
+        # Every column is decided: a constraint still in a group is met by the
+        # row. No constraint is in two groups, so their sum is their union.
+        covered = sum(groups.values())
+        live &= ~covered
+        count = covered.bit_count()
+        remaining -= count
         rows.append(tuple(row))
-        trace_rows.append(GreedyTraceRow(rows[-1], len(covered), remaining))
+        trace_rows.append(GreedyTraceRow(rows[-1], count, remaining))
     return SymbolMatrix(n=n, q=q, rows=tuple(rows)), GreedyTrace(tuple(trace_rows))
 
 

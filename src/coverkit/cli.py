@@ -130,8 +130,7 @@ def _cmd_construct_cff(args) -> int:
 
 def _cmd_verify(args) -> int:
     matrix, header = load_array(args.file)
-    if args.d is not None and (args.r is not None or args.s is not None):
-        raise ParameterError("give either --d or --r/--s, not both")
+    _check_one_mode(args)
     if (args.r is None) != (args.s is None):
         raise ParameterError("--r and --s must be given together")
     if args.d is not None:
@@ -154,9 +153,13 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _check_mode_flags(args) -> None:
+def _check_one_mode(args) -> None:
     if args.d is not None and (args.r is not None or args.s is not None):
         raise ParameterError("give either --d or --r/--s, not both")
+
+
+def _check_mode_flags(args) -> None:
+    _check_one_mode(args)
     if args.d is None and (args.r is None or args.s is None):
         raise ParameterError("specify --d, or both --r and --s")
 

@@ -41,7 +41,7 @@ def universal_greedy_size_bound(spec: UniversalSpec) -> int:
     """Guaranteed row bound of the direct greedy:
     floor(ln(C(n,d) q**d) / -ln(1 - q**-d)) + 1."""
     m_total = comb(spec.n, spec.d) * spec.q**spec.d
-    return greedy_row_bound(m_total, float(spec.q) ** -spec.d)
+    return greedy_row_bound(m_total, 1, spec.q**spec.d)
 
 
 def _build_component(spec: CffSpec, method: str, seed: int, batch: int) -> SymbolMatrix:

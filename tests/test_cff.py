@@ -1,7 +1,8 @@
-from math import comb
+from decimal import Decimal, localcontext
+from math import comb, log
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coverkit import (
     CffSpec,
@@ -9,15 +10,17 @@ from coverkit import (
     ParameterError,
     ResourceLimitError,
     SymbolMatrix,
+    UniversalSpec,
     complement,
     construct_cff_derandomized,
     construct_cff_randomized,
     construct_cff_sperner,
     derandomized_size_bound,
     sperner_row_count,
+    universal_greedy_size_bound,
     verify_cff,
 )
-from coverkit.cff import GreedyTrace, GreedyTraceRow
+from coverkit.cff import GreedyTrace, GreedyTraceRow, _power_below, greedy_row_bound
 
 
 def small_specs(max_n=8, max_part=2):
@@ -80,6 +83,66 @@ class TestDerandomized:
         m, trace = construct_cff_derandomized(spec)
         assert verify_cff(m, spec.r, spec.s).valid
         assert trace.total_rows <= derandomized_size_bound(spec)
+
+
+def float_row_bound(num_constraints, rate):
+    """The row bound as computed in floating point before it was exact."""
+    if num_constraints <= 1 or rate >= 1.0:
+        return 1
+    return int(log(num_constraints) / -log(1.0 - rate)) + 1
+
+
+class TestRowBound:
+    def test_hand_values(self):
+        assert greedy_row_bound(1, 1, 7) == 1
+        assert greedy_row_bound(5, 3, 3) == 1
+        assert greedy_row_bound(2, 1, 2) == 2
+        # 9 * 1**2 == 3**2, so two rows are one short of the strict bound.
+        assert greedy_row_bound(9, 2, 3) == 3
+        assert derandomized_size_bound(CffSpec(24, 2, 2)) == 172
+        assert derandomized_size_bound(CffSpec(5, 0, 3)) == 1
+        assert universal_greedy_size_bound(UniversalSpec(40, 6, 5)) == 387757
+
+    def test_rates_below_float_precision(self):
+        # 1 - 36**-11 rounds to 1.0, so the float formula divides by zero;
+        # 60-digit decimal logarithms give the same k as the exact search.
+        whole = 36**11
+        with localcontext() as ctx:
+            ctx.prec = 60
+            x = Decimal(whole).ln() / (Decimal(whole) / (whole - 1)).ln()
+        assert universal_greedy_size_bound(UniversalSpec(11, 11, 36)) == int(x) + 1
+
+    def test_matches_the_float_formula_on_a_grid(self):
+        points = 0
+        for n in range(2, 41):
+            for r in range(5):
+                for s in range(5):
+                    if 1 <= r + s <= n:
+                        spec = CffSpec(n, r, s)
+                        p = r / spec.d
+                        rate = p**r * (1 - p) ** s
+                        expected = float_row_bound(comb(n, r) * comb(n - r, s), rate)
+                        assert derandomized_size_bound(spec) == expected, spec
+                        points += 1
+            for d in range(1, min(5, n) + 1):
+                for q in (2, 3, 5):
+                    expected = float_row_bound(comb(n, d) * q**d, float(q) ** -d)
+                    assert universal_greedy_size_bound(UniversalSpec(n, d, q)) == expected
+                    points += 1
+        assert points == 1449
+
+    @given(
+        st.integers(1, 10**6),
+        st.integers(0, 10**4),
+        st.integers(1, 10**4),
+        st.integers(0, 300),
+    )
+    @example(8, 1, 2, 3)
+    @example(9, 1, 3, 2)
+    @settings(max_examples=200, deadline=None)
+    def test_power_comparison_is_exact(self, m, a, b, k):
+        a = min(a, b - 1)
+        assert _power_below(m, a, b, k) == (m * a**k < b**k)
 
 
 class TestRandomized:

@@ -143,6 +143,14 @@ class TestVerify:
         assert run_cli(["verify", str(f), "--r", "1"]) == 2
         capsys.readouterr()
 
+    def test_both_modes_rejected_with_the_shared_message(self, tmp_path, capsys):
+        f = tmp_path / "m.txt"
+        f.write_text("kind=raw n=2 q=2 rows=1\n01\n")
+        assert run_cli(["verify", str(f), "--d", "2", "--r", "1", "--s", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: give either --d or --r/--s, not both\n"
+        assert captured.out == ""
+
     def test_cff_defaults_from_header(self, tmp_path, capsys):
         f = tmp_path / "c.txt"
         f.write_text("kind=cff n=2 q=2 rows=2 r=1 s=1\n10\n01\n")
@@ -228,13 +236,21 @@ class TestUsage:
         capsys.readouterr()
 
     def test_entry_point_in_subprocess(self, tmp_path):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        import coverkit
+
+        # The child imports the same package as this process, however pytest found it.
+        src = str(Path(coverkit.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "coverkit.cli", "bounds", "--n", "16", "--d", "2"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0
         assert "union_bound=" in result.stdout

@@ -1,0 +1,89 @@
+"""The bit-sliced greedy engine against the per-constraint list engine it
+replaced, kept here as the slow reference."""
+
+from itertools import compress
+
+from hypothesis import example, given, settings, strategies as st
+
+from coverkit import SymbolMatrix
+from coverkit.cff import GreedyTrace, GreedyTraceRow, _greedy_cover
+
+
+def reference_greedy_cover(n, requirements, weights):
+    """Conditional expectations with one numerator per constraint, walked
+    in Python for every column of every row."""
+    q, total = len(weights), sum(weights)
+    # by_column[j][c]: the constraints requiring symbol c at column j.
+    by_column: list[list[list[int]]] = [[[] for _ in range(q)] for _ in range(n)]
+    # fresh[i]: constraint i's numerator at the start of a row; 0 once a row met it.
+    fresh: list[int] = []
+    for i, reqs in enumerate(requirements):
+        base = 1
+        for j, c in reqs:
+            by_column[j][c].append(i)
+            base *= weights[c]
+        fresh.append(base)
+
+    remaining = len(fresh)
+    rows: list[tuple[int, ...]] = []
+    trace_rows: list[GreedyTraceRow] = []
+    while remaining:
+        num = fresh.copy()
+        row = []
+        for groups in by_column:
+            best, best_gain = 0, -1
+            for c, members in enumerate(groups):
+                gain = sum(map(num.__getitem__, members)) // weights[c] * total
+                if gain > best_gain:
+                    best, best_gain = c, gain
+            row.append(best)
+            for c, members in enumerate(groups):
+                if c == best:
+                    w = weights[c]
+                    for i in members:
+                        num[i] = num[i] // w * total
+                else:
+                    for i in members:
+                        num[i] = 0
+        # Every column is decided: a constraint still nonzero is met by the row.
+        covered = list(compress(range(len(num)), num))
+        for i in covered:
+            fresh[i] = 0
+        remaining -= len(covered)
+        rows.append(tuple(row))
+        trace_rows.append(GreedyTraceRow(rows[-1], len(covered), remaining))
+    return SymbolMatrix(n=n, q=q, rows=tuple(rows)), GreedyTrace(tuple(trace_rows))
+
+
+@st.composite
+def engine_inputs(draw):
+    """n, constraints of 1-3 requirements on distinct columns, and positive
+    symbol weights, equal or not."""
+    n = draw(st.integers(1, 7))
+    q = draw(st.integers(2, 4))
+    weights = tuple(draw(st.lists(st.integers(1, 4), min_size=q, max_size=q)))
+    requirements = []
+    for _ in range(draw(st.integers(0, 40))):
+        k = draw(st.integers(1, min(3, n)))
+        columns = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+        symbols = draw(st.lists(st.integers(0, q - 1), min_size=k, max_size=k))
+        requirements.append(list(zip(columns, symbols)))
+    return n, requirements, weights
+
+
+class TestAgainstReference:
+    @given(engine_inputs())
+    @example((3, [], (1, 1)))
+    @example((2, [[(0, 1)], [(0, 0)], [(1, 1), (0, 0)]], (1, 3)))
+    @example((3, [[(0, 2), (1, 0)], [(2, 1)], [(1, 1), (2, 2), (0, 0)]], (2, 1, 1)))
+    @settings(max_examples=150, deadline=None)
+    def test_same_rows_and_trace(self, case):
+        n, requirements, weights = case
+        assert _greedy_cover(n, requirements, weights) == reference_greedy_cover(
+            n, requirements, weights
+        )
+
+    def test_ties_go_to_the_smallest_symbol(self):
+        # Symbols 0 and 1 tie at column 0 and at column 1.
+        m, _ = _greedy_cover(2, [[(0, 0)], [(0, 1)], [(1, 1)], [(1, 0)]], (1, 1))
+        assert m.rows[0] == (0, 0)
