@@ -19,11 +19,12 @@ reads "1 on R, 0 on S", and undecided symbols are drawn with probabilities
 proportional to integer weights: (s, r) here, (1,) * q for universal sets.
 The engine is bit-sliced: Python ints serve as bitsets over the constraint
 index, one per (column, symbol) for the constraints requiring that symbol
-there and one per distinct coverage numerator for the constraints holding
-it. Deciding a column costs one AND and popcount per (numerator, symbol)
-pair and a few ANDs per numerator to move the chosen symbol's constraints
-to their new numerator: the count of operations does not grow with the
-number of constraints, and each is one pass in C over a bitset's words.
+there, from ``core._column_index``, and one per distinct coverage numerator
+for the constraints holding it. Deciding a column costs one AND and
+popcount per (numerator, symbol) pair and a few ANDs per numerator to move
+the chosen symbol's constraints to their new numerator: the count of
+operations does not grow with the number of constraints, and each is one
+pass in C over a bitset's words.
 
 Every constructor verifies its own output before returning it.
 """
@@ -36,9 +37,9 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from .core import CffSpec, SymbolMatrix
+from .core import CffSpec, SymbolMatrix, _column_index
 from .errors import ConvergenceError, ParameterError, ResourceLimitError
-from .verify import Verdict, _cff_pairs, verify_cff
+from .verify import Verdict, _cff_requirements, verify_cff
 
 # Hard cap on the number of constraints a constructor will track.
 CONSTRAINT_CAP = 2**26
@@ -162,21 +163,6 @@ def _checked(m: SymbolMatrix, verdict: Verdict) -> SymbolMatrix:
     return m
 
 
-_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
-def _bitset(indices: Iterable[int], size: int) -> int:
-    """The int with bit i set for each i in ``indices``, all below ``size``.
-
-    Packed through one byte per bit: setting bits one at a time on a
-    Python int copies it on every step, which is quadratic in ``size``.
-    """
-    flags = bytearray(size)
-    for i in indices:
-        flags[i] = 1
-    return int(flags.translate(_BIT_DIGITS)[::-1], 2) if size else 0
-
-
 def _greedy_cover(
     n: int, requirements: Iterable[Iterable[tuple[int, int]]], weights: Sequence[int]
 ) -> tuple[SymbolMatrix, GreedyTrace]:
@@ -193,9 +179,12 @@ def _greedy_cover(
     weights[c].
 
     The state is bit-sliced: each set of constraints is a Python int with
-    bit i for constraint i. ``need[j][c]`` is the set requiring symbol c at
-    column j, ``live`` the set no earlier row has met, and ``groups`` maps
-    each nonzero numerator to the set of constraints holding it. Column j
+    bit i for constraint i. ``need[j][c]``, from ``_column_index``, is the
+    set requiring symbol c at column j, ``live`` the set no earlier row has
+    met, and ``groups`` maps each nonzero numerator to the set of
+    constraints holding it. The groups a row starts from are folded once
+    from ``need``, moving the members of ``need[j][c]`` from v to
+    v * weights[c] for each column in turn. Column j
     tallies each symbol by AND and popcount against every group; fixing it
     to c moves the members of ``need[j][c]`` from numerator v to
     v // weights[c] * W, drops the members requiring another symbol and
@@ -205,22 +194,19 @@ def _greedy_cover(
     constraint.
     """
     q, total = len(weights), sum(weights)
-    # by_column[j][c]: the constraints requiring symbol c at column j.
-    by_column: list[list[list[int]]] = [[[] for _ in range(q)] for _ in range(n)]
-    # by_start[v]: the constraints whose numerator at the start of a row is v.
-    by_start: dict[int, list[int]] = {}
-    size = 0
-    for i, reqs in enumerate(requirements):
-        start = 1
-        for j, c in reqs:
-            by_column[j][c].append(i)
-            start *= weights[c]
-        by_start.setdefault(start, []).append(i)
-        size = i + 1
-    need = [[_bitset(members, size) for members in groups] for groups in by_column]
+    need, size = _column_index(n, q, requirements)
     # untouched[j]: the constraints with no requirement at column j.
-    untouched = [~sum(sets) for sets in need]  # the sets of a column are disjoint
-    start_sets = {v: _bitset(members, size) for v, members in by_start.items()}
+    untouched = [~sum(sets) for sets in need]
+    # start_sets[v]: the constraints whose numerator at the start of a row is v.
+    start_sets = {1: (1 << size) - 1}
+    for sets, rest in zip(need, untouched):
+        folded: dict[int, int] = {}
+        for v, held in start_sets.items():
+            parts = [(v, held & rest)] + [(v * w, held & s) for w, s in zip(weights, sets)]
+            for u, part in parts:
+                if part:
+                    folded[u] = folded.get(u, 0) | part
+        start_sets = folded
 
     live = (1 << size) - 1  # constraints no earlier row has met
     remaining = size
@@ -284,9 +270,7 @@ def construct_cff_derandomized(spec: CffSpec) -> tuple[SymbolMatrix, GreedyTrace
     if spec.r == 0 or spec.s == 0:
         return _constant_row_family(spec)
     r, s = spec.r, spec.s
-    symbols = (1,) * r + (0,) * s
-    requirements = (zip(R + S, symbols) for R, S, _, _ in _cff_pairs(spec.n, r, s))
-    m, trace = _greedy_cover(spec.n, requirements, (s, r))
+    m, trace = _greedy_cover(spec.n, _cff_requirements(spec.n, r, s), (s, r))
     return _checked(m, verify_cff(m, r, s)), trace
 
 
@@ -307,21 +291,20 @@ def construct_cff_randomized(spec: CffSpec, seed: int, batch: int = 16) -> Symbo
     n, r, s = spec.n, spec.r, spec.s
     p = r / spec.d
     rng = random.Random(seed)
-    # (rmask, smask) of each constraint still uncovered
-    pending = [(rmask, smask) for _, _, rmask, smask in _cff_pairs(n, r, s)]
+    need, size = _column_index(n, 2, _cff_requirements(n, r, s))
+    # A row misses exactly the constraints requiring the other symbol at one
+    # of its columns: the union of need[j][1 - bit] over them.
+    pending = (1 << size) - 1  # constraints no row has met
 
     rows: list[tuple[int, ...]] = []
     for _ in range(MAX_BATCHES):
-        fresh_masks = []
         for _ in range(batch):
             bits = tuple(1 if rng.random() < p else 0 for _ in range(n))
             rows.append(bits)
-            fresh_masks.append(sum(bit << j for j, bit in enumerate(bits)))
-        pending = [
-            (rmask, smask)
-            for rmask, smask in pending
-            if not any(row & rmask == rmask and row & smask == 0 for row in fresh_masks)
-        ]
+            missed = 0
+            for sets, bit in zip(need, bits):
+                missed |= sets[1 - bit]
+            pending &= missed
         if not pending:
             m = SymbolMatrix(n=n, q=2, rows=tuple(rows))
             return _checked(m, verify_cff(m, r, s))

@@ -26,12 +26,11 @@ out. It never returns a wrong answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Callable, Literal
+from typing import Iterable, Literal
 
-from .core import CffSpec, SymbolMatrix, UniversalSpec
+from .core import CffSpec, SymbolMatrix, UniversalSpec, _column_index
 from .errors import ParameterError
-from .verify import _cff_pairs
+from .verify import _cff_requirements, _universal_requirements
 
 # Candidate row spaces larger than this are out of the oracle's scale.
 ROW_SPACE_CAP = 2**20
@@ -75,27 +74,29 @@ class _OutOfNodes(Exception):
 
 
 def _search_minimal(
-    cover_of: Callable[[tuple[int, ...]], int],
-    num_constraints: int,
-    budget: SearchBudget,
-    *,
-    n: int,
-    q: int,
-    start: int,
+    requirements: Iterable[Iterable[tuple[int, int]]], budget: SearchBudget, *, n: int, q: int
 ) -> SearchOutcome:
-    """Search over all q**n candidate rows; ``cover_of(row)`` is the bitmask
-    of the constraints a row meets. Each precomputed mask costs one node."""
+    """Search the q**n candidate rows, in ``product`` order, for the fewest
+    meeting every constraint in ``requirements``.
+
+    Bit i of a candidate's cover mask is constraint i. The masks are built a
+    column at a time from ``_column_index``: symbol c at column j keeps the
+    constraints requiring no other symbol there. They cost q**n nodes, charged
+    before they are built. Deepening starts at the coverage bound."""
     limit = budget.node_limit
-    candidates = list(product(range(q), repeat=n))
-    cover = []
-    nodes = 0
-    for row in candidates:
-        nodes += 1
-        if nodes > limit:
-            return SearchOutcome("budget_exceeded", nodes=nodes)
-        cover.append(cover_of(row))
-    count = len(candidates)
+    # q >= 2, so n past the cap's exponent is refused without computing q**n.
+    if n > ROW_SPACE_CAP.bit_length() - 1 or q**n > ROW_SPACE_CAP:
+        return SearchOutcome("budget_exceeded", nodes=0)
+    count = nodes = q**n
+    if nodes > limit:
+        return SearchOutcome("budget_exceeded", nodes=limit + 1)
+    index, num_constraints = _column_index(n, q, requirements)
     full = (1 << num_constraints) - 1
+    cover = [full]
+    for sets in index:
+        rest = full & ~sum(sets)
+        allowed = [rest | held for held in sets]
+        cover = [mask & extra for mask in cover for extra in allowed]
 
     suffix_or = [0] * (count + 1)
     suffix_max = [0] * (count + 1)
@@ -116,7 +117,7 @@ def _search_minimal(
     max_row_for = [rows[-1] for rows in covers_of]
 
     best_per_row = suffix_max[0]
-    lower = max(start, -(-num_constraints // best_per_row))
+    lower = -(-num_constraints // best_per_row)
 
     chosen: list[int] = []
 
@@ -159,7 +160,8 @@ def _search_minimal(
         for size in range(lower, budget.max_rows + 1):
             chosen.clear()
             if dfs(0, full, size):
-                rows = tuple(candidates[i] for i in chosen)
+                # Candidate i's symbols are the n base-q digits of i.
+                rows = tuple(tuple(i // q**k % q for k in reversed(range(n))) for i in chosen)
                 certificate = SymbolMatrix(n=n, q=q, rows=rows)
                 return SearchOutcome("found", size=size, certificate=certificate, nodes=nodes)
     except _OutOfNodes:
@@ -178,24 +180,7 @@ def minimal_universal_size(
     pattern per column subset). Requires q**n <= 2**20.
     """
     n, d, q = spec.n, spec.d, spec.q
-    if q**n > ROW_SPACE_CAP:
-        return SearchOutcome("budget_exceeded", nodes=0)
-
-    subsets = list(combinations(range(n), d))
-    qd = q**d
-
-    def cover_of(row: tuple[int, ...]) -> int:
-        mask = 0
-        base = 0
-        for S in subsets:
-            idx = 0
-            for j in S:
-                idx = idx * q + row[j]
-            mask |= 1 << (base + idx)
-            base += qd
-        return mask
-
-    return _search_minimal(cover_of, len(subsets) * qd, budget, n=n, q=q, start=qd)
+    return _search_minimal(_universal_requirements(n, d, q), budget, n=n, q=q)
 
 
 def minimal_cff_size(spec: CffSpec, budget: SearchBudget = SearchBudget()) -> SearchOutcome:
@@ -203,20 +188,4 @@ def minimal_cff_size(spec: CffSpec, budget: SearchBudget = SearchBudget()) -> Se
 
     Requires 2**n <= 2**20.
     """
-    n, r, s = spec.n, spec.r, spec.s
-    if 2**n > ROW_SPACE_CAP:
-        return SearchOutcome("budget_exceeded", nodes=0)
-
-    pairs = [(rmask, smask) for _, _, rmask, smask in _cff_pairs(n, r, s)]
-
-    def cover_of(row: tuple[int, ...]) -> int:
-        rowmask = 0
-        for j, bit in enumerate(row):
-            rowmask |= bit << j
-        mask = 0
-        for c, (rmask, smask) in enumerate(pairs):
-            if rowmask & rmask == rmask and rowmask & smask == 0:
-                mask |= 1 << c
-        return mask
-
-    return _search_minimal(cover_of, len(pairs), budget, n=n, q=2, start=1)
+    return _search_minimal(_cff_requirements(spec.n, spec.r, spec.s), budget, n=spec.n, q=2)

@@ -14,7 +14,6 @@ It runs the engine of ``construct_cff_derandomized`` with symbol weights
 
 from __future__ import annotations
 
-from itertools import combinations, product
 from math import comb
 from typing import Literal
 
@@ -30,7 +29,7 @@ from .cff import (
 )
 from .core import CffSpec, SymbolMatrix, UniversalSpec, complement, dedup_rows
 from .errors import ParameterError
-from .verify import verify_universal
+from .verify import _universal_requirements, verify_universal
 
 CffMethod = Literal["derandomized", "randomized", "sperner_where_applicable"]
 
@@ -103,10 +102,5 @@ def construct_universal_greedy(spec: UniversalSpec) -> tuple[SymbolMatrix, Greed
     """
     n, d, q = spec.n, spec.d, spec.q
     _check_constraint_cap(comb(n, d) * q**d)
-    requirements = (
-        zip(S, pattern)
-        for S in combinations(range(n), d)
-        for pattern in product(range(q), repeat=d)
-    )
-    m, trace = _greedy_cover(n, requirements, (1,) * q)
+    m, trace = _greedy_cover(n, _universal_requirements(n, d, q), (1,) * q)
     return _checked(m, verify_universal(m, d)), trace

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Literal, Union
 
-from .core import CffSpec, SymbolMatrix, UniversalSpec
+from .core import CffSpec, SymbolMatrix, UniversalSpec, _column_index
 from .errors import AlphabetError, ParameterError, ResourceLimitError
 
 # Per-subset pattern bitmaps are q**d bytes; refuse anything bigger.
@@ -121,32 +121,46 @@ def _check_cff_params(m: SymbolMatrix, r: int, s: int) -> None:
         raise ParameterError(f"need r+s <= n, got r+s={r + s}, n={m.n}")
 
 
-def _cff_pairs(
-    n: int, r: int, s: int
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int, int]]:
-    """All disjoint (R, S) column pairs in lexicographic (R, then S) order,
-    each with the bitmasks of R and S (bit j = column j)."""
+def _cff_pairs(n: int, r: int, s: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """All disjoint (R, S) column pairs in lexicographic (R, then S) order."""
     cols = range(n)
     for R in combinations(cols, r):
-        rmask = 0
-        for j in R:
-            rmask |= 1 << j
-        rest = [j for j in cols if not rmask >> j & 1]
+        rest = [j for j in cols if j not in R]
         for S in combinations(rest, s):
-            smask = 0
-            for j in S:
-                smask |= 1 << j
-            yield R, S, rmask, smask
+            yield R, S
+
+
+def _cff_requirements(n: int, r: int, s: int) -> Iterator[Iterator[tuple[int, int]]]:
+    """Each (R, S) pair as a one-pass iterator of the requirements "1 on R,
+    0 on S", in ``_missing_cff``'s scan order."""
+    symbols = (1,) * r + (0,) * s
+    for R, S in _cff_pairs(n, r, s):
+        yield zip(R + S, symbols)
+
+
+def _universal_requirements(n: int, d: int, q: int) -> Iterator[Iterator[tuple[int, int]]]:
+    """Each (columns, pattern) pair as a one-pass iterator of its
+    requirements, in ``_missing_universal``'s scan order."""
+    for S in combinations(range(n), d):
+        for pattern in product(range(q), repeat=d):
+            yield zip(S, pattern)
 
 
 def _missing_cff(m: SymbolMatrix, r: int, s: int) -> Iterator[CffWitness]:
-    """Every (R, S) pair no row of ``m`` separates, in (R, then S) order."""
-    masks = m.row_masks
-    for R, S, rmask, smask in _cff_pairs(m.n, r, s):
-        for row in masks:
-            if row & rmask == rmask and row & smask == 0:
-                break
-        else:
+    """Every (R, S) pair no row of ``m`` separates, in (R, then S) order:
+    over the rows' ``_column_index``, the rows all-1 on R, found once per R,
+    share no row with those all-0 on S."""
+    index, size = _column_index(m.n, 2, map(enumerate, m.rows))
+    last_R, on_R = None, 0
+    for R, S in _cff_pairs(m.n, r, s):
+        if R != last_R:
+            last_R, on_R = R, (1 << size) - 1
+            for j in R:
+                on_R &= index[j][1]
+        separated = on_R
+        for j in S:
+            separated &= index[j][0]
+        if not separated:
             yield CffWitness(R, S)
 
 

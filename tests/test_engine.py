@@ -1,12 +1,13 @@
-"""The bit-sliced greedy engine against the per-constraint list engine it
-replaced, kept here as the slow reference."""
+"""The bit-sliced greedy engine and Las Vegas filter against the
+per-constraint list code they replaced, kept here as slow references."""
 
-from itertools import compress
+import random
+from itertools import combinations, compress
 
 from hypothesis import example, given, settings, strategies as st
 
-from coverkit import SymbolMatrix
-from coverkit.cff import GreedyTrace, GreedyTraceRow, _greedy_cover
+from coverkit import CffSpec, SymbolMatrix, construct_cff_randomized
+from coverkit.cff import MAX_BATCHES, GreedyTrace, GreedyTraceRow, _greedy_cover
 
 
 def reference_greedy_cover(n, requirements, weights):
@@ -87,3 +88,50 @@ class TestAgainstReference:
         # Symbols 0 and 1 tie at column 0 and at column 1.
         m, _ = _greedy_cover(2, [[(0, 0)], [(0, 1)], [(1, 1)], [(1, 0)]], (1, 1))
         assert m.rows[0] == (0, 0)
+
+
+def reference_randomized_rows(spec, seed, batch):
+    """The rows of ``construct_cff_randomized`` with one (rmask, smask) pair
+    per pending constraint, filtered in Python against each batch."""
+    n, r, s = spec.n, spec.r, spec.s
+    p = r / spec.d
+    rng = random.Random(seed)
+    # (rmask, smask) of each constraint still uncovered
+    pending = [
+        (sum(1 << j for j in R), sum(1 << j for j in S))
+        for R in combinations(range(n), r)
+        for S in combinations([j for j in range(n) if j not in R], s)
+    ]
+
+    rows: list[tuple[int, ...]] = []
+    for _ in range(MAX_BATCHES):
+        fresh_masks = []
+        for _ in range(batch):
+            bits = tuple(1 if rng.random() < p else 0 for _ in range(n))
+            rows.append(bits)
+            fresh_masks.append(sum(bit << j for j, bit in enumerate(bits)))
+        pending = [
+            (rmask, smask)
+            for rmask, smask in pending
+            if not any(row & rmask == rmask and row & smask == 0 for row in fresh_masks)
+        ]
+        if not pending:
+            return tuple(rows)
+    raise AssertionError("the reference did not converge")
+
+
+@st.composite
+def las_vegas_inputs(draw):
+    n = draw(st.integers(2, 8))
+    r = draw(st.integers(1, n - 1))
+    s = draw(st.integers(1, n - r))
+    return CffSpec(n, r, s), draw(st.integers(0, 1000)), draw(st.integers(1, 8))
+
+
+class TestLasVegasAgainstReference:
+    @given(las_vegas_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_same_rows(self, case):
+        spec, seed, batch = case
+        built = construct_cff_randomized(spec, seed, batch)
+        assert built.rows == reference_randomized_rows(spec, seed, batch)
