@@ -151,8 +151,12 @@ def derandomized_size_bound(spec: CffSpec) -> int:
 
 def _check_constraint_cap(m_total: int) -> None:
     if m_total > CONSTRAINT_CAP:
+        try:
+            size = str(m_total)
+        except ValueError:  # more digits than the interpreter will print
+            size = f"at least 2**{m_total.bit_length() - 1}"
         raise ResourceLimitError(
-            f"constraint set of size {m_total} exceeds the cap of {CONSTRAINT_CAP}"
+            f"constraint set of size {size} exceeds the cap of {CONSTRAINT_CAP}"
         )
 
 

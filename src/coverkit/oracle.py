@@ -82,7 +82,10 @@ def _search_minimal(
     Bit i of a candidate's cover mask is constraint i. The masks are built a
     column at a time from ``_column_index``: symbol c at column j keeps the
     constraints requiring no other symbol there. They cost q**n nodes, charged
-    before they are built. Deepening starts at the coverage bound."""
+    before they are built. Each constraint's last cover is read off the
+    suffix ORs of the masks; the list of all its covers, which only the
+    final-row loop uses, is built by a scan of the masks the first time that
+    loop needs it. Deepening starts at the coverage bound."""
     limit = budget.node_limit
     # q >= 2, so n past the cap's exponent is refused without computing q**n.
     if n > ROW_SPACE_CAP.bit_length() - 1 or q**n > ROW_SPACE_CAP:
@@ -108,13 +111,18 @@ def _search_minimal(
         # Some constraint no row can cover: impossible at any size.
         return SearchOutcome("infeasible", nodes=nodes)
 
-    covers_of: list[list[int]] = [[] for _ in range(num_constraints)]
-    for i, mask in enumerate(cover):
-        while mask:
-            low = mask & -mask
-            covers_of[low.bit_length() - 1].append(i)
-            mask ^= low
-    max_row_for = [rows[-1] for rows in covers_of]
+    # A constraint's last cover is the candidate past which the suffix ORs
+    # no longer hold it.
+    max_row_for = [0] * num_constraints
+    for i in range(count):
+        ends = suffix_or[i] & ~suffix_or[i + 1]
+        while ends:
+            low = ends & -ends
+            max_row_for[low.bit_length() - 1] = i
+            ends ^= low
+    # covers_of[c]: the candidates covering constraint c, built when the
+    # final-row loop first needs them.
+    covers_of: dict[int, list[int]] = {}
 
     best_per_row = suffix_max[0]
     lower = -(-num_constraints // best_per_row)
@@ -138,6 +146,9 @@ def _search_minimal(
             return False
         first = (uncovered & -uncovered).bit_length() - 1
         if rows_left == 1:
+            if first not in covers_of:
+                bit = 1 << first
+                covers_of[first] = [i for i, mask in enumerate(cover) if mask & bit]
             for i in covers_of[first]:
                 if i >= last and uncovered & ~cover[i] == 0:
                     chosen.append(i)

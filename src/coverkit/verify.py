@@ -19,6 +19,8 @@ constraint so they are deterministic and testable.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Literal, Union
@@ -26,7 +28,9 @@ from typing import Iterator, Literal, Union
 from .core import CffSpec, SymbolMatrix, UniversalSpec, _column_index
 from .errors import AlphabetError, ParameterError, ResourceLimitError
 
-# Per-subset pattern bitmaps are q**d bytes; refuse anything bigger.
+# Largest pattern space q**d checked: its indices fit the widest (4-byte)
+# field of the packed columns, and a subset missing patterns is scanned over
+# all q**d of them.
 PATTERN_CAP = 2**24
 
 
@@ -69,32 +73,58 @@ _VALID = Verdict("valid")
 def _check_universal_params(m: SymbolMatrix, d: int) -> None:
     if not 1 <= d <= m.n:
         raise ParameterError(f"need 1 <= d <= n, got d={d}, n={m.n}")
-    if m.q**d > PATTERN_CAP:
+    # q >= 2, so d past the cap's exponent is refused without computing q**d.
+    if d > PATTERN_CAP.bit_length() - 1 or m.q**d > PATTERN_CAP:
         raise ResourceLimitError(
             f"pattern space q**d = {m.q}**{d} exceeds the cap of {PATTERN_CAP}"
         )
 
 
 def _missing_universal(m: SymbolMatrix, d: int) -> Iterator[UniversalWitness]:
-    """Every (columns, pattern) pair ``m`` misses, in (subset, then pattern) order."""
-    q = m.q
+    """Every (columns, pattern) pair ``m`` misses, in (subset, then pattern) order.
+
+    Each column is packed into one Python int with a fixed-width field per
+    row, holding that row's symbol at the column: 1, 2 or 4 bytes, the
+    fewest that hold q**d - 1, laid out as a native array of unsigned ints.
+    The pattern index of subset S on every row, sum(symbol at S[k] *
+    q**(d-1-k)), is then one big-int sum of scaled columns, since no field
+    can carry into the next. Its bytes, read back as fields, are the indices
+    S shows; S is complete when they number q**d, and it misses the patterns
+    whose rank in ``product`` order is not among them. The sums over each
+    head S[:d-1] are shared across ``combinations`` order, so most subsets
+    cost one add. A subset holds O(rows) bytes, whatever q**d is.
+    """
+    q, n, rows = m.q, m.n, m.rows
     total = q**d
-    for S in combinations(range(m.n), d):
-        seen = bytearray(total)
-        hits = 0
-        for row in m.rows:
-            idx = 0
-            for j in S:
-                idx = idx * q + row[j]
-            if not seen[idx]:
-                seen[idx] = 1
-                hits += 1
-                if hits == total:
-                    break
-        if hits != total:
-            for pattern, shown in zip(product(range(q), repeat=d), seen):
-                if not shown:
-                    yield UniversalWitness(S, pattern)
+    code = "B" if total <= 1 << 8 else "H" if total <= 1 << 16 else "I"
+    # The same native byte order on both sides, so wider fields read back whole.
+    order = sys.byteorder
+    size = len(rows) * array(code).itemsize
+    columns = (
+        [int.from_bytes(array(code, col).tobytes(), order) for col in zip(*rows)]
+        if rows
+        else [0] * n
+    )
+    powers = [q**k for k in reversed(range(d))]
+    # partial[k]: the sum over the current head's first k columns; a head
+    # keeps those of the last head up to the first column where they differ.
+    partial = [0] * d
+    last_head = (-1,) * (d - 1)
+    for head in combinations(range(n - 1), d - 1):
+        k = 0
+        while k < d - 2 and head[k] == last_head[k]:
+            k += 1
+        for k in range(k, d - 1):
+            partial[k + 1] = partial[k] + columns[head[k]] * powers[k]
+        last_head, base = head, partial[-1]
+        # The last column of S has weight q**0.
+        for j in range(head[-1] + 1 if head else 0, n):
+            shown = set(memoryview((base + columns[j]).to_bytes(size, order)).cast(code))
+            if len(shown) < total:
+                S = head + (j,)
+                for idx, pattern in enumerate(product(range(q), repeat=d)):
+                    if idx not in shown:
+                        yield UniversalWitness(S, pattern)
 
 
 def _verdict(missing: Iterator[Witness]) -> Verdict:

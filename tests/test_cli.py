@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from coverkit import load_array
@@ -110,6 +112,51 @@ class TestConstructCff:
         rc = run_cli(["construct", "cff", "--n", "60", "--r", "3", "--s", "3", "--method", "derand"])
         assert rc == 3
         assert "error" in capsys.readouterr().err
+
+
+class TestTooBigIsRefused:
+    """A run past a cap exits 3 with one stderr line, at once, however far
+    past the cap it is."""
+
+    def refused(self, argv, capsys):
+        started = time.perf_counter()
+        rc = run_cli(argv)
+        elapsed = time.perf_counter() - started
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert elapsed < 1.0
+        return captured.err
+
+    def test_universal_constraint_count_too_long_to_print(self, capsys):
+        # 3**10000 constraints: more digits than the interpreter prints
+        err = self.refused(
+            ["construct", "universal", "--n", "10000", "--d", "10000", "--q", "3",
+             "--method", "greedy"],
+            capsys,
+        )
+        assert err == "error: constraint set of size at least 2**15849 exceeds the cap of 67108864\n"
+
+    def test_cff_constraint_count_too_long_to_print(self, capsys):
+        self.refused(
+            ["construct", "cff", "--n", "20000", "--r", "10000", "--s", "10000",
+             "--method", "derand"],
+            capsys,
+        )
+
+    def test_printable_count_keeps_its_message(self, capsys):
+        err = self.refused(
+            ["construct", "cff", "--n", "60", "--r", "3", "--s", "3", "--method", "derand"],
+            capsys,
+        )
+        assert err == "error: constraint set of size 1001277200 exceeds the cap of 67108864\n"
+
+    def test_verify_refuses_a_huge_strength_before_computing_q_to_the_d(self, tmp_path, capsys):
+        f = tmp_path / "huge.txt"
+        f.write_text("kind=universal n=16000000 q=3 rows=0 d=16000000\n")
+        err = self.refused(["verify", str(f)], capsys)
+        assert err == "error: pattern space q**d = 3**16000000 exceeds the cap of 16777216\n"
 
 
 class TestVerify:

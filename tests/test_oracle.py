@@ -133,6 +133,9 @@ SEARCHES = {
     CffSpec(4, 0, 2): ("found", 1, 17, "9af15b336e6a9619928537df30b2e6a2376569fcf9d7e773eccede65606529a0"),
     CffSpec(4, 2, 0): ("found", 1, 17, "0ffe1abd1a08215353c233d6e009613e95eec4253832a761af28ff37ac5a150c"),
     CffSpec(10, 2, 0): ("found", 1, 1025, "d2d02ea74de2c9fab1d802db969c18d409a8663a9697977bb1c98ccdd9de4372"),
+    # Many cover masks and a final row drawn from one constraint's covers.
+    UniversalSpec(16, 1, 2): ("found", 2, 65538, "67e47f8d3b8f5a8cd225b3000f6a7cd7d88c66d298c60ffbbcab2707f6ec3707"),
+    CffSpec(14, 0, 3): ("found", 1, 16385, "2e6e15a38c6fe8b624fca13be00a737947a8096fd5620795696b5b63cd7feea4"),
 }
 
 

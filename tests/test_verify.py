@@ -1,4 +1,7 @@
+import random
+import tracemalloc
 from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +21,8 @@ from coverkit import (
     verify_cff,
     verify_universal,
 )
+
+from coverkit.verify import PATTERN_CAP
 
 from test_core import matrices
 
@@ -84,6 +89,91 @@ class TestVerifyUniversal:
         m = SymbolMatrix(n=30, q=2, rows=((0,) * 30,))
         with pytest.raises(ResourceLimitError):
             verify_universal(m, 25)
+
+
+def random_matrix(n, q, rows, seed):
+    rng = random.Random(seed)
+    return SymbolMatrix(
+        n=n, q=q, rows=tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(rows))
+    )
+
+
+def first_missing(m, S):
+    """The first pattern, in product order, that no row shows on columns S."""
+    shown = {tuple(row[j] for j in S) for row in m.rows}
+    return next(p for p in product(range(m.q), repeat=len(S)) if p not in shown)
+
+
+def unmet_by_projections(m, d):
+    """Closed-form count of unmet constraints: q**d minus the number of
+    distinct projections, summed over the d-subsets."""
+    return sum(
+        m.q**d - len({tuple(row[j] for j in S) for row in m.rows})
+        for S in combinations(range(m.n), d)
+    )
+
+
+class TestPackedFields:
+    """The verifier packs one field per row into each column, 1, 2 or 4
+    bytes wide by q**d; every width must give the definitional answer."""
+
+    @pytest.mark.parametrize("n,d,q", [(3, 2, 17), (5, 3, 7), (5, 4, 5)])
+    @pytest.mark.parametrize("rows", [1, 7, 60])
+    def test_two_byte_fields_match_definition(self, n, d, q, rows):
+        m = random_matrix(n, q, rows, seed=rows)
+        assert 2**8 < q**d <= 2**16
+        unmet = unmet_universal(m, d)
+        assert count_uncovered(m, UniversalSpec(n, d, q)) == len(unmet)
+        assert verify_universal(m, d).witness == (unmet[0] if unmet else None)
+
+    @pytest.mark.parametrize("n,d,q", [(17, 17, 2), (11, 11, 3)])
+    def test_four_byte_fields_match_projections(self, n, d, q):
+        # One subset: the count lists every one of its ~q**d missing patterns.
+        m = random_matrix(n, q, 6, seed=n)
+        m = SymbolMatrix(n=n, q=q, rows=m.rows + m.rows[:2])  # with duplicate rows
+        assert q**d > 2**16
+        assert count_uncovered(m, UniversalSpec(n, d, q)) == unmet_by_projections(m, d)
+        S = tuple(range(d))
+        assert verify_universal(m, d).witness == UniversalWitness(S, first_missing(m, S))
+
+    @pytest.mark.parametrize("n,d,q", [(9, 8, 2), (3, 2, 16), (16, 16, 2), (4, 4, 16)])
+    def test_largest_index_of_each_width(self, n, d, q):
+        # q**d - 1, shown by the all-(q-1) row, fills its 1- or 2-byte field.
+        assert q**d in (2**8, 2**16)
+        m = random_matrix(n, q, 30, seed=d)
+        m = SymbolMatrix(n=n, q=q, rows=m.rows + ((q - 1,) * n,))
+        assert count_uncovered(m, UniversalSpec(n, d, q)) == unmet_by_projections(m, d)
+        S = tuple(range(d))
+        assert verify_universal(m, d).witness == UniversalWitness(S, first_missing(m, S))
+
+    @pytest.mark.parametrize("n,d,q", [(3, 2, 2), (3, 2, 17), (17, 17, 2)])
+    def test_zero_rows_miss_everything(self, n, d, q):
+        m = SymbolMatrix(n=n, q=q)
+        assert count_uncovered(m, UniversalSpec(n, d, q)) == comb(n, d) * q**d
+        assert verify_universal(m, d).witness == UniversalWitness(tuple(range(d)), (0,) * d)
+
+    @pytest.mark.parametrize("q,d", [(2, 3), (3, 2), (17, 2)])
+    def test_duplicate_rows_count_once(self, q, d):
+        m = random_matrix(5, q, 12, seed=q)
+        doubled = SymbolMatrix(n=5, q=q, rows=m.rows * 2 + m.rows[:3])
+        unmet = unmet_universal(m, d)
+        assert unmet_universal(doubled, d) == unmet
+        assert count_uncovered(doubled, UniversalSpec(5, d, q)) == len(unmet)
+        assert verify_universal(doubled, d).witness == (unmet[0] if unmet else None)
+
+    def test_pattern_cap_needs_memory_of_the_rows_not_the_patterns(self):
+        # q**d == PATTERN_CAP: a per-subset pattern bitmap would take 16 MB.
+        m = random_matrix(25, 2, 50, seed=24)
+        S = tuple(range(24))
+        assert 2**24 == PATTERN_CAP
+        tracemalloc.start()
+        try:
+            verdict = verify_universal(m, 24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.witness == UniversalWitness(S, first_missing(m, S))
+        assert peak < 2 * 2**20
 
 
 class TestVerifyCff:
