@@ -11,10 +11,10 @@ keys (d, method, r, s, seed) alphabetically. Rows are strings of base-36
 digits, one symbol per character ('a' is symbol 10). Lines end with LF and
 the document carries a trailing newline; there is no other whitespace.
 
-``read_array`` is strict: it accepts exactly the grammar ``write_array``
-emits, validates every invariant before building a matrix, and names the
-offending line in each diagnostic. Reading and writing are mutually
-inverse on all valid documents.
+``read_array`` is strict: it accepts a header line only if it is the line
+``write_array`` emits for the header it names, validates every invariant
+before building a matrix, and names the offending line in each diagnostic.
+Reading and writing are mutually inverse on all valid documents.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from .errors import AlphabetError, ConsistencyError, FormatError
 
 KINDS = ("universal", "cff", "raw")
 
-# Optional header keys, in their emitted (alphabetical) order, and the keys
-# each kind must / may carry beyond the common four.
+# Header keys in their emitted order: the fixed four, then the optional ones
+# alphabetically; and the keys each kind must carry beyond the fixed four.
+_FIXED_KEYS = ("kind", "n", "q", "rows")
 OPTIONAL_KEYS = ("d", "method", "r", "s", "seed")
 _REQUIRED_BY_KIND = {"universal": ("d",), "cff": ("r", "s"), "raw": ()}
 _INT_KEYS = {"n", "q", "rows", "d", "r", "s", "seed"}
@@ -83,18 +84,9 @@ def _validate_header(header: ArrayFileHeader, *, where: str = "header") -> None:
             )
 
 
-def _header_pairs(header: ArrayFileHeader) -> list[tuple[str, str]]:
-    pairs = [
-        ("kind", header.kind),
-        ("n", str(header.n)),
-        ("q", str(header.q)),
-        ("rows", str(header.rows)),
-    ]
-    for key in OPTIONAL_KEYS:
-        value = getattr(header, key)
-        if value is not None:
-            pairs.append((key, str(value)))
-    return pairs
+def _header_line(header: ArrayFileHeader) -> str:
+    pairs = ((key, getattr(header, key)) for key in _FIXED_KEYS + OPTIONAL_KEYS)
+    return " ".join(f"{key}={value}" for key, value in pairs if value is not None)
 
 
 def write_array(m: SymbolMatrix, header: ArrayFileHeader) -> str:
@@ -108,46 +100,30 @@ def write_array(m: SymbolMatrix, header: ArrayFileHeader) -> str:
             f"header (n={header.n}, q={header.q}, rows={header.rows}) does not match "
             f"matrix (n={m.n}, q={m.q}, rows={m.num_rows})"
         )
-    lines = [" ".join(f"{k}={v}" for k, v in _header_pairs(header))]
+    lines = [_header_line(header)]
     lines.extend(m.row_strings())
     return "\n".join(lines) + "\n"
 
 
-def _parse_int(key: str, text: str, where: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise FormatError(f"{where}: key {key} needs an integer, got {text!r}") from None
-    if str(value) != text:
-        raise FormatError(f"{where}: key {key} value {text!r} is not in canonical form")
-    return value
-
-
 def _parse_header_line(line: str) -> ArrayFileHeader:
+    """The header ``line`` names, accepted only as ``write_array`` emits it."""
     where = "line 1"
-    tokens = line.split(" ")
     fields: dict[str, object] = {}
-    order: list[str] = []
-    for token in tokens:
-        key, sep, value = token.partition("=")
-        if not sep or not key or not value:
-            raise FormatError(f"{where}: malformed token {token!r}, expected key=value")
-        if key in fields:
-            raise FormatError(f"{where}: duplicate key {key}")
-        if key not in ("kind", "n", "q", "rows") and key not in OPTIONAL_KEYS:
-            raise FormatError(f"{where}: unknown key {key}")
-        fields[key] = _parse_int(key, value, where) if key in _INT_KEYS else value
-        order.append(key)
-    for i, key in enumerate(("kind", "n", "q", "rows")):
-        if i >= len(order) or order[i] != key:
-            raise FormatError(
-                f"{where}: header must start with kind, n, q, rows in that order"
-            )
-    extras = order[4:]
-    if extras != sorted(extras):
-        raise FormatError(f"{where}: optional keys must be in alphabetical order")
+    for token in line.split(" "):
+        key, _, value = token.partition("=")
+        if key not in _FIXED_KEYS and key not in OPTIONAL_KEYS:
+            raise FormatError(f"{where}: unknown key {key!r} in token {token!r}")
+        try:
+            fields[key] = int(value) if key in _INT_KEYS else value
+        except ValueError:
+            raise FormatError(f"{where}: key {key} needs an integer, got {value!r}") from None
+    if not fields.keys() >= set(_FIXED_KEYS):
+        raise FormatError(f"{where}: header needs the keys {', '.join(_FIXED_KEYS)}")
     header = ArrayFileHeader(**fields)  # type: ignore[arg-type]
     _validate_header(header, where=where)
+    canonical = _header_line(header)
+    if line != canonical:
+        raise FormatError(f"{where}: header must read {canonical!r}")
     return header
 
 

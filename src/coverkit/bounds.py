@@ -12,7 +12,8 @@ double precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import wraps
 from math import comb, log, log2
 
 from .core import CffSpec, UniversalSpec
@@ -32,8 +33,9 @@ class BoundsReport:
 
     Unpopulated fields are None: universal reports fill the universal side,
     cover-free reports the (r, s) side, and the q = 2 references are
-    omitted for larger alphabets. ``asymptotic_caveat`` names every
-    populated field whose source formula hides an asymptotic term.
+    omitted for larger alphabets. ``asymptotic_caveat`` is derived, not
+    passed: it names every populated field whose source formula hides an
+    asymptotic term.
     """
 
     union_bound: float | None = None
@@ -43,35 +45,20 @@ class BoundsReport:
     entropy_form: float | None = None
     theorem1_target: float | None = None
     bshouty_baseline: float | None = None
-    asymptotic_caveat: frozenset[str] = field(default_factory=frozenset)
+    asymptotic_caveat: frozenset[str] = field(init=False)
     log_base: int = LOG_BASE
 
     def __post_init__(self) -> None:
         for name, value in self.populated().items():
             if not (value > 0.0 and value != float("inf")):
                 raise DomainError(f"bound {name} must be finite and positive, got {value}")
-        expected = frozenset(name for name in self.populated() if name in _ASYMPTOTIC_FIELDS)
-        if self.asymptotic_caveat != expected:
-            raise DomainError(
-                f"caveat flags {set(self.asymptotic_caveat)} do not match "
-                f"the asymptotic fields {set(expected)}"
-            )
+        flagged = _ASYMPTOTIC_FIELDS.intersection(self.populated())
+        object.__setattr__(self, "asymptotic_caveat", flagged)
 
     def populated(self) -> dict[str, float]:
-        out = {}
-        for name in (
-            "union_bound",
-            "kleitman_reference",
-            "nrs",
-            "dyachkov",
-            "entropy_form",
-            "theorem1_target",
-            "bshouty_baseline",
-        ):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
+        """The bound fields that are set, in declaration order."""
+        bounds = (f.name for f in fields(self) if f.type == "float | None")
+        return {name: getattr(self, name) for name in bounds if getattr(self, name) is not None}
 
 
 def binary_entropy(x: float) -> float:
@@ -100,6 +87,20 @@ def nrs(r: int, s: int) -> float:
     return d * float(binom) / log2(binom)
 
 
+def _in_double_range(build):
+    """``build``, raising DomainError where a bound overflows a double."""
+
+    @wraps(build)
+    def report(spec):
+        try:
+            return build(spec)
+        except OverflowError:
+            raise DomainError(f"a bound at {spec} exceeds the double range") from None
+
+    return report
+
+
+@_in_double_range
 def universal_bounds_report(spec: UniversalSpec) -> BoundsReport:
     """Universal-set bounds at (n, d, q); the q = 2 reference lines
     (Kleitman, the d 2**d target, the Bshouty baseline) are omitted for
@@ -114,18 +115,15 @@ def universal_bounds_report(spec: UniversalSpec) -> BoundsReport:
         kleitman = 2.0**d * logn
         theorem1 = d * 2.0**d * logn
         bshouty = float(d) ** 5 * 2.0 ** (2.66 * d) * logn
-    flagged = set()
-    if kleitman is not None:
-        flagged.update({"kleitman_reference", "theorem1_target"})
     return BoundsReport(
         union_bound=union,
         kleitman_reference=kleitman,
         theorem1_target=theorem1,
         bshouty_baseline=bshouty,
-        asymptotic_caveat=frozenset(flagged),
     )
 
 
+@_in_double_range
 def cff_bounds_report(spec: CffSpec) -> BoundsReport:
     """Cover-free bounds at (n, (r, s)): the base rate, its log n scaling,
     and the entropy form 2**(H2(r/d) d) log2 n."""
@@ -138,5 +136,4 @@ def cff_bounds_report(spec: CffSpec) -> BoundsReport:
         nrs=rate,
         dyachkov=rate * logn,
         entropy_form=2.0 ** (binary_entropy(r / d) * d) * logn,
-        asymptotic_caveat=frozenset({"dyachkov", "entropy_form"}),
     )

@@ -37,12 +37,9 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from .core import CffSpec, SymbolMatrix, _column_index
-from .errors import ConvergenceError, ParameterError, ResourceLimitError
+from .core import CffSpec, SymbolMatrix, _check_constraint_cap, _column_index, _num_constraints
+from .errors import ConvergenceError, ParameterError
 from .verify import Verdict, _cff_requirements, verify_cff
-
-# Hard cap on the number of constraints a constructor will track.
-CONSTRAINT_CAP = 2**26
 
 # Las Vegas batch cap; hitting it means the spec is far beyond desk scale.
 MAX_BATCHES = 10_000
@@ -138,26 +135,11 @@ def greedy_row_bound(num_constraints: int, covered: int, whole: int) -> int:
     return hi
 
 
-def _num_pairs(spec: CffSpec) -> int:
-    return comb(spec.n, spec.r) * comb(spec.n - spec.r, spec.s)
-
-
 def derandomized_size_bound(spec: CffSpec) -> int:
     """The guaranteed row-count bound of the derandomized constructor."""
     r, s, d = spec.r, spec.s, spec.d
     # c = p**r (1-p)**s at p = r/d; 0**0 == 1 covers the edges
-    return greedy_row_bound(_num_pairs(spec), r**r * s**s, d**d)
-
-
-def _check_constraint_cap(m_total: int) -> None:
-    if m_total > CONSTRAINT_CAP:
-        try:
-            size = str(m_total)
-        except ValueError:  # more digits than the interpreter will print
-            size = f"at least 2**{m_total.bit_length() - 1}"
-        raise ResourceLimitError(
-            f"constraint set of size {size} exceeds the cap of {CONSTRAINT_CAP}"
-        )
+    return greedy_row_bound(_num_constraints(spec), r**r * s**s, d**d)
 
 
 def _checked(m: SymbolMatrix, verdict: Verdict) -> SymbolMatrix:
@@ -253,7 +235,7 @@ def _constant_row_family(spec: CffSpec) -> tuple[SymbolMatrix, GreedyTrace]:
     bit = 0 if spec.r == 0 else 1
     row = (bit,) * spec.n
     m = SymbolMatrix(n=spec.n, q=2, rows=(row,))
-    trace = GreedyTrace((GreedyTraceRow(row, _num_pairs(spec), 0),))
+    trace = GreedyTrace((GreedyTraceRow(row, _num_constraints(spec), 0),))
     return _checked(m, verify_cff(m, spec.r, spec.s)), trace
 
 
@@ -270,7 +252,7 @@ def construct_cff_derandomized(spec: CffSpec) -> tuple[SymbolMatrix, GreedyTrace
     The row count satisfies floor(ln M / -ln(1-c)) + 1 with
     M = C(n,r) * C(n-r,s) and c = p**r (1-p)**s.
     """
-    _check_constraint_cap(_num_pairs(spec))
+    _check_constraint_cap(spec)
     if spec.r == 0 or spec.s == 0:
         return _constant_row_family(spec)
     r, s = spec.r, spec.s
@@ -286,7 +268,7 @@ def construct_cff_randomized(spec: CffSpec, seed: int, batch: int = 16) -> Symbo
     (spec, seed, batch). For r = 0 or s = 0 the constant-row closed form is
     returned directly.
     """
-    _check_constraint_cap(_num_pairs(spec))
+    _check_constraint_cap(spec)
     if batch < 1:
         raise ParameterError(f"batch must be positive, got {batch}")
     if spec.r == 0 or spec.s == 0:

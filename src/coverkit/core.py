@@ -10,15 +10,18 @@ here are immutable; transforms return new values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from math import comb
 from typing import Iterable, Sequence
 
-from .errors import AlphabetError, ParameterError
+from .errors import AlphabetError, ParameterError, ResourceLimitError
 
 # File format and repr encode one symbol per character; q is capped where
 # the digit alphabet ends.
 SYMBOL_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 MAX_ALPHABET = len(SYMBOL_DIGITS)
+
+# Hard cap on the number of constraints a constructor or the oracle tracks.
+CONSTRAINT_CAP = 2**26
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,39 @@ class CffSpec:
     def d(self) -> int:
         """Combined cover order r + s."""
         return self.r + self.s
+
+
+def _num_constraints(spec: UniversalSpec | CffSpec) -> int:
+    """C(n, d) q**d (columns, pattern) pairs, or C(n, r) C(n - r, s) (R, S) pairs."""
+    if isinstance(spec, UniversalSpec):
+        return comb(spec.n, spec.d) * spec.q**spec.d
+    return comb(spec.n, spec.r) * comb(spec.n - spec.r, spec.s)
+
+
+def _power_over(base: int, k: int, cap: int) -> bool:
+    """Whether base**k > cap for base >= 2, without a power past the cap."""
+    return k >= cap.bit_length() or base**k > cap
+
+
+def _check_constraint_cap(spec: UniversalSpec | CffSpec) -> None:
+    """Raise ResourceLimitError if ``spec`` has more than CONSTRAINT_CAP
+    constraints. q**d >= 2**d and C(n, k) >= 2**min(k, n - k), so a spec
+    whose exponents sum past the cap's is refused before any count is built;
+    below that, every factor is a small binomial or power."""
+    if isinstance(spec, UniversalSpec):
+        exponent = min(spec.d, spec.n - spec.d) + spec.d
+    else:
+        exponent = min(spec.r, spec.n - spec.r) + min(spec.s, spec.n - spec.d)
+    if exponent >= CONSTRAINT_CAP.bit_length():
+        size = f"at least 2**{exponent}"
+    elif (count := _num_constraints(spec)) > CONSTRAINT_CAP:
+        try:
+            size = str(count)
+        except ValueError:  # more digits than the interpreter will print
+            size = f"at least 2**{count.bit_length() - 1}"
+    else:
+        return
+    raise ResourceLimitError(f"constraint set of size {size} exceeds the cap of {CONSTRAINT_CAP}")
 
 
 def _check_row(row: Sequence[int], n: int, q: int, index: int) -> tuple[int, ...]:
@@ -131,15 +167,6 @@ class SymbolMatrix:
 
     def row_strings(self) -> list[str]:
         return [self.row_string(i) for i in range(self.num_rows)]
-
-    @cached_property
-    def row_masks(self) -> tuple[int, ...]:
-        """Rows packed as bitmasks (bit j = column j). Binary matrices only."""
-        if self.q != 2:
-            raise AlphabetError(f"bit packing needs q = 2, got q = {self.q}")
-        return tuple(
-            sum(bit << j for j, bit in enumerate(row)) for row in self.rows
-        )
 
     def __repr__(self) -> str:
         shown = ",".join(self.row_strings()[:8])

@@ -7,8 +7,9 @@ order, which kills permutation symmetry without losing completeness.
 
 Sound prunes on top of the basic scheme (none can change an answer):
 
-* optimistic coverage: give up when the uncovered count exceeds
-  rows-left times the best single-row coverage among remaining candidates;
+* optimistic coverage: skip a candidate when what it leaves uncovered
+  exceeds the rows left after it times the best single-row coverage among
+  it and the candidates after it;
 * reachability: give up when some uncovered constraint is covered by no
   remaining candidate;
 * the next row must leave the first uncovered constraint coverable, so its
@@ -26,10 +27,11 @@ out. It never returns a wrong answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Literal
 
 from .core import CffSpec, SymbolMatrix, UniversalSpec, _column_index
-from .errors import ParameterError
+from .core import _check_constraint_cap, _power_over
+from .errors import ParameterError, ResourceLimitError
 from .verify import _cff_requirements, _universal_requirements
 
 # Candidate row spaces larger than this are out of the oracle's scale.
@@ -55,8 +57,9 @@ class SearchOutcome:
     status "found": ``size`` is the exact minimum and ``certificate`` is a
     matrix of that size passing the verifier. status "infeasible": the
     search completed and proved the minimum exceeds the budget's max_rows.
-    status "budget_exceeded": the node limit (or the row-space cap) was hit
-    first; nothing is claimed.
+    status "budget_exceeded": the node limit was hit first, or the row space
+    or the constraint set was over its cap (then nodes is 0); nothing is
+    claimed.
     """
 
     status: Literal["found", "infeasible", "budget_exceeded"]
@@ -73,22 +76,29 @@ class _OutOfNodes(Exception):
     pass
 
 
-def _search_minimal(
-    requirements: Iterable[Iterable[tuple[int, int]]], budget: SearchBudget, *, n: int, q: int
-) -> SearchOutcome:
+def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> SearchOutcome:
     """Search the q**n candidate rows, in ``product`` order, for the fewest
-    meeting every constraint in ``requirements``.
+    meeting every constraint of ``spec``.
 
-    Bit i of a candidate's cover mask is constraint i. The masks are built a
-    column at a time from ``_column_index``: symbol c at column j keeps the
-    constraints requiring no other symbol there. They cost q**n nodes, charged
-    before they are built. Each constraint's last cover is read off the
-    suffix ORs of the masks; the list of all its covers, which only the
-    final-row loop uses, is built by a scan of the masks the first time that
-    loop needs it. Deepening starts at the coverage bound."""
-    limit = budget.node_limit
-    # q >= 2, so n past the cap's exponent is refused without computing q**n.
-    if n > ROW_SPACE_CAP.bit_length() - 1 or q**n > ROW_SPACE_CAP:
+    A row space past ROW_SPACE_CAP or a constraint set past CONSTRAINT_CAP
+    is refused, with nodes 0, before anything is built. Bit i of a
+    candidate's cover mask is constraint i. The masks are built a column at
+    a time from ``_column_index``: symbol c at column j keeps the
+    constraints requiring no other symbol there. They cost q**n nodes,
+    charged before they are built. Each constraint's last cover is read off
+    the suffix ORs of the masks; the list of all its covers, which only the
+    final-row loop uses, is built by a scan of the masks the first time
+    that loop needs it. Deepening starts at the coverage bound."""
+    n, limit = spec.n, budget.node_limit
+    if isinstance(spec, UniversalSpec):
+        q, requirements = spec.q, _universal_requirements(n, spec.d, spec.q)
+    else:
+        q, requirements = 2, _cff_requirements(n, spec.r, spec.s)
+    if _power_over(q, n, ROW_SPACE_CAP):
+        return SearchOutcome("budget_exceeded", nodes=0)
+    try:
+        _check_constraint_cap(spec)
+    except ResourceLimitError:
         return SearchOutcome("budget_exceeded", nodes=0)
     count = nodes = q**n
     if nodes > limit:
@@ -107,9 +117,6 @@ def _search_minimal(
         suffix_or[i] = suffix_or[i + 1] | cover[i]
         pc = cover[i].bit_count()
         suffix_max[i] = pc if pc > suffix_max[i + 1] else suffix_max[i + 1]
-    if suffix_or[0] != full:
-        # Some constraint no row can cover: impossible at any size.
-        return SearchOutcome("infeasible", nodes=nodes)
 
     # A constraint's last cover is the candidate past which the suffix ORs
     # no longer hold it.
@@ -124,8 +131,7 @@ def _search_minimal(
     # final-row loop first needs them.
     covers_of: dict[int, list[int]] = {}
 
-    best_per_row = suffix_max[0]
-    lower = -(-num_constraints // best_per_row)
+    lower = -(-num_constraints // suffix_max[0])  # the coverage bound
 
     chosen: list[int] = []
 
@@ -136,13 +142,7 @@ def _search_minimal(
             raise _OutOfNodes
         if not uncovered:
             return True
-        if rows_left == 0:
-            return False
         if uncovered & ~suffix_or[last]:
-            return False
-        need = uncovered.bit_count()
-        smax = suffix_max[last]
-        if need > rows_left * smax:
             return False
         first = (uncovered & -uncovered).bit_length() - 1
         if rows_left == 1:
@@ -154,7 +154,7 @@ def _search_minimal(
                     chosen.append(i)
                     return True
             return False
-        hi = max_row_for[first]
+        hi, need = max_row_for[first], uncovered.bit_count()
         for i in range(last, hi + 1):
             newly = cover[i] & uncovered
             if not newly:
@@ -188,15 +188,15 @@ def minimal_universal_size(
     """Exact smallest size of an (n, d)-universal set over q symbols.
 
     Deepening starts at q**d, the coverage lower bound (a row realizes one
-    pattern per column subset). Requires q**n <= 2**20.
+    pattern per column subset). Requires q**n <= 2**20 and at most 2**26
+    (columns, pattern) constraints.
     """
-    n, d, q = spec.n, spec.d, spec.q
-    return _search_minimal(_universal_requirements(n, d, q), budget, n=n, q=q)
+    return _search_minimal(spec, budget)
 
 
 def minimal_cff_size(spec: CffSpec, budget: SearchBudget = SearchBudget()) -> SearchOutcome:
     """Exact smallest size of an (n, (r, s))-cover-free family.
 
-    Requires 2**n <= 2**20.
+    Requires 2**n <= 2**20 and at most 2**26 (R, S) constraints.
     """
-    return _search_minimal(_cff_requirements(spec.n, spec.r, spec.s), budget, n=spec.n, q=2)
+    return _search_minimal(spec, budget)

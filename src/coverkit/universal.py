@@ -14,12 +14,10 @@ It runs the engine of ``construct_cff_derandomized`` with symbol weights
 
 from __future__ import annotations
 
-from math import comb
 from typing import Literal
 
 from .cff import (
     GreedyTrace,
-    _check_constraint_cap,
     _checked,
     _greedy_cover,
     construct_cff_derandomized,
@@ -28,6 +26,7 @@ from .cff import (
     greedy_row_bound,
 )
 from .core import CffSpec, SymbolMatrix, UniversalSpec, complement, dedup_rows
+from .core import _check_constraint_cap, _num_constraints
 from .errors import ParameterError
 from .verify import _universal_requirements, verify_universal
 
@@ -39,8 +38,7 @@ CFF_METHODS = ("derandomized", "randomized", "sperner_where_applicable")
 def universal_greedy_size_bound(spec: UniversalSpec) -> int:
     """Guaranteed row bound of the direct greedy:
     floor(ln(C(n,d) q**d) / -ln(1 - q**-d)) + 1."""
-    m_total = comb(spec.n, spec.d) * spec.q**spec.d
-    return greedy_row_bound(m_total, 1, spec.q**spec.d)
+    return greedy_row_bound(_num_constraints(spec), 1, spec.q**spec.d)
 
 
 def _build_component(spec: CffSpec, method: str, seed: int, batch: int) -> SymbolMatrix:
@@ -101,6 +99,6 @@ def construct_universal_greedy(spec: UniversalSpec) -> tuple[SymbolMatrix, Greed
     floor(ln(C(n,d) q**d) / -ln(1 - q**-d)) + 1.
     """
     n, d, q = spec.n, spec.d, spec.q
-    _check_constraint_cap(comb(n, d) * q**d)
+    _check_constraint_cap(spec)
     m, trace = _greedy_cover(n, _universal_requirements(n, d, q), (1,) * q)
     return _checked(m, verify_universal(m, d)), trace

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Literal, Union
 
-from .core import CffSpec, SymbolMatrix, UniversalSpec, _column_index
+from .core import CffSpec, SymbolMatrix, UniversalSpec, _column_index, _power_over
 from .errors import AlphabetError, ParameterError, ResourceLimitError
 
 # Largest pattern space q**d checked: its indices fit the widest (4-byte)
@@ -73,8 +73,7 @@ _VALID = Verdict("valid")
 def _check_universal_params(m: SymbolMatrix, d: int) -> None:
     if not 1 <= d <= m.n:
         raise ParameterError(f"need 1 <= d <= n, got d={d}, n={m.n}")
-    # q >= 2, so d past the cap's exponent is refused without computing q**d.
-    if d > PATTERN_CAP.bit_length() - 1 or m.q**d > PATTERN_CAP:
+    if _power_over(m.q, d, PATTERN_CAP):
         raise ResourceLimitError(
             f"pattern space q**d = {m.q}**{d} exceeds the cap of {PATTERN_CAP}"
         )

@@ -141,6 +141,10 @@ class TestRead:
             "kind=raw n=2 q=2 rows=1 x=1",    # unknown key
             "kind=raw n=2 q=2 rows=1 rows=1",  # duplicate
             "kind=raw n=02 q=2 rows=1",       # non-canonical int
+            "kind=raw n=+2 q=2 rows=1",       # int() reads these four, the writer
+            "kind=raw n=2 q=2 rows=0_1",      # never emits them
+            "kind=raw n=2 q=2 rows=1 seed=-07",
+            "kind=raw n=\uff12 q=2 rows=1",
             "kind=raw n=2 q=2 rows=one",      # non-integer
             "kind=raw n=2 q=2",               # missing rows
             "kind=raw  n=2 q=2 rows=1",       # double space
@@ -164,6 +168,56 @@ class TestRead:
     def test_empty_input(self):
         with pytest.raises(FormatError):
             read_array("")
+
+
+def perturbed_integer(value, how):
+    """A spelling of the integer ``value`` that ``int()`` reads back but
+    ``write_array`` never emits."""
+    sign, digits = ("-", value[1:]) if value.startswith("-") else ("", value)
+    if how == "zero":
+        return f"{sign}0{digits}"
+    if how == "plus":
+        return f"+{value}"
+    if how == "underscore":
+        return f"{sign}{digits[0]}_{digits[1:]}" if len(digits) > 1 else f"{sign}0_{digits}"
+    return sign + "".join(chr(ord(ch) - ord("0") + ord("\uff10")) for ch in digits)
+
+
+@st.composite
+def header_lines(draw):
+    """A document, and a header line made from its own by shuffling,
+    duplicating or respelling tokens (or by leaving it as it is)."""
+    m, header = draw(documents())
+    tokens = write_array(m, header).split("\n", 1)[0].split(" ")
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("shuffle", "duplicate", "respell")))
+        if edit == "shuffle":
+            tokens = draw(st.permutations(tokens))
+        elif edit == "duplicate":
+            i = draw(st.integers(0, len(tokens) - 1))
+            tokens = tokens[:i] + [tokens[i]] + tokens[i:]
+        else:
+            i = draw(st.integers(0, len(tokens) - 1))
+            key, _, value = tokens[i].partition("=")
+            if value.lstrip("-").isdigit():
+                how = draw(st.sampled_from(("zero", "plus", "underscore", "fullwidth")))
+                tokens = tokens[:i] + [f"{key}={perturbed_integer(value, how)}"] + tokens[i + 1:]
+    return m, header, " ".join(tokens)
+
+
+class TestHeaderMatchesItsWriter:
+    @given(header_lines())
+    def test_accepted_exactly_when_written_so(self, case):
+        m, header, line = case
+        canonical, body = write_array(m, header).split("\n", 1)
+        try:
+            accepted = read_array(f"{line}\n{body}")
+        except FormatError as exc:
+            assert line != canonical
+            assert str(exc).startswith("line 1: ")
+        else:
+            assert line == canonical
+            assert accepted == (m, header)
 
 
 class TestRoundTrip:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coverkit import (
+    BoundsReport,
     CffSpec,
     DomainError,
     UniversalSpec,
@@ -120,6 +121,19 @@ class TestCffReport:
             cff_bounds_report(CffSpec(8, 0, 2))
         with pytest.raises(DomainError):
             cff_bounds_report(CffSpec(1, 1, 0))
+
+
+class TestReport:
+    def test_caveat_flags_are_derived_from_the_populated_fields(self):
+        report = BoundsReport(union_bound=3.0, dyachkov=2.0, nrs=1.0)
+        assert report.asymptotic_caveat == {"dyachkov"}
+        assert list(report.populated()) == ["union_bound", "nrs", "dyachkov"]
+        with pytest.raises(TypeError):
+            BoundsReport(union_bound=3.0, asymptotic_caveat=frozenset())
+
+    def test_non_finite_bound_rejected(self):
+        with pytest.raises(DomainError):
+            BoundsReport(union_bound=float("inf"))
 
 
 class TestMonotonicityInN:

@@ -1,8 +1,14 @@
-import time
+import os
+import subprocess
+import sys
+from functools import partial
+from pathlib import Path
 
 import pytest
 
-from coverkit import load_array
+import coverkit
+from coverkit import UniversalSpec, load_array, universal_bounds_report
+from coverkit import cli
 from coverkit.cli import run_cli
 
 
@@ -108,55 +114,118 @@ class TestConstructCff:
         assert parse_kv(captured.out)["size"] == "1"
         assert "nrs" not in parse_kv(captured.out)
 
-    def test_resource_cap_exit_code(self, capsys):
-        rc = run_cli(["construct", "cff", "--n", "60", "--r", "3", "--s", "3", "--method", "derand"])
+    def test_resource_cap_exit_code(self):
+        rc, _, err, _ = run_limited(
+            ["construct", "cff", "--n", "60", "--r", "3", "--s", "3", "--method", "derand"]
+        )
         assert rc == 3
-        assert "error" in capsys.readouterr().err
+        assert "error" in err
+
+
+# Runs one CLI command under a 1 GiB address-space limit and reports on its
+# last stderr line how long run_cli took. A too-big run that starts building
+# then fails its test by MemoryError or by the timeout, instead of taking the
+# memory of the process that runs the tests.
+_LIMITED_CHILD = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from coverkit.cli import run_cli
+started = time.perf_counter()
+status = run_cli(sys.argv[1:])
+print(f"elapsed={time.perf_counter() - started}", file=sys.stderr)
+sys.exit(status)
+"""
+
+
+def child_env():
+    """The environment of a child process that imports the same coverkit as
+    this process, however pytest found it."""
+    src = str(Path(coverkit.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_limited(argv):
+    """(exit status, stdout, stderr without the timing line, seconds in run_cli)."""
+    result = subprocess.run(
+        [sys.executable, "-c", _LIMITED_CHILD, *argv],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=30,
+    )
+    err, _, timing = result.stderr.rstrip("\n").rpartition("\n")
+    assert timing.startswith("elapsed="), result.stderr
+    return result.returncode, result.stdout, err + "\n" if err else "", float(timing[8:])
 
 
 class TestTooBigIsRefused:
-    """A run past a cap exits 3 with one stderr line, at once, however far
-    past the cap it is."""
+    """A run past a cap exits 3 at once, however far past the cap it is:
+    construct and verify with one stderr line, minimal with a
+    budget_exceeded outcome of nodes 0. Each runs in a child process with
+    bounded memory."""
 
-    def refused(self, argv, capsys):
-        started = time.perf_counter()
-        rc = run_cli(argv)
-        elapsed = time.perf_counter() - started
-        captured = capsys.readouterr()
+    def refused(self, argv):
+        rc, out, err, elapsed = run_limited(argv)
         assert rc == 3
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert elapsed < 1.0
-        return captured.err
+        return err
 
-    def test_universal_constraint_count_too_long_to_print(self, capsys):
-        # 3**10000 constraints: more digits than the interpreter prints
+    def test_universal_constraint_count_too_long_to_print(self):
+        # 3**10000 constraints: refused by the exponent alone, never counted
         err = self.refused(
             ["construct", "universal", "--n", "10000", "--d", "10000", "--q", "3",
-             "--method", "greedy"],
-            capsys,
+             "--method", "greedy"]
         )
-        assert err == "error: constraint set of size at least 2**15849 exceeds the cap of 67108864\n"
+        assert err == "error: constraint set of size at least 2**10000 exceeds the cap of 67108864\n"
 
-    def test_cff_constraint_count_too_long_to_print(self, capsys):
+    def test_universal_constraint_count_past_printing_with_a_huge_n(self):
+        # C(10**4000, 2) * 4 has more digits than the interpreter prints
+        err = self.refused(
+            ["construct", "universal", "--n", "1" + "0" * 4000, "--d", "2", "--method", "greedy"]
+        )
+        assert err == "error: constraint set of size at least 2**26576 exceeds the cap of 67108864\n"
+
+    def test_cff_constraint_count_too_long_to_print(self):
         self.refused(
             ["construct", "cff", "--n", "20000", "--r", "10000", "--s", "10000",
-             "--method", "derand"],
-            capsys,
+             "--method", "derand"]
         )
 
-    def test_printable_count_keeps_its_message(self, capsys):
+    def test_universal_greedy_with_a_huge_strength(self):
         err = self.refused(
-            ["construct", "cff", "--n", "60", "--r", "3", "--s", "3", "--method", "derand"],
-            capsys,
+            ["construct", "universal", "--n", "16000000", "--d", "16000000", "--q", "3",
+             "--method", "greedy"]
+        )
+        assert "at least 2**16000000 " in err
+
+    def test_cff_derandomized_with_huge_binomials(self):
+        err = self.refused(
+            ["construct", "cff", "--n", "2000000", "--r", "1000000", "--s", "1000000",
+             "--method", "derand"]
+        )
+        assert "at least 2**1000000 " in err
+
+    def test_printable_count_keeps_its_message(self):
+        err = self.refused(
+            ["construct", "cff", "--n", "60", "--r", "3", "--s", "3", "--method", "derand"]
         )
         assert err == "error: constraint set of size 1001277200 exceeds the cap of 67108864\n"
 
-    def test_verify_refuses_a_huge_strength_before_computing_q_to_the_d(self, tmp_path, capsys):
+    def test_verify_refuses_a_huge_strength_before_computing_q_to_the_d(self, tmp_path):
         f = tmp_path / "huge.txt"
         f.write_text("kind=universal n=16000000 q=3 rows=0 d=16000000\n")
-        err = self.refused(["verify", str(f)], capsys)
+        err = self.refused(["verify", str(f)])
         assert err == "error: pattern space q**d = 3**16000000 exceeds the cap of 16777216\n"
+
+    def test_minimal_over_the_constraint_cap(self):
+        # 2**20 candidate rows, at the row-space cap, but C(20, 10) * 2**10
+        # = 189,190,144 constraints, 2.8 times the constraint cap
+        rc, out, err, elapsed = run_limited(["minimal", "--n", "20", "--d", "10"])
+        assert (rc, out, err) == (3, "status=budget_exceeded\nnodes=0\n", "")
+        assert elapsed < 1.0
 
 
 class TestVerify:
@@ -246,6 +315,28 @@ class TestBounds:
         assert run_cli(["bounds", "--n", "16", "--r", "0", "--s", "2"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", "2000", "--d", "1000", "--q", "3"],  # 3.0**1000 overflows
+            ["--n", "3000", "--d", "1100", "--q", "2"],  # 2.0**1100 overflows
+            ["--n", "3000", "--r", "1000", "--s", "1000"],  # float(C(2000, 1000)) overflows
+        ],
+    )
+    def test_overflowing_bound_is_a_domain_error(self, argv, capsys):
+        assert run_cli(["bounds", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: a bound at ") and captured.err.count("\n") == 1
+
+    def test_construct_notes_an_overflowing_bound(self, capsys):
+        # Every spec whose bounds overflow is far past the constraint cap, so
+        # construct's reporting step is driven directly.
+        cli._print_bounds_if_available(partial(universal_bounds_report, UniversalSpec(2000, 1000, 3)))
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("note: bounds not reported: a bound at ")
+
 
 class TestMinimal:
     def test_universal(self, capsys):
@@ -283,21 +374,11 @@ class TestUsage:
         capsys.readouterr()
 
     def test_entry_point_in_subprocess(self, tmp_path):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import coverkit
-
-        # The child imports the same package as this process, however pytest found it.
-        src = str(Path(coverkit.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "coverkit.cli", "bounds", "--n", "16", "--d", "2"],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=child_env(),
         )
         assert result.returncode == 0
         assert "union_bound=" in result.stdout

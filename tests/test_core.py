@@ -5,6 +5,7 @@ from coverkit import (
     AlphabetError,
     CffSpec,
     ParameterError,
+    ResourceLimitError,
     SymbolMatrix,
     UniversalSpec,
     complement,
@@ -13,6 +14,7 @@ from coverkit import (
     verify_cff,
     verify_universal,
 )
+from coverkit.core import CONSTRAINT_CAP, _check_constraint_cap, _num_constraints
 
 
 def matrices(max_n=5, max_rows=7, qs=(2,)):
@@ -76,11 +78,6 @@ class TestSymbolMatrix:
         m = SymbolMatrix.from_strings(["01a", "9zz"], q=36)
         assert m.rows == ((0, 1, 10), (9, 35, 35))
         assert m.row_strings() == ["01a", "9zz"]
-
-    def test_row_masks_binary_only(self):
-        m = SymbolMatrix.from_strings(["012"], q=3)
-        with pytest.raises(AlphabetError):
-            m.row_masks
 
     def test_immutable(self):
         m = SymbolMatrix.from_strings(["01"])
@@ -148,3 +145,42 @@ class TestDedupRows:
         if not 1 <= r + s <= m.n:
             return
         assert verify_cff(m, r, s) == verify_cff(dedup_rows(m), r, s)
+
+
+def capped_specs():
+    """Universal and cover-free specs whose constraint counts straddle
+    CONSTRAINT_CAP, some far enough past it to be refused by exponent alone."""
+    universal = st.builds(
+        lambda n, d, q: UniversalSpec(n, min(d, n), q),
+        st.integers(1, 400),
+        st.integers(1, 16),
+        st.integers(2, 36),
+    )
+    cff = st.builds(
+        lambda n, rs: CffSpec(max(n, sum(rs)), *rs),
+        st.integers(1, 400),
+        st.tuples(st.integers(0, 16), st.integers(0, 16)).filter(lambda rs: sum(rs) >= 1),
+    )
+    return universal | cff
+
+
+class TestConstraintCap:
+    @given(capped_specs())
+    def test_refuses_exactly_the_specs_over_the_cap(self, spec):
+        count = _num_constraints(spec)
+        try:
+            _check_constraint_cap(spec)
+        except ResourceLimitError as exc:
+            assert count > CONSTRAINT_CAP
+            size = str(exc).split("constraint set of size ")[1].split(" exceeds")[0]
+            if size.startswith("at least 2**"):
+                assert 2 ** int(size[len("at least 2**"):]) <= count
+            else:
+                assert int(size) == count
+        else:
+            assert count <= CONSTRAINT_CAP
+
+    def test_counts(self):
+        assert _num_constraints(UniversalSpec(5, 2, 3)) == 10 * 9
+        assert _num_constraints(CffSpec(6, 2, 1)) == 15 * 4
+        assert _num_constraints(CffSpec(6, 0, 2)) == 15
