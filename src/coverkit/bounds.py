@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import wraps
-from math import comb, log, log2
+from math import comb, inf, log, log2
 
 from .core import CffSpec, UniversalSpec
 from .errors import DomainError
@@ -73,7 +73,8 @@ def binary_entropy(x: float) -> float:
 def nrs(r: int, s: int) -> float:
     """The base rate d * C(d, r) / log2 C(d, r) with d = r + s.
 
-    Undefined when C(d, r) < 2 (r = 0 or s = 0), where the log vanishes.
+    Undefined when C(d, r) < 2 (r = 0 or s = 0), where the log vanishes, and
+    a DomainError past the double range.
     """
     if r < 0 or s < 0:
         raise DomainError(f"r and s must be non-negative, got ({r}, {s})")
@@ -84,7 +85,13 @@ def nrs(r: int, s: int) -> float:
             f"log2 {comb(d, r)} is not positive"
         )
     binom = comb(d, r)
-    return d * float(binom) / log2(binom)
+    try:
+        rate = d * float(binom) / log2(binom)
+    except OverflowError:
+        rate = inf
+    if rate == inf:
+        raise DomainError(f"a bound at (r, s) = ({r}, {s}) exceeds the double range")
+    return rate
 
 
 def _in_double_range(build):

@@ -66,6 +66,12 @@ class TestNrs:
         with pytest.raises(DomainError):
             nrs(r, s)
 
+    @pytest.mark.parametrize("r,s", [(1000, 1000), (510, 510)])
+    def test_overflow_is_a_domain_error(self, r, s):
+        # float(C(2000, 1000)) overflows; at (510, 510) only the product does
+        with pytest.raises(DomainError, match="exceeds the double range"):
+            nrs(r, s)
+
 
 class TestUniversalReport:
     def test_1024_4_2(self):

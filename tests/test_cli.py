@@ -227,6 +227,13 @@ class TestTooBigIsRefused:
         assert (rc, out, err) == (3, "status=budget_exceeded\nnodes=0\n", "")
         assert elapsed < 1.0
 
+    def test_minimal_over_the_mask_bits_cap(self):
+        # 2**20 candidate rows and C(20, 10) = 184,756 constraints, each
+        # under its cap, but about 24 GB of cover masks
+        rc, out, err, elapsed = run_limited(["minimal", "--n", "20", "--r", "10", "--s", "10"])
+        assert (rc, out, err) == (3, "status=budget_exceeded\nnodes=0\n", "")
+        assert elapsed < 1.0
+
 
 class TestVerify:
     def test_violated_with_witness(self, tmp_path, capsys):

@@ -58,6 +58,16 @@ class TestMinimalUniversal:
         assert time.perf_counter() - started < 1.0
         assert (outcome.status, outcome.nodes) == ("budget_exceeded", 0)
 
+    def test_node_budget_bounds_time(self):
+        # 16,384 cover masks of 2,912 constraints leave 3,616 nodes, spent
+        # on scanned candidates as well as on search nodes
+        started = time.perf_counter()
+        outcome = minimal_universal_size(
+            UniversalSpec(14, 3, 2), SearchBudget(max_rows=8, node_limit=20000)
+        )
+        assert time.perf_counter() - started < 1.0
+        assert (outcome.status, outcome.nodes) == ("budget_exceeded", 20001)
+
 
 class TestMinimalCff:
     @pytest.mark.parametrize("n,r,s,expected", [(2, 1, 1, 2), (4, 1, 1, 4), (6, 1, 1, 4), (7, 1, 1, 5)])
@@ -121,21 +131,22 @@ def certificate_sha(m):
 
 
 # (status, size, nodes, sha256 of the certificate rows): the nodes pin the
-# search path, not just the minimum.
+# search path, not just the minimum. Nodes count search nodes, scanned
+# candidates and q**n per cover-mask scan.
 SEARCHES = {
-    UniversalSpec(4, 2, 2): ("found", 5, 56, "5ace6d852cdab38f6629510bbdae086998b322e0e5e76f53f1c73a030a08e10f"),
-    UniversalSpec(5, 2, 2): ("found", 6, 3291, "84f8e5e12271d71d1ad6172a2bb7d628d9a5f2a8fbc1f7a6c60f065fae91b348"),
-    UniversalSpec(2, 1, 3): ("found", 3, 12, "6809a683cdd8563f77719218f8b0f91f2f80edd5f7a7a5f5b6c11508da38db67"),
-    UniversalSpec(6, 2, 2): ("found", 6, 41005, "be57e429aeef33c8e367f53dea8057b3ea67fa3b861c0383e1b090378686f30a"),
-    CffSpec(7, 1, 1): ("found", 5, 17078, "b2c692404ec8ea3e28d99c1973b393779bb065be182fa4f19060cfae7be9da00"),
-    CffSpec(7, 1, 2): ("found", 7, 15072, "a9b308a6a3996bfa101482b1e0ccbfd050cc918137be6dbec46b90537d51e94e"),
-    CffSpec(3, 1, 2): ("found", 3, 11, "1d52ee03dff97a7a4281b36c7fd78f73540d3a57e897d8bcf3fb720b828d2625"),
-    CffSpec(4, 0, 2): ("found", 1, 17, "9af15b336e6a9619928537df30b2e6a2376569fcf9d7e773eccede65606529a0"),
-    CffSpec(4, 2, 0): ("found", 1, 17, "0ffe1abd1a08215353c233d6e009613e95eec4253832a761af28ff37ac5a150c"),
-    CffSpec(10, 2, 0): ("found", 1, 1025, "d2d02ea74de2c9fab1d802db969c18d409a8663a9697977bb1c98ccdd9de4372"),
+    UniversalSpec(4, 2, 2): ("found", 5, 160, "5ace6d852cdab38f6629510bbdae086998b322e0e5e76f53f1c73a030a08e10f"),
+    UniversalSpec(5, 2, 2): ("found", 6, 2677, "84f8e5e12271d71d1ad6172a2bb7d628d9a5f2a8fbc1f7a6c60f065fae91b348"),
+    UniversalSpec(2, 1, 3): ("found", 3, 28, "6809a683cdd8563f77719218f8b0f91f2f80edd5f7a7a5f5b6c11508da38db67"),
+    UniversalSpec(6, 2, 2): ("found", 6, 26701, "be57e429aeef33c8e367f53dea8057b3ea67fa3b861c0383e1b090378686f30a"),
+    CffSpec(7, 1, 1): ("found", 5, 19102, "b2c692404ec8ea3e28d99c1973b393779bb065be182fa4f19060cfae7be9da00"),
+    CffSpec(7, 1, 2): ("found", 7, 11465, "a9b308a6a3996bfa101482b1e0ccbfd050cc918137be6dbec46b90537d51e94e"),
+    CffSpec(3, 1, 2): ("found", 3, 24, "1d52ee03dff97a7a4281b36c7fd78f73540d3a57e897d8bcf3fb720b828d2625"),
+    CffSpec(4, 0, 2): ("found", 1, 34, "9af15b336e6a9619928537df30b2e6a2376569fcf9d7e773eccede65606529a0"),
+    CffSpec(4, 2, 0): ("found", 1, 37, "0ffe1abd1a08215353c233d6e009613e95eec4253832a761af28ff37ac5a150c"),
+    CffSpec(10, 2, 0): ("found", 1, 2305, "d2d02ea74de2c9fab1d802db969c18d409a8663a9697977bb1c98ccdd9de4372"),
     # Many cover masks and a final row drawn from one constraint's covers.
-    UniversalSpec(16, 1, 2): ("found", 2, 65538, "67e47f8d3b8f5a8cd225b3000f6a7cd7d88c66d298c60ffbbcab2707f6ec3707"),
-    CffSpec(14, 0, 3): ("found", 1, 16385, "2e6e15a38c6fe8b624fca13be00a737947a8096fd5620795696b5b63cd7feea4"),
+    UniversalSpec(16, 1, 2): ("found", 2, 163841, "67e47f8d3b8f5a8cd225b3000f6a7cd7d88c66d298c60ffbbcab2707f6ec3707"),
+    CffSpec(14, 0, 3): ("found", 1, 32770, "2e6e15a38c6fe8b624fca13be00a737947a8096fd5620795696b5b63cd7feea4"),
 }
 
 
@@ -173,3 +184,91 @@ class TestPinnedSearch:
             None,
             nodes,
         )
+
+
+# The exact minima of every spec with q**n <= 2**7, None where the minimum
+# exceeds 9 rows, computed by the search without its symmetry breaks.
+# (q, n): the minimum for d = 1, ..., n.
+UNIVERSAL_MINIMA = {
+    (2, 1): (2,),
+    (2, 2): (2, 4),
+    (2, 3): (2, 4, 8),
+    (2, 4): (2, 5, 8, None),
+    (2, 5): (2, 6, None, None, None),
+    (2, 6): (2, 6, None, None, None, None),
+    (2, 7): (2, 6, None, None, None, None, None),
+    (3, 1): (3,),
+    (3, 2): (3, 9),
+    (3, 3): (3, 9, None),
+    (3, 4): (3, 9, None, None),
+    (4, 1): (4,),
+    (4, 2): (4, None),
+    (4, 3): (4, None, None),
+}
+# (n, r): the minimum for each s with 1 <= r + s <= n, in increasing s.
+CFF_MINIMA = {
+    (1, 0): (1,),
+    (1, 1): (1,),
+    (2, 0): (1, 1),
+    (2, 1): (1, 2),
+    (2, 2): (1,),
+    (3, 0): (1, 1, 1),
+    (3, 1): (1, 3, 3),
+    (3, 2): (1, 3),
+    (3, 3): (1,),
+    (4, 0): (1, 1, 1, 1),
+    (4, 1): (1, 4, 4, 4),
+    (4, 2): (1, 4, 6),
+    (4, 3): (1, 4),
+    (4, 4): (1,),
+    (5, 0): (1, 1, 1, 1, 1),
+    (5, 1): (1, 4, 5, 5, 5),
+    (5, 2): (1, 5, None, None),
+    (5, 3): (1, 5, None),
+    (5, 4): (1, 5),
+    (5, 5): (1,),
+    (6, 0): (1, 1, 1, 1, 1, 1),
+    (6, 1): (1, 4, 6, 6, 6, 6),
+    (6, 2): (1, 6, None, None, None),
+    (6, 3): (1, 6, None, None),
+    (6, 4): (1, 6, None),
+    (6, 5): (1, 6),
+    (6, 6): (1,),
+    (7, 0): (1, 1, 1, 1, 1, 1, 1),
+    (7, 1): (1, 5, 7, 7, 7, 7, 7),
+    (7, 2): (1, 7, None, None, None, None),
+    (7, 3): (1, 7, None, None, None),
+    (7, 4): (1, 7, None, None),
+    (7, 5): (1, 7, None),
+    (7, 6): (1, 7),
+    (7, 7): (1,),
+}
+
+
+def small_specs():
+    for (q, n), minima in UNIVERSAL_MINIMA.items():
+        for d, size in enumerate(minima, 1):
+            yield UniversalSpec(n, d, q), size
+    for (n, r), minima in CFF_MINIMA.items():
+        for s, size in enumerate(minima, 1 if r == 0 else 0):
+            yield CffSpec(n, r, s), size
+
+
+def is_double_lex(rows):
+    columns = list(zip(*rows))
+    return list(rows) == sorted(rows) and columns == sorted(columns)
+
+
+@pytest.mark.parametrize("spec,size", list(small_specs()), ids=repr)
+def test_symmetry_breaks_keep_every_small_minimum(spec, size):
+    outcome = search(spec, SearchBudget(max_rows=9, node_limit=3_000_000))
+    assert (outcome.status, outcome.size) == (("infeasible", None) if size is None else ("found", size))
+    if size is None:
+        return
+    rows = outcome.certificate.rows
+    assert is_double_lex(rows)
+    if isinstance(spec, UniversalSpec):
+        assert verify_universal(outcome.certificate, spec.d).valid
+        assert rows[0] == (0,) * spec.n
+    else:
+        assert verify_cff(outcome.certificate, spec.r, spec.s).valid
