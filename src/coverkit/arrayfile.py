@@ -24,8 +24,8 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import MAX_ALPHABET, SymbolMatrix, decode_symbol
-from .errors import AlphabetError, ConsistencyError, FormatError
+from .core import CffSpec, SymbolMatrix, UniversalSpec, _check_shape, decode_symbol
+from .errors import AlphabetError, ConsistencyError, FormatError, ParameterError
 
 KINDS = ("universal", "cff", "raw")
 
@@ -55,12 +55,6 @@ class ArrayFileHeader:
 def _validate_header(header: ArrayFileHeader, *, where: str = "header") -> None:
     if header.kind not in KINDS:
         raise FormatError(f"{where}: unknown kind {header.kind!r}")
-    if header.n < 1:
-        raise FormatError(f"{where}: n must be positive, got {header.n}")
-    if not 2 <= header.q <= MAX_ALPHABET:
-        raise FormatError(f"{where}: q must be in [2, {MAX_ALPHABET}], got {header.q}")
-    if header.rows < 0:
-        raise FormatError(f"{where}: rows must be non-negative, got {header.rows}")
     required = _REQUIRED_BY_KIND[header.kind]
     for key in ("d", "r", "s"):
         value = getattr(header, key)
@@ -68,15 +62,18 @@ def _validate_header(header: ArrayFileHeader, *, where: str = "header") -> None:
             raise FormatError(f"{where}: kind={header.kind} requires key {key}")
         if key not in required and value is not None:
             raise FormatError(f"{where}: key {key} is not allowed for kind={header.kind}")
-    if header.kind == "universal" and not 1 <= header.d <= header.n:
-        raise FormatError(f"{where}: need 1 <= d <= n, got d={header.d}, n={header.n}")
-    if header.kind == "cff":
-        if header.r < 0 or header.s < 0 or not 1 <= header.r + header.s <= header.n:
-            raise FormatError(
-                f"{where}: need r, s >= 0 and 1 <= r+s <= n, got r={header.r}, s={header.s}"
-            )
-        if header.q != 2:
-            raise FormatError(f"{where}: kind=cff requires q=2, got q={header.q}")
+    try:
+        _check_shape(header.n, header.q)
+        if header.kind == "universal":
+            UniversalSpec(header.n, header.d, header.q)
+        elif header.kind == "cff":
+            CffSpec(header.n, header.r, header.s)
+    except ParameterError as exc:
+        raise FormatError(f"{where}: {exc}") from None
+    if header.rows < 0:
+        raise FormatError(f"{where}: rows must be non-negative, got {header.rows}")
+    if header.kind == "cff" and header.q != 2:
+        raise FormatError(f"{where}: kind=cff requires q=2, got q={header.q}")
     if header.method is not None:
         if not header.method or any(ch.isspace() or ch == "=" for ch in header.method):
             raise FormatError(

@@ -94,11 +94,14 @@ def nrs(r: int, s: int) -> float:
     return rate
 
 
-def _in_double_range(build):
-    """``build``, raising DomainError where a bound overflows a double."""
+def _in_domain(build):
+    """``build``, raising DomainError for n < 2, where log n is not
+    positive, and where a bound overflows a double."""
 
     @wraps(build)
     def report(spec):
+        if spec.n < 2:
+            raise DomainError(f"bounds need n >= 2 (log n > 0), got n={spec.n}")
         try:
             return build(spec)
         except OverflowError:
@@ -107,14 +110,12 @@ def _in_double_range(build):
     return report
 
 
-@_in_double_range
+@_in_domain
 def universal_bounds_report(spec: UniversalSpec) -> BoundsReport:
     """Universal-set bounds at (n, d, q); the q = 2 reference lines
     (Kleitman, the d 2**d target, the Bshouty baseline) are omitted for
     larger alphabets."""
     n, d, q = spec.n, spec.d, spec.q
-    if n < 2:
-        raise DomainError(f"bounds need n >= 2 (log n must be positive), got n={n}")
     union = d * float(q) ** d * (log(n / d) + log(q))
     kleitman = theorem1 = bshouty = None
     if q == 2:
@@ -130,13 +131,11 @@ def universal_bounds_report(spec: UniversalSpec) -> BoundsReport:
     )
 
 
-@_in_double_range
+@_in_domain
 def cff_bounds_report(spec: CffSpec) -> BoundsReport:
     """Cover-free bounds at (n, (r, s)): the base rate, its log n scaling,
     and the entropy form 2**(H2(r/d) d) log2 n."""
     n, r, s, d = spec.n, spec.r, spec.s, spec.d
-    if n < 2:
-        raise DomainError(f"bounds need n >= 2 (log n must be positive), got n={n}")
     rate = nrs(r, s)  # raises for the degenerate r = 0 / s = 0 edges
     logn = log2(n)
     return BoundsReport(

@@ -35,7 +35,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Literal, Sequence
 
 from .core import CffSpec, SymbolMatrix, _check_constraint_cap, _column_index, _num_constraints
 from .errors import ConvergenceError, ParameterError
@@ -43,6 +43,10 @@ from .verify import Verdict, _cff_requirements, verify_cff
 
 # Las Vegas batch cap; hitting it means the spec is far beyond desk scale.
 MAX_BATCHES = 10_000
+
+CffMethod = Literal["derandomized", "randomized", "sperner_where_applicable"]
+
+CFF_METHODS = ("derandomized", "randomized", "sperner_where_applicable")
 
 
 @dataclass(frozen=True)
@@ -329,3 +333,17 @@ def construct_cff_sperner(n: int) -> SymbolMatrix:
     )
     m = SymbolMatrix(n=n, q=2, rows=matrix_rows)
     return _checked(m, verify_cff(m, 1, 1))
+
+
+def _construct(spec: CffSpec, method: str, seed: int, batch: int = 16) -> SymbolMatrix:
+    """The family ``method``, one of CFF_METHODS, builds for ``spec``;
+    sperner_where_applicable is derandomized unless (r, s) = (1, 1)."""
+    if method == "derandomized":
+        return construct_cff_derandomized(spec)[0]
+    if method == "randomized":
+        return construct_cff_randomized(spec, seed=seed, batch=batch)
+    if method == "sperner_where_applicable":
+        if spec.r == 1 and spec.s == 1:
+            return construct_cff_sperner(spec.n)
+        return construct_cff_derandomized(spec)[0]
+    raise ParameterError(f"unknown cff method {method!r}; expected one of {CFF_METHODS}")

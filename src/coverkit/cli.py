@@ -17,11 +17,7 @@ from typing import Sequence
 
 from .arrayfile import ArrayFileHeader, load_array, save_array
 from .bounds import BoundsReport, cff_bounds_report, universal_bounds_report
-from .cff import (
-    construct_cff_derandomized,
-    construct_cff_randomized,
-    construct_cff_sperner,
-)
+from .cff import _construct
 from .core import CffSpec, SymbolMatrix, SYMBOL_DIGITS, UniversalSpec
 from .errors import (
     ConvergenceError,
@@ -111,16 +107,10 @@ def _cmd_construct_universal(args) -> int:
 
 def _cmd_construct_cff(args) -> int:
     spec = CffSpec(n=args.n, r=args.r, s=args.s)
-    seed = None
-    if args.method == "derand":
-        matrix, _ = construct_cff_derandomized(spec)
-    elif args.method == "random":
-        matrix = construct_cff_randomized(spec, seed=args.seed)
-        seed = args.seed
-    else:
-        if (spec.r, spec.s) != (1, 1):
-            raise ParameterError("method sperner applies to (r, s) = (1, 1) only")
-        matrix = construct_cff_sperner(spec.n)
+    if args.method == "sperner" and (spec.r, spec.s) != (1, 1):
+        raise ParameterError("method sperner applies to (r, s) = (1, 1) only")
+    matrix = _construct(spec, _CFF_METHOD_NAMES[args.method], args.seed)
+    seed = args.seed if args.method == "random" else None
     header = ArrayFileHeader(
         kind="cff", n=spec.n, q=2, rows=matrix.num_rows,
         r=spec.r, s=spec.s, method=args.method, seed=seed,
@@ -128,49 +118,40 @@ def _cmd_construct_cff(args) -> int:
     return _report_construction(args, matrix, header, lambda: cff_bounds_report(spec))
 
 
+def _spec_from_flags(flags, n: int, q: int) -> UniversalSpec | CffSpec:
+    """The spec ``flags`` name on n columns over q symbols: its d, or its r
+    and s, from the parsed --d/--r/--s or from a file header."""
+    if flags.d is not None and (flags.r is not None or flags.s is not None):
+        raise ParameterError("give either --d or --r/--s, not both")
+    if flags.d is not None:
+        return UniversalSpec(n=n, d=flags.d, q=q)
+    if flags.r is None or flags.s is None:
+        raise ParameterError("specify --d, or both --r and --s")
+    return CffSpec(n=n, r=flags.r, s=flags.s)
+
+
 def _cmd_verify(args) -> int:
     matrix, header = load_array(args.file)
-    _check_one_mode(args)
-    if (args.r is None) != (args.s is None):
-        raise ParameterError("--r and --s must be given together")
-    if args.d is not None:
-        return _print_verdict(verify_universal(matrix, args.d))
-    if args.r is not None:
-        return _print_verdict(verify_cff(matrix, args.r, args.s))
-    if header.kind == "universal":
-        return _print_verdict(verify_universal(matrix, header.d))
-    if header.kind == "cff":
-        return _print_verdict(verify_cff(matrix, header.r, header.s))
-    raise ParameterError("raw file: specify --d for universal or --r/--s for cover-free")
+    given = args.d is not None or args.r is not None or args.s is not None
+    # With no flags, a universal or cff header names the spec.
+    spec = _spec_from_flags(args if given else header, matrix.n, matrix.q)
+    if isinstance(spec, UniversalSpec):
+        return _print_verdict(verify_universal(matrix, spec.d))
+    return _print_verdict(verify_cff(matrix, spec.r, spec.s))
 
 
 def _cmd_bounds(args) -> int:
-    _check_mode_flags(args)
-    if args.d is not None:
-        _print_report(universal_bounds_report(UniversalSpec(n=args.n, d=args.d, q=args.q)))
-    else:
-        _print_report(cff_bounds_report(CffSpec(n=args.n, r=args.r, s=args.s)))
+    spec = _spec_from_flags(args, args.n, args.q)
+    report = universal_bounds_report if isinstance(spec, UniversalSpec) else cff_bounds_report
+    _print_report(report(spec))
     return EXIT_OK
 
 
-def _check_one_mode(args) -> None:
-    if args.d is not None and (args.r is not None or args.s is not None):
-        raise ParameterError("give either --d or --r/--s, not both")
-
-
-def _check_mode_flags(args) -> None:
-    _check_one_mode(args)
-    if args.d is None and (args.r is None or args.s is None):
-        raise ParameterError("specify --d, or both --r and --s")
-
-
 def _cmd_minimal(args) -> int:
-    _check_mode_flags(args)
+    spec = _spec_from_flags(args, args.n, args.q)
     budget = SearchBudget(max_rows=args.max_rows, node_limit=args.node_limit)
-    if args.d is not None:
-        outcome = minimal_universal_size(UniversalSpec(n=args.n, d=args.d, q=args.q), budget)
-    else:
-        outcome = minimal_cff_size(CffSpec(n=args.n, r=args.r, s=args.s), budget)
+    search = minimal_universal_size if isinstance(spec, UniversalSpec) else minimal_cff_size
+    outcome = search(spec, budget)
     if outcome.found:
         print(f"size={outcome.size}")
         print(f"nodes={outcome.nodes}")

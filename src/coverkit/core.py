@@ -24,6 +24,15 @@ MAX_ALPHABET = len(SYMBOL_DIGITS)
 CONSTRAINT_CAP = 2**26
 
 
+def _check_shape(n: int, q: int) -> None:
+    """Raise ParameterError unless there is a column (n >= 1) and q is an
+    alphabet size the digit alphabet can write."""
+    if n < 1:
+        raise ParameterError(f"n must be positive, got {n}")
+    if not 2 <= q <= MAX_ALPHABET:
+        raise ParameterError(f"alphabet size must be in [2, {MAX_ALPHABET}], got {q}")
+
+
 @dataclass(frozen=True)
 class UniversalSpec:
     """Names an (n, d)-universal-set requirement over a q-symbol alphabet.
@@ -36,14 +45,9 @@ class UniversalSpec:
     q: int = 2
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ParameterError(f"n must be positive, got {self.n}")
+        _check_shape(self.n, self.q)
         if not 1 <= self.d <= self.n:
             raise ParameterError(f"need 1 <= d <= n, got d={self.d}, n={self.n}")
-        if not 2 <= self.q <= MAX_ALPHABET:
-            raise ParameterError(
-                f"alphabet size must be in [2, {MAX_ALPHABET}], got {self.q}"
-            )
 
 
 @dataclass(frozen=True)
@@ -55,8 +59,7 @@ class CffSpec:
     s: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ParameterError(f"n must be positive, got {self.n}")
+        _check_shape(self.n, 2)  # cover-free families are binary
         if self.r < 0 or self.s < 0:
             raise ParameterError(f"r and s must be non-negative, got ({self.r}, {self.s})")
         if not 1 <= self.r + self.s <= self.n:
@@ -127,21 +130,12 @@ class SymbolMatrix:
     rows: tuple[tuple[int, ...], ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ParameterError(f"n must be positive, got {self.n}")
-        if not 2 <= self.q <= MAX_ALPHABET:
-            raise ParameterError(
-                f"alphabet size must be in [2, {MAX_ALPHABET}], got {self.q}"
-            )
+        _check_shape(self.n, self.q)
         object.__setattr__(
             self,
             "rows",
             tuple(_check_row(row, self.n, self.q, i) for i, row in enumerate(self.rows)),
         )
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]], *, n: int, q: int) -> "SymbolMatrix":
-        return cls(n=n, q=q, rows=tuple(tuple(r) for r in rows))
 
     @classmethod
     def from_strings(cls, rows: Iterable[str], *, q: int = 2, n: int | None = None) -> "SymbolMatrix":

@@ -50,8 +50,8 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .core import CffSpec, SymbolMatrix, UniversalSpec, _column_index
-from .core import _check_constraint_cap, _num_constraints, _power_over
-from .errors import ParameterError, ResourceLimitError
+from .core import _num_constraints, _power_over
+from .errors import ParameterError
 from .verify import _cff_requirements, _universal_requirements
 
 # Candidate row spaces larger than this are out of the oracle's scale.
@@ -104,11 +104,12 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
     """Search the q**n candidate rows, in ``product`` order, for the fewest
     meeting every constraint of ``spec``.
 
-    A row space past ROW_SPACE_CAP, a constraint set past CONSTRAINT_CAP or
-    cover masks past MASK_BITS_CAP is refused, with nodes 0, before anything
-    is built. Bit i of a candidate's cover mask is constraint i. The masks
-    are built a column at a time from ``_column_index``: symbol c at column j
-    keeps the constraints requiring no other symbol there. They cost q**n
+    A row space past ROW_SPACE_CAP or cover masks past MASK_BITS_CAP is
+    refused, with nodes 0, before anything is built; as q**n >= 2, masks
+    under their cap have at most 2**25 constraints, under CONSTRAINT_CAP.
+    Bit i of a candidate's cover mask is constraint i. The masks are built a
+    column at a time from ``_column_index``: symbol c at column j keeps the
+    constraints requiring no other symbol there. They cost q**n
     nodes, charged before they are built. Each constraint's last cover is
     read off the suffix ORs of the masks; the list of all its covers, which
     only the final-row loop uses, is built by a scan of the masks (q**n
@@ -120,13 +121,8 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
         q, requirements = spec.q, _universal_requirements(n, spec.d, spec.q)
     else:
         q, requirements = 2, _cff_requirements(n, spec.r, spec.s)
-    refused = SearchOutcome("budget_exceeded", nodes=0)
-    try:
-        _check_constraint_cap(spec)
-    except ResourceLimitError:
-        return refused
     if _power_over(q, n, ROW_SPACE_CAP) or q**n * _num_constraints(spec) > MASK_BITS_CAP:
-        return refused
+        return SearchOutcome("budget_exceeded", nodes=0)
     count = nodes = q**n
     if nodes > limit:
         return SearchOutcome("budget_exceeded", nodes=limit + 1)

@@ -14,43 +14,16 @@ It runs the engine of ``construct_cff_derandomized`` with symbol weights
 
 from __future__ import annotations
 
-from typing import Literal
-
-from .cff import (
-    GreedyTrace,
-    _checked,
-    _greedy_cover,
-    construct_cff_derandomized,
-    construct_cff_randomized,
-    construct_cff_sperner,
-    greedy_row_bound,
-)
+from .cff import CffMethod, GreedyTrace, _checked, _construct, _greedy_cover, greedy_row_bound
 from .core import CffSpec, SymbolMatrix, UniversalSpec, complement, dedup_rows
 from .core import _check_constraint_cap, _num_constraints
-from .errors import ParameterError
 from .verify import _universal_requirements, verify_universal
-
-CffMethod = Literal["derandomized", "randomized", "sperner_where_applicable"]
-
-CFF_METHODS = ("derandomized", "randomized", "sperner_where_applicable")
 
 
 def universal_greedy_size_bound(spec: UniversalSpec) -> int:
     """Guaranteed row bound of the direct greedy:
     floor(ln(C(n,d) q**d) / -ln(1 - q**-d)) + 1."""
     return greedy_row_bound(_num_constraints(spec), 1, spec.q**spec.d)
-
-
-def _build_component(spec: CffSpec, method: str, seed: int, batch: int) -> SymbolMatrix:
-    if method == "derandomized":
-        return construct_cff_derandomized(spec)[0]
-    if method == "randomized":
-        return construct_cff_randomized(spec, seed=seed, batch=batch)
-    if method == "sperner_where_applicable":
-        if spec.r == 1 and spec.s == 1:
-            return construct_cff_sperner(spec.n)
-        return construct_cff_derandomized(spec)[0]
-    raise ParameterError(f"unknown cff method {method!r}; expected one of {CFF_METHODS}")
 
 
 def build_universal_lemma1(
@@ -73,12 +46,10 @@ def build_universal_lemma1(
     including the all-ones one, needs its component. ``seed``/``batch``
     only matter for the randomized method (component i uses seed + i).
     """
-    if not 1 <= d <= n:
-        raise ParameterError(f"need 1 <= d <= n, got d={d}, n={n}")
+    UniversalSpec(n, d)
     built: dict[int, SymbolMatrix] = {}
     for i in range(d // 2 + 1):
-        spec = CffSpec(n=n, r=i, s=d - i)
-        built[i] = _build_component(spec, cff_method, seed + i, batch)
+        built[i] = _construct(CffSpec(n=n, r=i, s=d - i), cff_method, seed + i, batch)
     merged: list[tuple[int, ...]] = []
     for i in range(d + 1):
         part = built[i] if i <= d // 2 else complement(built[d - i])

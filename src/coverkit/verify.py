@@ -71,8 +71,7 @@ _VALID = Verdict("valid")
 
 
 def _check_universal_params(m: SymbolMatrix, d: int) -> None:
-    if not 1 <= d <= m.n:
-        raise ParameterError(f"need 1 <= d <= n, got d={d}, n={m.n}")
+    UniversalSpec(m.n, d, m.q)
     if _power_over(m.q, d, PATTERN_CAP):
         raise ResourceLimitError(
             f"pattern space q**d = {m.q}**{d} exceeds the cap of {PATTERN_CAP}"
@@ -144,10 +143,7 @@ def verify_universal(m: SymbolMatrix, d: int) -> Verdict:
 def _check_cff_params(m: SymbolMatrix, r: int, s: int) -> None:
     if m.q != 2:
         raise AlphabetError(f"cover-free check needs a binary matrix, got q = {m.q}")
-    if r < 0 or s < 0 or r + s < 1:
-        raise ParameterError(f"need r, s >= 0 and r+s >= 1, got ({r}, {s})")
-    if r + s > m.n:
-        raise ParameterError(f"need r+s <= n, got r+s={r + s}, n={m.n}")
+    CffSpec(m.n, r, s)
 
 
 def _cff_pairs(n: int, r: int, s: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -4,17 +4,22 @@ from hypothesis import given, strategies as st
 from coverkit import (
     AlphabetError,
     CffSpec,
+    CoverkitError,
+    FormatError,
     ParameterError,
     ResourceLimitError,
     SymbolMatrix,
     UniversalSpec,
+    build_universal_lemma1,
     complement,
     construct_cff_sperner,
     dedup_rows,
+    read_array,
     verify_cff,
     verify_universal,
 )
 from coverkit.core import CONSTRAINT_CAP, _check_constraint_cap, _num_constraints
+from coverkit.verify import PATTERN_CAP
 
 
 def matrices(max_n=5, max_rows=7, qs=(2,)):
@@ -184,3 +189,54 @@ class TestConstraintCap:
         assert _num_constraints(UniversalSpec(5, 2, 3)) == 10 * 9
         assert _num_constraints(CffSpec(6, 2, 1)) == 15 * 4
         assert _num_constraints(CffSpec(6, 0, 2)) == 15
+
+
+def raised(call):
+    """The class of the package error ``call()`` raises, or None."""
+    try:
+        call()
+    except CoverkitError as exc:
+        return type(exc)
+    return None
+
+
+def header_error(line):
+    """The class ``read_array`` raises on a zero-row document with header
+    ``line``, or None; a raised error must name line 1."""
+    try:
+        read_array(line + "\n")
+    except FormatError as exc:
+        assert str(exc).startswith("line 1: "), exc
+        return FormatError
+    return None
+
+
+class TestEntryPointsAgreeWithSpecs:
+    """Every entry point taking (n, d, q) or (n, r, s) refuses exactly the
+    parameters the spec constructors refuse, with the class it always has."""
+
+    @given(st.integers(-1, 6), st.integers(-1, 7), st.integers(0, 37))
+    def test_universal(self, n, d, q):
+        bad = raised(lambda: UniversalSpec(n, d, q))
+        assert bad in (None, ParameterError)
+        over = bad is None and q**d > PATTERN_CAP
+        verified = raised(lambda: verify_universal(SymbolMatrix(n=n, q=q), d))
+        assert verified is (ResourceLimitError if over else bad)
+        if n <= 4:
+            assert raised(lambda: build_universal_lemma1(n, d)) is raised(
+                lambda: UniversalSpec(n, d)
+            )
+        header = header_error(f"kind=universal n={n} q={q} rows=0 d={d}")
+        assert header is (FormatError if bad else None)
+
+    @given(st.integers(-1, 6), st.integers(-1, 6), st.integers(-1, 6), st.integers(0, 37))
+    def test_cff(self, n, r, s, q):
+        bad = raised(lambda: CffSpec(n, r, s))
+        assert bad in (None, ParameterError)
+        shape = raised(lambda: SymbolMatrix(n=n, q=q))
+        assert shape in (None, ParameterError)
+        verified = raised(lambda: verify_cff(SymbolMatrix(n=n, q=q), r, s))
+        assert verified is (shape or (AlphabetError if q != 2 else bad))
+        header = header_error(f"kind=cff n={n} q={q} rows=0 r={r} s={s}")
+        assert header is (FormatError if bad or q != 2 else None)
+        assert header_error(f"kind=raw n={n} q={q} rows=0") is (FormatError if shape else None)

@@ -153,6 +153,28 @@ def test_cli_stdout_is_pinned(name, capsys):
     assert sha(capsys.readouterr().out) == GOLDEN_STDOUT[name]
 
 
+DOCUMENTS = {
+    "construct-cff-sperner": ["construct", "cff", "--n", "7", "--r", "1", "--s", "1",
+                              "--method", "sperner"],
+    "construct-lemma1-sperner": ["construct", "universal", "--n", "12", "--d", "2",
+                                 "--method", "lemma1", "--cff-method", "sperner"],
+}
+
+GOLDEN_DOCUMENTS = {
+    "construct-cff-sperner": "ff143c5bc7c85f496f5c049427d4c5e5749196db798651da69387eafe13afd0c",
+    "construct-lemma1-sperner": "bdee295b182a4619a6a4cfc948dd92cf9cdde43847ce35a1a62de064d2c7e545",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_cli_document_is_pinned(name, tmp_path, capsys):
+    # The file bytes, header included: method= and seed= record the route.
+    out = tmp_path / "out.txt"
+    assert run_cli(DOCUMENTS[name] + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_DOCUMENTS[name]
+
+
 def drop_row(m, index):
     return SymbolMatrix(n=m.n, q=m.q, rows=m.rows[:index] + m.rows[index + 1:])
 
