@@ -14,17 +14,17 @@ Three routes:
 
 Its conditional-expectations engine, ``_greedy_cover``, is shared with
 ``construct_universal_greedy``: the density scheme of Bryce & Colbourn
-(2009). A constraint is a list of (column, symbol) requirements, so (R, S)
+(2009). A constraint requires a symbol at each of some columns, so (R, S)
 reads "1 on R, 0 on S", and undecided symbols are drawn with probabilities
 proportional to integer weights: (s, r) here, (1,) * q for universal sets.
-The engine is bit-sliced: Python ints serve as bitsets over the constraint
-index, one per (column, symbol) for the constraints requiring that symbol
-there, from ``core._column_index``, and one per distinct coverage numerator
-for the constraints holding it. Deciding a column costs one AND and
-popcount per (numerator, symbol) pair and a few ANDs per numerator to move
-the chosen symbol's constraints to their new numerator: the count of
-operations does not grow with the number of constraints, and each is one
-pass in C over a bitset's words.
+The engine is bit-sliced: Python ints serve as bitsets over the constraints,
+one per (column, symbol) for the constraints requiring that symbol there,
+from ``verify._constraint_index``, and one per distinct coverage numerator
+for the constraints holding it. Deciding a column costs one AND and popcount
+per (numerator, symbol) pair and a few ANDs per numerator to move the chosen
+symbol's constraints to their new numerator: the count of operations does
+not grow with the number of constraints, and each is one pass in C over a
+bitset's words.
 
 Every constructor verifies its own output before returning it.
 """
@@ -35,11 +35,11 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
-from .core import CffSpec, SymbolMatrix, _check_constraint_cap, _column_index, _num_constraints
+from .core import CffSpec, SymbolMatrix, _check_constraint_cap, _num_constraints
 from .errors import ConvergenceError, ParameterError
-from .verify import Verdict, _cff_requirements, verify_cff
+from .verify import Verdict, _constraint_index, verify_cff
 
 # Las Vegas batch cap; hitting it means the spec is far beyond desk scale.
 MAX_BATCHES = 10_000
@@ -154,37 +154,34 @@ def _checked(m: SymbolMatrix, verdict: Verdict) -> SymbolMatrix:
 
 
 def _greedy_cover(
-    n: int, requirements: Iterable[Iterable[tuple[int, int]]], weights: Sequence[int]
+    need: list[list[int]], size: int, weights: Sequence[int]
 ) -> tuple[SymbolMatrix, GreedyTrace]:
-    """Emit rows by conditional expectations until every constraint is met.
+    """Emit rows by conditional expectations until all ``size`` constraints
+    are met, where bit i of ``need[j][c]`` is set when constraint i requires
+    symbol c at column j.
 
-    A constraint is a list of (column, symbol) requirements on distinct
-    columns. Undecided symbols are independent, c with probability
-    weights[c] / W for W = sum(weights). Each constraint has an exact
-    numerator, over W**k for k requirements, of the chance the current row
-    meets it: 0 once an earlier row met it or a decided symbol conflicts.
-    Column j takes the symbol c with the largest gain tally // weights[c] * W
-    (tally sums the numerators requiring c at j), ties to the smallest; the
-    division is exact, since each of those numerators still has the factor
-    weights[c].
+    Undecided symbols are independent, c with probability weights[c] / W for
+    W = sum(weights). Each constraint has an exact numerator, over W**k for
+    k requirements, of the chance the current row meets it: 0 once an
+    earlier row met it or a decided symbol conflicts. Column j takes the
+    symbol c with the largest gain tally // weights[c] * W (tally sums the
+    numerators requiring c at j), ties to the smallest; the division is
+    exact, since each of those numerators still has the factor weights[c].
 
     The state is bit-sliced: each set of constraints is a Python int with
-    bit i for constraint i. ``need[j][c]``, from ``_column_index``, is the
-    set requiring symbol c at column j, ``live`` the set no earlier row has
-    met, and ``groups`` maps each nonzero numerator to the set of
-    constraints holding it. The groups a row starts from are folded once
-    from ``need``, moving the members of ``need[j][c]`` from v to
-    v * weights[c] for each column in turn. Column j
-    tallies each symbol by AND and popcount against every group; fixing it
-    to c moves the members of ``need[j][c]`` from numerator v to
-    v // weights[c] * W, drops the members requiring another symbol and
-    leaves the rest. Once every column is decided, the union of the groups
-    is what the row met. Equal weights keep at most k + 1 numerators, so a
-    column costs a few dozen big-int operations, not a Python step per
-    constraint.
+    bit i for constraint i, as ``need[j][c]`` is; ``live`` is the set no
+    earlier row has met, and ``groups`` maps each nonzero numerator to the
+    set of constraints holding it. The groups a row starts from are folded
+    once from ``need``, moving the members of ``need[j][c]`` from v to
+    v * weights[c] for each column in turn. Column j tallies each symbol by
+    AND and popcount against every group; fixing it to c moves the members
+    of ``need[j][c]`` from numerator v to v // weights[c] * W, drops the
+    members requiring another symbol and leaves the rest. Once every column
+    is decided, the union of the groups is what the row met. Equal weights
+    keep at most k + 1 numerators, so a column costs a few dozen big-int
+    operations, not a Python step per constraint.
     """
     q, total = len(weights), sum(weights)
-    need, size = _column_index(n, q, requirements)
     # untouched[j]: the constraints with no requirement at column j.
     untouched = [~sum(sets) for sets in need]
     # start_sets[v]: the constraints whose numerator at the start of a row is v.
@@ -231,7 +228,7 @@ def _greedy_cover(
         remaining -= count
         rows.append(tuple(row))
         trace_rows.append(GreedyTraceRow(rows[-1], count, remaining))
-    return SymbolMatrix(n=n, q=q, rows=tuple(rows)), GreedyTrace(tuple(trace_rows))
+    return SymbolMatrix(n=len(need), q=q, rows=tuple(rows)), GreedyTrace(tuple(trace_rows))
 
 
 def _constant_row_family(spec: CffSpec) -> tuple[SymbolMatrix, GreedyTrace]:
@@ -260,7 +257,7 @@ def construct_cff_derandomized(spec: CffSpec) -> tuple[SymbolMatrix, GreedyTrace
     if spec.r == 0 or spec.s == 0:
         return _constant_row_family(spec)
     r, s = spec.r, spec.s
-    m, trace = _greedy_cover(spec.n, _cff_requirements(spec.n, r, s), (s, r))
+    m, trace = _greedy_cover(*_constraint_index(spec), (s, r))
     return _checked(m, verify_cff(m, r, s)), trace
 
 
@@ -281,7 +278,7 @@ def construct_cff_randomized(spec: CffSpec, seed: int, batch: int = 16) -> Symbo
     n, r, s = spec.n, spec.r, spec.s
     p = r / spec.d
     rng = random.Random(seed)
-    need, size = _column_index(n, 2, _cff_requirements(n, r, s))
+    need, size = _constraint_index(spec)
     # A row misses exactly the constraints requiring the other symbol at one
     # of its columns: the union of need[j][1 - bit] over them.
     pending = (1 << size) - 1  # constraints no row has met

@@ -127,7 +127,10 @@ def _spec_from_flags(flags, n: int, q: int) -> UniversalSpec | CffSpec:
         return UniversalSpec(n=n, d=flags.d, q=q)
     if flags.r is None or flags.s is None:
         raise ParameterError("specify --d, or both --r and --s")
-    return CffSpec(n=n, r=flags.r, s=flags.s)
+    spec = CffSpec(n=n, r=flags.r, s=flags.s)
+    if q != 2:
+        raise ParameterError(f"--r/--s name a binary cover-free family, got q = {q}")
+    return spec
 
 
 def _cmd_verify(args) -> int:

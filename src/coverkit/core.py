@@ -169,42 +169,6 @@ class SymbolMatrix:
         return f"SymbolMatrix(n={self.n}, q={self.q}, rows[{self.num_rows}]=[{shown}])"
 
 
-_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
-def _bitset(indices: Iterable[int], size: int) -> int:
-    """The int with bit i set for each i in ``indices``, all below ``size``.
-
-    Packed through one byte per bit: setting bits one at a time on a
-    Python int copies it on every step, which is quadratic in ``size``.
-    """
-    flags = bytearray(size)
-    for i in indices:
-        flags[i] = 1
-    return int(flags.translate(_BIT_DIGITS)[::-1], 2) if size else 0
-
-
-def _column_index(
-    n: int, q: int, items: Iterable[Iterable[tuple[int, int]]]
-) -> tuple[list[list[int]], int]:
-    """(index, size) for ``size`` items, where bit i of the int
-    ``index[j][c]`` is set when item i holds symbol c at column j.
-
-    An item is an iterable of (column, symbol) pairs on distinct columns: a
-    constraint's requirements, or a row as ``enumerate(row)``. Over
-    constraints, a row meets those requiring no other symbol at any of its
-    columns; over rows, a constraint is met by the AND of its pairs' sets.
-    The sets of one column are disjoint, so their sum is their union.
-    """
-    members: list[list[list[int]]] = [[[] for _ in range(q)] for _ in range(n)]
-    size = 0
-    for i, pairs in enumerate(items):
-        for j, c in pairs:
-            members[j][c].append(i)
-        size = i + 1
-    return [[_bitset(held, size) for held in column] for column in members], size
-
-
 def decode_symbol(ch: str, q: int, *, where: str = "input") -> int:
     """Map a base-36 digit character back to a symbol, range-checked."""
     sym = SYMBOL_DIGITS.find(ch)

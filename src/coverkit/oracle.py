@@ -49,10 +49,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Literal
 
-from .core import CffSpec, SymbolMatrix, UniversalSpec, _column_index
-from .core import _num_constraints, _power_over
+from .core import CffSpec, SymbolMatrix, UniversalSpec, _num_constraints, _power_over
 from .errors import ParameterError
-from .verify import _cff_requirements, _universal_requirements
+from .verify import _constraint_index
 
 # Candidate row spaces larger than this are out of the oracle's scale.
 ROW_SPACE_CAP = 2**20
@@ -107,26 +106,25 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
     A row space past ROW_SPACE_CAP or cover masks past MASK_BITS_CAP is
     refused, with nodes 0, before anything is built; as q**n >= 2, masks
     under their cap have at most 2**25 constraints, under CONSTRAINT_CAP.
-    Bit i of a candidate's cover mask is constraint i. The masks are built a
-    column at a time from ``_column_index``: symbol c at column j keeps the
-    constraints requiring no other symbol there. They cost q**n
-    nodes, charged before they are built. Each constraint's last cover is
-    read off the suffix ORs of the masks; the list of all its covers, which
-    only the final-row loop uses, is built by a scan of the masks (q**n
-    nodes) the first time that loop needs it. Bit n-2-j of a column-pair
+    Bit i of a candidate's cover mask is the i-th constraint the verifier
+    scans. The masks are built a column at a time from
+    ``_constraint_index``, whose ``index[j][c]`` holds the constraints
+    requiring c at column j: symbol c there keeps those and the ones
+    requiring nothing there. They cost q**n nodes, charged before they are
+    built. Each constraint's last cover is read off the suffix ORs of the
+    masks; the list of all its covers, which only the final-row loop uses,
+    is built by a scan of the masks (q**n nodes) the first time that loop
+    needs it. Bit n-2-j of a column-pair
     mask stands for columns (j, j+1). Deepening starts at the coverage
     bound."""
     n, limit = spec.n, budget.node_limit
-    if isinstance(spec, UniversalSpec):
-        q, requirements = spec.q, _universal_requirements(n, spec.d, spec.q)
-    else:
-        q, requirements = 2, _cff_requirements(n, spec.r, spec.s)
+    q = spec.q if isinstance(spec, UniversalSpec) else 2
     if _power_over(q, n, ROW_SPACE_CAP) or q**n * _num_constraints(spec) > MASK_BITS_CAP:
         return SearchOutcome("budget_exceeded", nodes=0)
     count = nodes = q**n
     if nodes > limit:
         return SearchOutcome("budget_exceeded", nodes=limit + 1)
-    index, num_constraints = _column_index(n, q, requirements)
+    index, num_constraints = _constraint_index(spec)
     full = (1 << num_constraints) - 1
     cover = [full]
     for sets in index:

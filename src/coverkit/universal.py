@@ -17,7 +17,7 @@ from __future__ import annotations
 from .cff import CffMethod, GreedyTrace, _checked, _construct, _greedy_cover, greedy_row_bound
 from .core import CffSpec, SymbolMatrix, UniversalSpec, complement, dedup_rows
 from .core import _check_constraint_cap, _num_constraints
-from .verify import _universal_requirements, verify_universal
+from .verify import _constraint_index, verify_universal
 
 
 def universal_greedy_size_bound(spec: UniversalSpec) -> int:
@@ -69,7 +69,6 @@ def construct_universal_greedy(spec: UniversalSpec) -> tuple[SymbolMatrix, Greed
     q**d; ties go to the smallest symbol. The row count satisfies
     floor(ln(C(n,d) q**d) / -ln(1 - q**-d)) + 1.
     """
-    n, d, q = spec.n, spec.d, spec.q
     _check_constraint_cap(spec)
-    m, trace = _greedy_cover(n, _universal_requirements(n, d, q), (1,) * q)
-    return _checked(m, verify_universal(m, d)), trace
+    m, trace = _greedy_cover(*_constraint_index(spec), (1,) * spec.q)
+    return _checked(m, verify_universal(m, spec.d)), trace

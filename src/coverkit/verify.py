@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import sys
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterator, Literal, Union
+from math import comb
+from typing import Iterable, Iterator, Literal, Union
 
-from .core import CffSpec, SymbolMatrix, UniversalSpec, _column_index, _power_over
+from .core import MAX_ALPHABET, CffSpec, SymbolMatrix, UniversalSpec, _power_over
 from .errors import AlphabetError, ParameterError, ResourceLimitError
 
 # Largest pattern space q**d checked: its indices fit the widest (4-byte)
@@ -146,47 +148,83 @@ def _check_cff_params(m: SymbolMatrix, r: int, s: int) -> None:
     CffSpec(m.n, r, s)
 
 
-def _cff_pairs(n: int, r: int, s: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All disjoint (R, S) column pairs in lexicographic (R, then S) order."""
-    cols = range(n)
-    for R in combinations(cols, r):
-        rest = [j for j in cols if j not in R]
-        for S in combinations(rest, s):
-            yield R, S
+# _ONE_AT[c] maps byte c to the digit "1" and every other byte to "0".
+_ONE_AT = [bytes(48 + (b == c) for b in range(256)) for c in range(MAX_ALPHABET)]
 
 
-def _cff_requirements(n: int, r: int, s: int) -> Iterator[Iterator[tuple[int, int]]]:
-    """Each (R, S) pair as a one-pass iterator of the requirements "1 on R,
-    0 on S", in ``_missing_cff``'s scan order."""
-    symbols = (1,) * r + (0,) * s
-    for R, S in _cff_pairs(n, r, s):
-        yield zip(R + S, symbols)
+def _column_index(q: int, columns: Iterable[bytes]) -> tuple[list[list[int]], int]:
+    """(index, size) for ``size`` items, where bit i of the int
+    ``index[j][c]`` is set when byte i of the j-th of ``columns`` is c.
+
+    A column holds one byte per item: the symbol the item requires or holds
+    there, or q for none. Over constraints, a row meets those requiring no
+    other symbol at any of its columns; over rows, a constraint is met by
+    the AND of its requirements' sets. The sets of one column are disjoint,
+    so their sum is their union. Each set is one ``translate`` and one
+    ``int(..., 2)`` in C, and the columns are taken one at a time, so a lazy
+    ``columns`` keeps O(size) bytes alive besides the index.
+    """
+    index, size = [], 0
+    for column in columns:
+        size = len(column)
+        digits = column[::-1]  # item 0 is the last digit
+        index.append([int(digits.translate(_ONE_AT[c]) or b"0", 2) for c in range(q)])
+    return index, size
 
 
-def _universal_requirements(n: int, d: int, q: int) -> Iterator[Iterator[tuple[int, int]]]:
-    """Each (columns, pattern) pair as a one-pass iterator of its
-    requirements, in ``_missing_universal``'s scan order."""
-    for S in combinations(range(n), d):
-        for pattern in product(range(q), repeat=d):
-            yield zip(S, pattern)
+def _cff_columns(n: int, r: int, s: int) -> Iterator[bytes]:
+    """Each column's byte per (R, S) pair, in ``_missing_cff`` order: 1 where
+    it is in R, 0 where it is in S, else 2. Per R, a column in R has a block
+    of C(n - r, s) ones; any other has the mask of its rank among the
+    columns outside R."""
+    ones, rest = b"\1" * comb(n - r, s), range(n - r)
+    masks = [bytes(0 if t in S else 2 for S in combinations(rest, s)) for t in rest]
+    for j in range(n):
+        yield b"".join(
+            ones if j in R else masks[j - bisect_left(R, j)] for R in combinations(range(n), r)
+        )
+
+
+def _universal_columns(n: int, d: int, q: int) -> Iterator[bytes]:
+    """Each column's byte per (columns, pattern) pair, in
+    ``_missing_universal`` order: digit k of the pattern where it is S[k],
+    else q."""
+    digits = [bytes(p[k] for p in product(range(q), repeat=d)) for k in range(d)]
+    none = bytes([q]) * q**d
+    for j in range(n):
+        yield b"".join(
+            digits[S.index(j)] if j in S else none for S in combinations(range(n), d)
+        )
+
+
+def _constraint_index(spec: UniversalSpec | CffSpec) -> tuple[list[list[int]], int]:
+    """``_column_index`` over the constraints of ``spec``: bit i is the i-th
+    constraint its verifier scans."""
+    if isinstance(spec, UniversalSpec):
+        return _column_index(spec.q, _universal_columns(spec.n, spec.d, spec.q))
+    return _column_index(2, _cff_columns(spec.n, spec.r, spec.s))
+
+
+def _row_index(m: SymbolMatrix) -> tuple[list[list[int]], int]:
+    """``_column_index`` over the rows of ``m``: bit i is row i."""
+    return _column_index(m.q, map(bytes, zip(*m.rows)) if m.rows else [b""] * m.n)
 
 
 def _missing_cff(m: SymbolMatrix, r: int, s: int) -> Iterator[CffWitness]:
-    """Every (R, S) pair no row of ``m`` separates, in (R, then S) order:
-    over the rows' ``_column_index``, the rows all-1 on R, found once per R,
-    share no row with those all-0 on S."""
-    index, size = _column_index(m.n, 2, map(enumerate, m.rows))
-    last_R, on_R = None, 0
-    for R, S in _cff_pairs(m.n, r, s):
-        if R != last_R:
-            last_R, on_R = R, (1 << size) - 1
-            for j in R:
-                on_R &= index[j][1]
-        separated = on_R
-        for j in S:
-            separated &= index[j][0]
-        if not separated:
-            yield CffWitness(R, S)
+    """Every (R, S) pair no row of ``m`` separates, in (R, then S) order: the
+    rows all-1 on R, the AND of their ``_row_index`` sets, share no row with
+    those all-0 on S."""
+    index, size = _row_index(m)
+    for R in combinations(range(m.n), r):
+        on_R = (1 << size) - 1
+        for j in R:
+            on_R &= index[j][1]
+        for S in combinations([j for j in range(m.n) if j not in R], s):
+            separated = on_R
+            for j in S:
+                separated &= index[j][0]
+            if not separated:
+                yield CffWitness(R, S)
 
 
 def verify_cff(m: SymbolMatrix, r: int, s: int) -> Verdict:

@@ -292,6 +292,35 @@ class TestVerify:
         capsys.readouterr()
 
 
+class TestCffFlagsNeedBinary:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["minimal", "--n", "5", "--r", "1", "--s", "1", "--q", "3"],
+            ["bounds", "--n", "10", "--r", "1", "--s", "1", "--q", "3"],
+            ["bounds", "--n", "10", "--r", "1", "--s", "1", "--q", "36"],
+        ],
+    )
+    def test_a_non_binary_q_is_refused(self, argv, capsys):
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        q = argv[-1]
+        assert captured.err == f"error: --r/--s name a binary cover-free family, got q = {q}\n"
+
+    def test_verify_refuses_a_non_binary_file(self, tmp_path, capsys):
+        f = tmp_path / "m.txt"
+        f.write_text("kind=raw n=2 q=3 rows=1\n12\n")
+        assert run_cli(["verify", str(f), "--r", "1", "--s", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --r/--s name a binary cover-free family, got q = 3\n"
+
+    def test_q_2_is_accepted(self, capsys):
+        assert run_cli(["minimal", "--n", "5", "--r", "1", "--s", "1", "--q", "2"]) == 0
+        assert parse_kv(capsys.readouterr().out)["size"] == "4"
+
+
 class TestBounds:
     def test_universal_fields(self, capsys):
         rc = run_cli(["bounds", "--n", "1024", "--d", "4", "--q", "2"])

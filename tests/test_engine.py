@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from coverkit import CffSpec, SymbolMatrix, construct_cff_randomized
 from coverkit.cff import MAX_BATCHES, GreedyTrace, GreedyTraceRow, _greedy_cover
+from coverkit.verify import _column_index
 
 
 def reference_greedy_cover(n, requirements, weights):
@@ -56,6 +57,18 @@ def reference_greedy_cover(n, requirements, weights):
     return SymbolMatrix(n=n, q=q, rows=tuple(rows)), GreedyTrace(tuple(trace_rows))
 
 
+def greedy_cover(n, requirements, weights):
+    """``_greedy_cover`` on constraints given as lists of (column, symbol)
+    requirements, passed to it as one byte per constraint at each column:
+    the symbol required there, or q for none."""
+    q = len(weights)
+    columns = [bytearray([q]) * len(requirements) for _ in range(n)]
+    for i, reqs in enumerate(requirements):
+        for j, c in reqs:
+            columns[j][i] = c
+    return _greedy_cover(*_column_index(q, columns), weights)
+
+
 @st.composite
 def engine_inputs(draw):
     """n, constraints of 1-3 requirements on distinct columns, and positive
@@ -80,13 +93,13 @@ class TestAgainstReference:
     @settings(max_examples=150, deadline=None)
     def test_same_rows_and_trace(self, case):
         n, requirements, weights = case
-        assert _greedy_cover(n, requirements, weights) == reference_greedy_cover(
+        assert greedy_cover(n, requirements, weights) == reference_greedy_cover(
             n, requirements, weights
         )
 
     def test_ties_go_to_the_smallest_symbol(self):
         # Symbols 0 and 1 tie at column 0 and at column 1.
-        m, _ = _greedy_cover(2, [[(0, 0)], [(0, 1)], [(1, 1)], [(1, 0)]], (1, 1))
+        m, _ = greedy_cover(2, [[(0, 0)], [(0, 1)], [(1, 1)], [(1, 0)]], (1, 1))
         assert m.rows[0] == (0, 0)
 
 

@@ -1,0 +1,96 @@
+"""The (column, symbol) index built from one byte per item against the
+per-requirement builder it replaced, kept here as the definitional
+reference: one list append per requirement, in the verifiers' scan order."""
+
+import tracemalloc
+from itertools import combinations, product
+
+from hypothesis import example, given, settings, strategies as st
+
+from coverkit import CffSpec, SymbolMatrix, UniversalSpec
+from coverkit.verify import _constraint_index, _row_index
+
+
+def reference_column_index(n, q, items):
+    """(index, size) with bit i of ``index[j][c]`` set when item i, an
+    iterable of (column, symbol) pairs, holds c at column j."""
+    members = [[[] for _ in range(q)] for _ in range(n)]
+    size = 0
+    for i, pairs in enumerate(items):
+        for j, c in pairs:
+            members[j][c].append(i)
+        size = i + 1
+
+    def bitset(held):
+        flags = bytearray(size)
+        for i in held:
+            flags[i] = 1
+        return int(flags.translate(bytes.maketrans(b"\0\1", b"01"))[::-1], 2) if size else 0
+
+    return [[bitset(held) for held in column] for column in members], size
+
+
+def cff_requirements(n, r, s):
+    """"1 on R, 0 on S" for each disjoint (R, S), R then S in
+    lexicographic order."""
+    for R in combinations(range(n), r):
+        for S in combinations([j for j in range(n) if j not in R], s):
+            yield [(j, 1) for j in R] + [(j, 0) for j in S]
+
+
+def universal_requirements(n, d, q):
+    """Each (columns, pattern) pair, subsets then patterns in lexicographic
+    order."""
+    for S in combinations(range(n), d):
+        for pattern in product(range(q), repeat=d):
+            yield zip(S, pattern)
+
+
+@st.composite
+def universal_specs(draw):
+    n = draw(st.integers(1, 7))
+    return n, draw(st.integers(1, n)), draw(st.integers(2, 5))
+
+
+class TestAgainstReference:
+    @given(st.integers(1, 9))
+    def test_cff_at_every_r_and_s(self, n):
+        # r = 0, s = 0 and r + s = n included; at n = 1 with (1, 0) the
+        # column in R still has one block of C(0, 0) = 1 constraint.
+        for r in range(n + 1):
+            for s in range(n - r + 1):
+                if r + s:
+                    expected = reference_column_index(n, 2, cff_requirements(n, r, s))
+                    assert _constraint_index(CffSpec(n, r, s)) == expected, (r, s)
+
+    @given(universal_specs())
+    @example((1, 1, 2))
+    @example((7, 7, 5))
+    @example((7, 1, 5))
+    @settings(deadline=None)
+    def test_universal(self, case):
+        n, d, q = case
+        expected = reference_column_index(n, q, universal_requirements(n, d, q))
+        assert _constraint_index(UniversalSpec(n, d, q)) == expected
+
+    @given(st.data())
+    @settings(deadline=None)
+    def test_rows(self, data):
+        n = data.draw(st.integers(1, 6))
+        q = data.draw(st.integers(2, 5))
+        rows = data.draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * n), max_size=20))
+        m = SymbolMatrix(n=n, q=q, rows=tuple(rows))
+        assert _row_index(m) == reference_column_index(n, q, map(enumerate, rows))
+
+
+def test_an_index_is_built_one_column_at_a_time():
+    # All 40 columns of the (40, (2, 2)) bytes at once would peak near five
+    # times the finished index, which takes 80 ints of 548,340 bits.
+    tracemalloc.start()
+    try:
+        _, size = _constraint_index(CffSpec(40, 2, 2))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size == 548_340
+    assert peak < 2 * held
