@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
-from typing import Literal, Sequence
+from typing import Literal, Sequence, get_args
 
 from .core import CffSpec, SymbolMatrix, _check_constraint_cap, _num_constraints
 from .errors import ConvergenceError, ParameterError
@@ -46,7 +46,7 @@ MAX_BATCHES = 10_000
 
 CffMethod = Literal["derandomized", "randomized", "sperner_where_applicable"]
 
-CFF_METHODS = ("derandomized", "randomized", "sperner_where_applicable")
+CFF_METHODS = get_args(CffMethod)
 
 
 @dataclass(frozen=True)
@@ -319,12 +319,7 @@ def construct_cff_sperner(n: int) -> SymbolMatrix:
     the (1, 1) cover-free property.
     """
     rows = sperner_row_count(n)
-    half = rows // 2
-    chosen = []
-    for subset in combinations(range(rows), half):
-        chosen.append(set(subset))
-        if len(chosen) == n:
-            break
+    chosen = [set(subset) for subset in islice(combinations(range(rows), rows // 2), n)]
     matrix_rows = tuple(
         tuple(1 if i in block else 0 for block in chosen) for i in range(rows)
     )

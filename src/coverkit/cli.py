@@ -74,12 +74,29 @@ def _print_verdict(verdict: Verdict) -> int:
     return EXIT_VIOLATED
 
 
-def _report_construction(args, matrix: SymbolMatrix, header: ArrayFileHeader, make_report) -> int:
-    """Print a self-verified construction's size and bounds; save it if --out is given."""
+def _bounds_report(spec: UniversalSpec | CffSpec) -> BoundsReport:
+    if isinstance(spec, UniversalSpec):
+        return universal_bounds_report(spec)
+    return cff_bounds_report(spec)
+
+
+def _report_construction(
+    args, spec: UniversalSpec | CffSpec, matrix: SymbolMatrix, method: str, seed: int | None
+) -> int:
+    """Print a self-verified construction's size and bounds; save it if --out
+    is given, with a header naming ``spec``, ``method`` and ``seed``."""
     print(f"size={matrix.num_rows}")
     print("self_verify=valid")
-    _print_bounds_if_available(make_report)
+    _print_bounds_if_available(lambda: _bounds_report(spec))
     if args.out:
+        if isinstance(spec, UniversalSpec):
+            kind, params = "universal", {"d": spec.d}
+        else:
+            kind, params = "cff", {"r": spec.r, "s": spec.s}
+        header = ArrayFileHeader(
+            kind=kind, n=matrix.n, q=matrix.q, rows=matrix.num_rows,
+            method=method, seed=seed, **params,
+        )
         save_array(args.out, matrix, header)
         print(f"out={args.out}")
     return EXIT_OK
@@ -87,22 +104,14 @@ def _report_construction(args, matrix: SymbolMatrix, header: ArrayFileHeader, ma
 
 def _cmd_construct_universal(args) -> int:
     spec = UniversalSpec(n=args.n, d=args.d, q=args.q)
-    if args.method == "lemma1":
-        if spec.q != 2:
-            raise ParameterError("method lemma1 works on the binary alphabet only")
-        cff_method = _CFF_METHOD_NAMES[args.cff_method]
-        matrix = build_universal_lemma1(spec.n, spec.d, cff_method, seed=args.seed)
-        method = f"lemma1+{args.cff_method}"
-        seed = args.seed if args.cff_method == "random" else None
-    else:
-        matrix, _ = construct_universal_greedy(spec)
-        method = "greedy"
-        seed = None
-    header = ArrayFileHeader(
-        kind="universal", n=spec.n, q=spec.q, rows=matrix.num_rows,
-        d=spec.d, method=method, seed=seed,
-    )
-    return _report_construction(args, matrix, header, lambda: universal_bounds_report(spec))
+    if args.method == "greedy":
+        return _report_construction(args, spec, construct_universal_greedy(spec)[0], "greedy", None)
+    if spec.q != 2:
+        raise ParameterError("method lemma1 works on the binary alphabet only")
+    cff_method = _CFF_METHOD_NAMES[args.cff_method]
+    matrix = build_universal_lemma1(spec.n, spec.d, cff_method, seed=args.seed)
+    seed = args.seed if args.cff_method == "random" else None
+    return _report_construction(args, spec, matrix, f"lemma1+{args.cff_method}", seed)
 
 
 def _cmd_construct_cff(args) -> int:
@@ -111,11 +120,7 @@ def _cmd_construct_cff(args) -> int:
         raise ParameterError("method sperner applies to (r, s) = (1, 1) only")
     matrix = _construct(spec, _CFF_METHOD_NAMES[args.method], args.seed)
     seed = args.seed if args.method == "random" else None
-    header = ArrayFileHeader(
-        kind="cff", n=spec.n, q=2, rows=matrix.num_rows,
-        r=spec.r, s=spec.s, method=args.method, seed=seed,
-    )
-    return _report_construction(args, matrix, header, lambda: cff_bounds_report(spec))
+    return _report_construction(args, spec, matrix, args.method, seed)
 
 
 def _spec_from_flags(flags, n: int, q: int) -> UniversalSpec | CffSpec:
@@ -144,9 +149,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    spec = _spec_from_flags(args, args.n, args.q)
-    report = universal_bounds_report if isinstance(spec, UniversalSpec) else cff_bounds_report
-    _print_report(report(spec))
+    _print_report(_bounds_report(_spec_from_flags(args, args.n, args.q)))
     return EXIT_OK
 
 
@@ -155,15 +158,11 @@ def _cmd_minimal(args) -> int:
     budget = SearchBudget(max_rows=args.max_rows, node_limit=args.node_limit)
     search = minimal_universal_size if isinstance(spec, UniversalSpec) else minimal_cff_size
     outcome = search(spec, budget)
-    if outcome.found:
-        print(f"size={outcome.size}")
-        print(f"nodes={outcome.nodes}")
-        return EXIT_OK
-    print(f"status={outcome.status}")
+    print(f"size={outcome.size}" if outcome.found else f"status={outcome.status}")
     print(f"nodes={outcome.nodes}")
     if outcome.status == "infeasible":
         print(f"max_rows={args.max_rows}")
-    return EXIT_RESOURCE
+    return EXIT_OK if outcome.found else EXIT_RESOURCE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,19 +202,14 @@ def build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=_cmd_verify)
 
     bnd = sub.add_parser("bounds", help="print the closed-form size bounds")
-    bnd.add_argument("--n", type=int, required=True)
-    bnd.add_argument("--d", type=int)
-    bnd.add_argument("--q", type=int, default=2)
-    bnd.add_argument("--r", type=int)
-    bnd.add_argument("--s", type=int)
     bnd.set_defaults(func=_cmd_bounds)
-
     mini = sub.add_parser("minimal", help="exact minimal size (exhaustive search)")
-    mini.add_argument("--n", type=int, required=True)
-    mini.add_argument("--d", type=int)
-    mini.add_argument("--q", type=int, default=2)
-    mini.add_argument("--r", type=int)
-    mini.add_argument("--s", type=int)
+    for spec_parser in (bnd, mini):
+        spec_parser.add_argument("--n", type=int, required=True)
+        spec_parser.add_argument("--d", type=int)
+        spec_parser.add_argument("--q", type=int, default=2)
+        spec_parser.add_argument("--r", type=int)
+        spec_parser.add_argument("--s", type=int)
     mini.add_argument("--max-rows", type=int, default=32)
     mini.add_argument("--node-limit", type=int, default=50_000_000)
     mini.set_defaults(func=_cmd_minimal)

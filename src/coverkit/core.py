@@ -194,10 +194,4 @@ def complement(m: SymbolMatrix) -> SymbolMatrix:
 
 def dedup_rows(m: SymbolMatrix) -> SymbolMatrix:
     """Drop duplicate rows, keeping the first occurrence in order."""
-    seen: set[tuple[int, ...]] = set()
-    kept = []
-    for row in m.rows:
-        if row not in seen:
-            seen.add(row)
-            kept.append(row)
-    return SymbolMatrix(n=m.n, q=m.q, rows=tuple(kept))
+    return SymbolMatrix(n=m.n, q=m.q, rows=tuple(dict.fromkeys(m.rows)))

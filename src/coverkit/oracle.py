@@ -101,24 +101,12 @@ class _OutOfNodes(Exception):
 
 def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> SearchOutcome:
     """Search the q**n candidate rows, in ``product`` order, for the fewest
-    meeting every constraint of ``spec``.
-
-    A row space past ROW_SPACE_CAP or cover masks past MASK_BITS_CAP is
-    refused, with nodes 0, before anything is built; as q**n >= 2, masks
-    under their cap have at most 2**25 constraints, under CONSTRAINT_CAP.
-    Bit i of a candidate's cover mask is the i-th constraint the verifier
-    scans. The masks are built a column at a time from
-    ``_constraint_index``, whose ``index[j][c]`` holds the constraints
-    requiring c at column j: symbol c there keeps those and the ones
-    requiring nothing there. They cost q**n nodes, charged before they are
-    built. Each constraint's last cover is read off the suffix ORs of the
-    masks; the list of all its covers, which only the final-row loop uses,
-    is built by a scan of the masks (q**n nodes) the first time that loop
-    needs it. Bit n-2-j of a column-pair
-    mask stands for columns (j, j+1). Deepening starts at the coverage
-    bound."""
+    meeting every constraint of ``spec``. Bit i of a cover mask is the i-th
+    constraint the verifier scans; bit n-2-j of a column-pair mask stands
+    for columns (j, j+1)."""
     n, limit = spec.n, budget.node_limit
     q = spec.q if isinstance(spec, UniversalSpec) else 2
+    # As q**n >= 2, masks under their cap have under CONSTRAINT_CAP constraints.
     if _power_over(q, n, ROW_SPACE_CAP) or q**n * _num_constraints(spec) > MASK_BITS_CAP:
         return SearchOutcome("budget_exceeded", nodes=0)
     count = nodes = q**n
@@ -168,12 +156,14 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
         """Whether rows_left more rows from ``last`` on, none decreasing a
         ``tied`` column pair, cover ``uncovered``; each candidate scanned
         costs a node."""
+        # ``uncovered`` is never empty: a row leaving nothing uncovered with
+        # rows to spare would end a shorter solution on this path, which the
+        # previous deepening level, with the same order, ties and sound
+        # prunes, would have found.
         nonlocal nodes
         nodes += 1
         if nodes > limit:
             raise _OutOfNodes
-        if not uncovered:
-            return True
         if uncovered & ~suffix_or[last]:
             return False
         first = (uncovered & -uncovered).bit_length() - 1

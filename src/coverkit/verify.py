@@ -27,7 +27,7 @@ from itertools import combinations, product
 from math import comb
 from typing import Iterable, Iterator, Literal, Union
 
-from .core import MAX_ALPHABET, CffSpec, SymbolMatrix, UniversalSpec, _power_over
+from .core import MAX_ALPHABET, CffSpec, SymbolMatrix, UniversalSpec, _num_constraints, _power_over
 from .errors import AlphabetError, ParameterError, ResourceLimitError
 
 # Largest pattern space q**d checked: its indices fit the widest (4-byte)
@@ -100,11 +100,7 @@ def _missing_universal(m: SymbolMatrix, d: int) -> Iterator[UniversalWitness]:
     # The same native byte order on both sides, so wider fields read back whole.
     order = sys.byteorder
     size = len(rows) * array(code).itemsize
-    columns = (
-        [int.from_bytes(array(code, col).tobytes(), order) for col in zip(*rows)]
-        if rows
-        else [0] * n
-    )
+    columns = [int.from_bytes(array(code, col).tobytes(), order) for col in zip(*rows)]
     powers = [q**k for k in reversed(range(d))]
     # partial[k]: the sum over the current head's first k columns; a head
     # keeps those of the last head up to the first column where they differ.
@@ -139,6 +135,8 @@ def verify_universal(m: SymbolMatrix, d: int) -> Verdict:
     (columns, pattern) pair under (subset, then pattern) order.
     """
     _check_universal_params(m, d)
+    if not m.rows:  # it misses every constraint, whatever n is
+        return Verdict("violated", UniversalWitness(tuple(range(d)), (0,) * d))
     return _verdict(_missing_universal(m, d))
 
 
@@ -234,6 +232,8 @@ def verify_cff(m: SymbolMatrix, r: int, s: int) -> Verdict:
     (R, S) pair.
     """
     _check_cff_params(m, r, s)
+    if not m.rows:  # it misses every constraint, whatever n is
+        return Verdict("violated", CffWitness(tuple(range(r)), tuple(range(r, r + s))))
     return _verdict(_missing_cff(m, r, s))
 
 
@@ -254,4 +254,4 @@ def count_uncovered(m: SymbolMatrix, spec: UniversalSpec | CffSpec) -> int:
         missing = _missing_cff(m, spec.r, spec.s)
     else:
         raise ParameterError(f"unsupported spec type {type(spec).__name__}")
-    return sum(1 for _ in missing)
+    return sum(1 for _ in missing) if m.rows else _num_constraints(spec)

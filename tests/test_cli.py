@@ -274,6 +274,17 @@ class TestVerify:
         assert captured.err == "error: give either --d or --r/--s, not both\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("header, witness", [
+        ("kind=cff n=1000000000 q=2 rows=0 r=1 s=1", "R=1 S=2"),
+        ("kind=universal n=1000000000 q=2 rows=0 d=1", "S=1 sigma=0"),
+    ])
+    def test_an_empty_matrix_fails_at_once_whatever_its_n(self, tmp_path, header, witness):
+        f = tmp_path / "empty.txt"
+        f.write_text(header + "\n")
+        rc, out, err, elapsed = run_limited(["verify", str(f)])
+        assert (rc, out, err) == (1, f"violated\n{witness}\n", "")
+        assert elapsed < 1.0
+
     def test_cff_defaults_from_header(self, tmp_path, capsys):
         f = tmp_path / "c.txt"
         f.write_text("kind=cff n=2 q=2 rows=2 r=1 s=1\n10\n01\n")
@@ -391,7 +402,7 @@ class TestMinimal:
         rc = run_cli(["minimal", "--n", "4", "--d", "2", "--max-rows", "4"])
         captured = capsys.readouterr()
         assert rc == 3
-        assert "status=infeasible" in captured.out
+        assert captured.out == "status=infeasible\nnodes=31\nmax_rows=4\n"
 
     def test_node_limit(self, capsys):
         rc = run_cli(["minimal", "--n", "4", "--d", "2", "--node-limit", "2"])

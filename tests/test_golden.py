@@ -158,10 +158,18 @@ DOCUMENTS = {
                               "--method", "sperner"],
     "construct-lemma1-sperner": ["construct", "universal", "--n", "12", "--d", "2",
                                  "--method", "lemma1", "--cff-method", "sperner"],
+    "construct-cff-derand": COMMANDS["construct-cff-derand"],
+    "construct-cff-random": COMMANDS["construct-cff-random"],
+    "construct-greedy-ternary": COMMANDS["construct-greedy-ternary"],
+    "construct-lemma1-random": COMMANDS["construct-lemma1-random"],
 }
 
 GOLDEN_DOCUMENTS = {
+    "construct-cff-derand": "7ee0a3d4966d9c514048fa6e19d0ceb8c3bfd5e670c4e9ff22d5b546138c592b",
+    "construct-cff-random": "b80f032b0cd1c6b769afef04f96acc20743b1df7b6b6f604cc406ae025550fdf",
     "construct-cff-sperner": "ff143c5bc7c85f496f5c049427d4c5e5749196db798651da69387eafe13afd0c",
+    "construct-greedy-ternary": "a4ef57e2be145b1e7eb9aae92700f7f79289c8d5421266ed40d1e16abb65d3a8",
+    "construct-lemma1-random": "13e060b32ff41ddb903f5cc1777726455bf1786db9671e33fa31db1cf1fb5379",
     "construct-lemma1-sperner": "bdee295b182a4619a6a4cfc948dd92cf9cdde43847ce35a1a62de064d2c7e545",
 }
 

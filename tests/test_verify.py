@@ -233,6 +233,10 @@ class TestVerifyCff:
 class TestCountUncovered:
     def test_empty_matrix_counts_everything(self):
         assert count_uncovered(SymbolMatrix(n=3, q=2), UniversalSpec(3, 2, 2)) == 12
+        # Counted, not scanned: nothing of size n is built.
+        huge = SymbolMatrix(n=10**9, q=2)
+        assert count_uncovered(huge, UniversalSpec(10**9, 1, 2)) == 2 * 10**9
+        assert count_uncovered(huge, CffSpec(10**9, 1, 1)) == 10**9 * (10**9 - 1)
 
     def test_constant_rows_leave_six(self):
         m = SymbolMatrix.from_strings(["000", "111"])
