@@ -163,7 +163,7 @@ def save_array(path: str | Path, m: SymbolMatrix, header: ArrayFileHeader) -> No
     text = write_array(m, header)
     fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(tmp, target)
     except BaseException:
@@ -173,5 +173,11 @@ def save_array(path: str | Path, m: SymbolMatrix, header: ArrayFileHeader) -> No
 
 
 def load_array(path: str | Path) -> tuple[SymbolMatrix, ArrayFileHeader]:
-    with open(path, "r", newline="") as handle:
-        return read_array(handle.read())
+    """Read a UTF-8 document; a byte that is not UTF-8 is a FormatError."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"line {line}: byte {data[exc.start]:#04x} is not UTF-8 text") from None
+    return read_array(text)

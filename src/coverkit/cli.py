@@ -3,16 +3,19 @@
 Subcommands: construct (universal | cff), verify, bounds, minimal. All
 reports are line-oriented key=value text on stdout; diagnostics go to
 stderr. Exit statuses: 0 success or valid, 1 violation found by verify,
-2 usage or parse error, 3 resource or budget exceeded.
+2 usage error or a document that cannot be read or parsed, 3 resource or
+budget exceeded.
 
 Constructed matrices are always self-verified before a file is written,
 and the file header records the method and seed needed to reproduce it.
+A construction's report is printed only once its file is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 from .arrayfile import ArrayFileHeader, load_array, save_array
@@ -49,13 +52,6 @@ def _print_report(report: BoundsReport) -> None:
     print(f"log_base={report.log_base}")
 
 
-def _print_bounds_if_available(make_report) -> None:
-    try:
-        _print_report(make_report())
-    except DomainError as exc:
-        print(f"note: bounds not reported: {exc}", file=sys.stderr)
-
-
 def _ones(indices: Sequence[int]) -> str:
     return ",".join(str(i + 1) for i in indices)
 
@@ -81,23 +77,23 @@ def _bounds_report(spec: UniversalSpec | CffSpec) -> BoundsReport:
 
 
 def _report_construction(
-    args, spec: UniversalSpec | CffSpec, matrix: SymbolMatrix, method: str, seed: int | None
+    args, spec: UniversalSpec | CffSpec, matrix: SymbolMatrix, method: str
 ) -> int:
-    """Print a self-verified construction's size and bounds; save it if --out
-    is given, with a header naming ``spec``, ``method`` and ``seed``."""
+    """Save a self-verified construction if --out is given, with a header
+    naming ``spec`` and ``method`` (and --seed, for a randomized method);
+    then print its size and bounds. A failed save prints nothing."""
+    if args.out:
+        kind = "universal" if isinstance(spec, UniversalSpec) else "cff"
+        seed = args.seed if method.endswith("random") else None
+        fields = {"q": matrix.q, **asdict(spec), "rows": matrix.num_rows}
+        save_array(args.out, matrix, ArrayFileHeader(kind, method=method, seed=seed, **fields))
     print(f"size={matrix.num_rows}")
     print("self_verify=valid")
-    _print_bounds_if_available(lambda: _bounds_report(spec))
+    try:
+        _print_report(_bounds_report(spec))
+    except DomainError as exc:
+        print(f"note: bounds not reported: {exc}", file=sys.stderr)
     if args.out:
-        if isinstance(spec, UniversalSpec):
-            kind, params = "universal", {"d": spec.d}
-        else:
-            kind, params = "cff", {"r": spec.r, "s": spec.s}
-        header = ArrayFileHeader(
-            kind=kind, n=matrix.n, q=matrix.q, rows=matrix.num_rows,
-            method=method, seed=seed, **params,
-        )
-        save_array(args.out, matrix, header)
         print(f"out={args.out}")
     return EXIT_OK
 
@@ -105,13 +101,12 @@ def _report_construction(
 def _cmd_construct_universal(args) -> int:
     spec = UniversalSpec(n=args.n, d=args.d, q=args.q)
     if args.method == "greedy":
-        return _report_construction(args, spec, construct_universal_greedy(spec)[0], "greedy", None)
+        return _report_construction(args, spec, construct_universal_greedy(spec)[0], "greedy")
     if spec.q != 2:
         raise ParameterError("method lemma1 works on the binary alphabet only")
     cff_method = _CFF_METHOD_NAMES[args.cff_method]
     matrix = build_universal_lemma1(spec.n, spec.d, cff_method, seed=args.seed)
-    seed = args.seed if args.cff_method == "random" else None
-    return _report_construction(args, spec, matrix, f"lemma1+{args.cff_method}", seed)
+    return _report_construction(args, spec, matrix, f"lemma1+{args.cff_method}")
 
 
 def _cmd_construct_cff(args) -> int:
@@ -119,8 +114,7 @@ def _cmd_construct_cff(args) -> int:
     if args.method == "sperner" and (spec.r, spec.s) != (1, 1):
         raise ParameterError("method sperner applies to (r, s) = (1, 1) only")
     matrix = _construct(spec, _CFF_METHOD_NAMES[args.method], args.seed)
-    seed = args.seed if args.method == "random" else None
-    return _report_construction(args, spec, matrix, args.method, seed)
+    return _report_construction(args, spec, matrix, args.method)
 
 
 def _spec_from_flags(flags, n: int, q: int) -> UniversalSpec | CffSpec:

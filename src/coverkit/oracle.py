@@ -233,8 +233,10 @@ def minimal_universal_size(
     Deepening starts at q**d, the coverage lower bound (a row realizes one
     pattern per column subset). Requires q**n <= 2**20, at most 2**26
     (columns, pattern) constraints and at most 2**26 cover-mask bits (q**n
-    times the constraint count).
+    times the constraint count). Any other spec is a ParameterError.
     """
+    if not isinstance(spec, UniversalSpec):
+        raise ParameterError(f"expected a UniversalSpec, got {type(spec).__name__}")
     return _search_minimal(spec, budget)
 
 
@@ -242,6 +244,9 @@ def minimal_cff_size(spec: CffSpec, budget: SearchBudget = SearchBudget()) -> Se
     """Exact smallest size of an (n, (r, s))-cover-free family.
 
     Requires 2**n <= 2**20, at most 2**26 (R, S) constraints and at most
-    2**26 cover-mask bits (2**n times the constraint count).
+    2**26 cover-mask bits (2**n times the constraint count). Any other spec
+    is a ParameterError.
     """
+    if not isinstance(spec, CffSpec):
+        raise ParameterError(f"expected a CffSpec, got {type(spec).__name__}")
     return _search_minimal(spec, budget)

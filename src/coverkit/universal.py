@@ -38,23 +38,20 @@ def build_universal_lemma1(
     over the binary alphabet.
 
     Builds F(n, (i, d-i)) for i = 0..floor(d/2) with the requested method,
-    supplies i > floor(d/2) as the complement of the mirror component, and
-    returns the deduplicated union merged in component order i = 0..d,
-    verified as a whole before it is returned.
+    then each i > floor(d/2) as the complement of its mirror F(n, (d-i, i)),
+    and returns their rows in component order i = 0..d, deduplicated and
+    verified as a whole.
 
     The union ranges over all of i = 0..d: every weight class of patterns,
     including the all-ones one, needs its component. ``seed``/``batch``
     only matter for the randomized method (component i uses seed + i).
     """
     UniversalSpec(n, d)
-    built: dict[int, SymbolMatrix] = {}
-    for i in range(d // 2 + 1):
-        built[i] = _construct(CffSpec(n=n, r=i, s=d - i), cff_method, seed + i, batch)
-    merged: list[tuple[int, ...]] = []
-    for i in range(d + 1):
-        part = built[i] if i <= d // 2 else complement(built[d - i])
-        merged.extend(part.rows)
-    union = dedup_rows(SymbolMatrix(n=n, q=2, rows=tuple(merged)))
+    half = d // 2 + 1
+    parts = [_construct(CffSpec(n, i, d - i), cff_method, seed + i, batch) for i in range(half)]
+    parts += [complement(parts[d - i]) for i in range(half, d + 1)]
+    rows = tuple(row for part in parts for row in part.rows)
+    union = dedup_rows(SymbolMatrix(n=n, q=2, rows=rows))
     return _checked(union, verify_universal(union, d))
 
 

@@ -72,15 +72,7 @@ class Verdict:
 _VALID = Verdict("valid")
 
 
-def _check_universal_params(m: SymbolMatrix, d: int) -> None:
-    UniversalSpec(m.n, d, m.q)
-    if _power_over(m.q, d, PATTERN_CAP):
-        raise ResourceLimitError(
-            f"pattern space q**d = {m.q}**{d} exceeds the cap of {PATTERN_CAP}"
-        )
-
-
-def _missing_universal(m: SymbolMatrix, d: int) -> Iterator[UniversalWitness]:
+def _missing_universal(m: SymbolMatrix, spec: UniversalSpec) -> Iterator[UniversalWitness]:
     """Every (columns, pattern) pair ``m`` misses, in (subset, then pattern) order.
 
     Each column is packed into one Python int with a fixed-width field per
@@ -94,7 +86,7 @@ def _missing_universal(m: SymbolMatrix, d: int) -> Iterator[UniversalWitness]:
     head S[:d-1] are shared across ``combinations`` order, so most subsets
     cost one add. A subset holds O(rows) bytes, whatever q**d is.
     """
-    q, n, rows = m.q, m.n, m.rows
+    q, n, rows, d = m.q, m.n, m.rows, spec.d
     total = q**d
     code = "B" if total <= 1 << 8 else "H" if total <= 1 << 16 else "I"
     # The same native byte order on both sides, so wider fields read back whole.
@@ -121,29 +113,6 @@ def _missing_universal(m: SymbolMatrix, d: int) -> Iterator[UniversalWitness]:
                 for idx, pattern in enumerate(product(range(q), repeat=d)):
                     if idx not in shown:
                         yield UniversalWitness(S, pattern)
-
-
-def _verdict(missing: Iterator[Witness]) -> Verdict:
-    witness = next(missing, None)
-    return _VALID if witness is None else Verdict("violated", witness)
-
-
-def verify_universal(m: SymbolMatrix, d: int) -> Verdict:
-    """Check that every d columns of ``m`` exhibit all q**d patterns.
-
-    Returns a valid verdict, or the lexicographically first missing
-    (columns, pattern) pair under (subset, then pattern) order.
-    """
-    _check_universal_params(m, d)
-    if not m.rows:  # it misses every constraint, whatever n is
-        return Verdict("violated", UniversalWitness(tuple(range(d)), (0,) * d))
-    return _verdict(_missing_universal(m, d))
-
-
-def _check_cff_params(m: SymbolMatrix, r: int, s: int) -> None:
-    if m.q != 2:
-        raise AlphabetError(f"cover-free check needs a binary matrix, got q = {m.q}")
-    CffSpec(m.n, r, s)
 
 
 # _ONE_AT[c] maps byte c to the digit "1" and every other byte to "0".
@@ -208,21 +177,51 @@ def _row_index(m: SymbolMatrix) -> tuple[list[list[int]], int]:
     return _column_index(m.q, map(bytes, zip(*m.rows)) if m.rows else [b""] * m.n)
 
 
-def _missing_cff(m: SymbolMatrix, r: int, s: int) -> Iterator[CffWitness]:
+def _missing_cff(m: SymbolMatrix, spec: CffSpec) -> Iterator[CffWitness]:
     """Every (R, S) pair no row of ``m`` separates, in (R, then S) order: the
     rows all-1 on R, the AND of their ``_row_index`` sets, share no row with
     those all-0 on S."""
     index, size = _row_index(m)
-    for R in combinations(range(m.n), r):
+    for R in combinations(range(m.n), spec.r):
         on_R = (1 << size) - 1
         for j in R:
             on_R &= index[j][1]
-        for S in combinations([j for j in range(m.n) if j not in R], s):
+        for S in combinations([j for j in range(m.n) if j not in R], spec.s):
             separated = on_R
             for j in S:
                 separated &= index[j][0]
             if not separated:
                 yield CffWitness(R, S)
+
+
+def _missing(m: SymbolMatrix, spec: UniversalSpec | CffSpec) -> Iterator[Witness]:
+    """Every constraint of ``spec``, a valid spec on the n and q of ``m``,
+    that ``m`` misses, in its verifier's order; a universal ``spec`` past
+    PATTERN_CAP is refused first. An empty matrix misses them all: only the
+    first is yielded, and nothing of size n is built."""
+    if isinstance(spec, UniversalSpec):
+        if _power_over(spec.q, spec.d, PATTERN_CAP):
+            raise ResourceLimitError(
+                f"pattern space q**d = {spec.q}**{spec.d} exceeds the cap of {PATTERN_CAP}"
+            )
+        scan, first = _missing_universal, UniversalWitness(tuple(range(spec.d)), (0,) * spec.d)
+    else:
+        scan, first = _missing_cff, CffWitness(tuple(range(spec.r)), tuple(range(spec.r, spec.d)))
+    return scan(m, spec) if m.rows else iter([first])
+
+
+def _verdict(missing: Iterator[Witness]) -> Verdict:
+    witness = next(missing, None)
+    return _VALID if witness is None else Verdict("violated", witness)
+
+
+def verify_universal(m: SymbolMatrix, d: int) -> Verdict:
+    """Check that every d columns of ``m`` exhibit all q**d patterns.
+
+    Returns a valid verdict, or the lexicographically first missing
+    (columns, pattern) pair under (subset, then pattern) order.
+    """
+    return _verdict(_missing(m, UniversalSpec(m.n, d, m.q)))
 
 
 def verify_cff(m: SymbolMatrix, r: int, s: int) -> Verdict:
@@ -231,27 +230,24 @@ def verify_cff(m: SymbolMatrix, r: int, s: int) -> Verdict:
     Returns a valid verdict, or the lexicographically first failing
     (R, S) pair.
     """
-    _check_cff_params(m, r, s)
-    if not m.rows:  # it misses every constraint, whatever n is
-        return Verdict("violated", CffWitness(tuple(range(r)), tuple(range(r, r + s))))
-    return _verdict(_missing_cff(m, r, s))
+    if m.q != 2:
+        raise AlphabetError(f"cover-free check needs a binary matrix, got q = {m.q}")
+    return _verdict(_missing(m, CffSpec(m.n, r, s)))
 
 
 def count_uncovered(m: SymbolMatrix, spec: UniversalSpec | CffSpec) -> int:
     """Exact number of unmet constraints of ``m`` against ``spec``.
 
-    Zero exactly when the corresponding verifier returns valid.
+    Zero exactly when the corresponding verifier returns valid. An empty
+    matrix meets none, so its count is the constraint count, not a scan.
     """
+    if not isinstance(spec, (UniversalSpec, CffSpec)):
+        raise ParameterError(f"unsupported spec type {type(spec).__name__}")
     if spec.n != m.n:
         raise ParameterError(f"spec has n={spec.n} but matrix has n={m.n}")
-    if isinstance(spec, UniversalSpec):
-        if spec.q != m.q:
-            raise ParameterError(f"spec has q={spec.q} but matrix has q={m.q}")
-        _check_universal_params(m, spec.d)
-        missing: Iterator[Witness] = _missing_universal(m, spec.d)
-    elif isinstance(spec, CffSpec):
-        _check_cff_params(m, spec.r, spec.s)
-        missing = _missing_cff(m, spec.r, spec.s)
-    else:
-        raise ParameterError(f"unsupported spec type {type(spec).__name__}")
+    if isinstance(spec, CffSpec) and m.q != 2:
+        raise AlphabetError(f"cover-free check needs a binary matrix, got q = {m.q}")
+    if isinstance(spec, UniversalSpec) and spec.q != m.q:
+        raise ParameterError(f"spec has q={spec.q} but matrix has q={m.q}")
+    missing = _missing(m, spec)
     return sum(1 for _ in missing) if m.rows else _num_constraints(spec)

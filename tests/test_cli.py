@@ -1,13 +1,13 @@
 import os
 import subprocess
 import sys
-from functools import partial
+from argparse import Namespace
 from pathlib import Path
 
 import pytest
 
 import coverkit
-from coverkit import UniversalSpec, load_array, universal_bounds_report
+from coverkit import SymbolMatrix, UniversalSpec, load_array
 from coverkit import cli
 from coverkit.cli import run_cli
 
@@ -61,6 +61,19 @@ class TestConstructUniversal:
         ])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["missing/u.txt", "adir"])
+    def test_a_failed_save_prints_no_report(self, tmp_path, capsys, target):
+        (tmp_path / "adir").mkdir()
+        rc = run_cli([
+            "construct", "universal", "--n", "4", "--d", "2",
+            "--method", "lemma1", "--out", str(tmp_path / target),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert sorted(path.name for path in tmp_path.rglob("*")) == ["adir"]
 
     def test_seed_reproducible_files(self, tmp_path):
         files = []
@@ -302,6 +315,14 @@ class TestVerify:
         assert run_cli(["verify", "/no/such/file"]) == 2
         capsys.readouterr()
 
+    def test_a_byte_that_is_not_utf8_is_a_parse_error(self, tmp_path, capsys):
+        f = tmp_path / "m.txt"
+        f.write_bytes(b"kind=raw n=2 q=2 rows=2\n01\n1\xff\n")
+        assert run_cli(["verify", str(f), "--d", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 3: byte 0xff is not UTF-8 text\n"
+
 
 class TestCffFlagsNeedBinary:
     @pytest.mark.parametrize(
@@ -379,10 +400,12 @@ class TestBounds:
     def test_construct_notes_an_overflowing_bound(self, capsys):
         # Every spec whose bounds overflow is far past the constraint cap, so
         # construct's reporting step is driven directly.
-        cli._print_bounds_if_available(partial(universal_bounds_report, UniversalSpec(2000, 1000, 3)))
+        spec, matrix = UniversalSpec(2000, 1000, 3), SymbolMatrix(n=2000, q=3)
+        assert cli._report_construction(Namespace(out=None), spec, matrix, "greedy") == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
+        assert captured.out == "size=0\nself_verify=valid\n"
         assert captured.err.startswith("note: bounds not reported: a bound at ")
+        assert captured.err.count("\n") == 1
 
 
 class TestMinimal:

@@ -5,6 +5,7 @@ import pytest
 
 from coverkit import (
     CffSpec,
+    ParameterError,
     SearchBudget,
     UniversalSpec,
     construct_cff_derandomized,
@@ -104,6 +105,15 @@ class TestMinimalCff:
         outcome = minimal_cff_size(CffSpec(10**9, 1, 1))
         assert time.perf_counter() - started < 1.0
         assert (outcome.status, outcome.nodes) == ("budget_exceeded", 0)
+
+
+@pytest.mark.parametrize("search, spec", [
+    (minimal_cff_size, UniversalSpec(3, 2, 2)),
+    (minimal_universal_size, CffSpec(3, 1, 1)),
+])
+def test_a_spec_of_the_other_family_is_refused(search, spec):
+    with pytest.raises(ParameterError, match="expected a"):
+        search(spec)
 
 
 class TestSandwich:

@@ -1,4 +1,5 @@
-"""coverkit imports nothing outside the standard library."""
+"""coverkit imports nothing outside the standard library and parses as
+Python 3.10, the oldest version pyproject.toml admits."""
 
 import ast
 import sys
@@ -28,3 +29,8 @@ def test_every_module_is_checked():
 def test_imports_only_the_standard_library(path):
     outside = sorted(set(absolute_imports(path)) - sys.stdlib_module_names)
     assert outside == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_parses_as_the_oldest_supported_python(path):
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -259,6 +259,12 @@ class TestCountUncovered:
         with pytest.raises(ParameterError):
             count_uncovered(m, UniversalSpec(2, 2, 3))
 
+    @pytest.mark.parametrize("spec", [(2, 1), None, "cff"])
+    def test_a_value_that_is_no_spec_is_refused(self, spec):
+        m = SymbolMatrix.from_strings(["01"])
+        with pytest.raises(ParameterError, match="unsupported spec type"):
+            count_uncovered(m, spec)
+
     @given(matrices(max_n=4, max_rows=6), st.integers(1, 3))
     @settings(max_examples=60)
     def test_zero_exactly_when_valid(self, m, d):
