@@ -131,8 +131,6 @@ def read_array(text: str) -> tuple[SymbolMatrix, ArrayFileHeader]:
     lines = text.split("\n")
     assert lines[-1] == ""
     lines.pop()
-    if not lines:
-        raise FormatError("line 1: missing header")
     header = _parse_header_line(lines[0])
     body = lines[1:]
     if len(body) < header.rows:

@@ -79,12 +79,12 @@ def nrs(r: int, s: int) -> float:
     if r < 0 or s < 0:
         raise DomainError(f"r and s must be non-negative, got ({r}, {s})")
     d = r + s
-    if d < 2 or comb(d, r) < 2:
+    binom = comb(d, r)
+    if binom < 2:
         raise DomainError(
             f"rate undefined for (r, s) = ({r}, {s}): log2 C({d}, {r}) = "
-            f"log2 {comb(d, r)} is not positive"
+            f"log2 {binom} is not positive"
         )
-    binom = comb(d, r)
     try:
         rate = d * float(binom) / log2(binom)
     except OverflowError:

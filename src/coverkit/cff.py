@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations, islice, pairwise
 from math import comb
 from typing import Literal, Sequence, get_args
 
@@ -66,11 +66,8 @@ class GreedyTrace:
     rows: tuple[GreedyTraceRow, ...]
 
     def __post_init__(self) -> None:
-        remaining = None
-        for rec in self.rows:
-            if remaining is not None and rec.remaining >= remaining:
-                raise ParameterError("remaining counts must strictly decrease")
-            remaining = rec.remaining
+        if any(b.remaining >= a.remaining for a, b in pairwise(self.rows)):
+            raise ParameterError("remaining counts must strictly decrease")
         if self.rows and self.rows[-1].remaining != 0:
             raise ParameterError("trace must end with zero remaining constraints")
 
@@ -197,7 +194,6 @@ def _greedy_cover(
 
     live = (1 << size) - 1  # constraints no earlier row has met
     remaining = size
-    rows: list[tuple[int, ...]] = []
     trace_rows: list[GreedyTraceRow] = []
     while live:
         groups = {v: members & live for v, members in start_sets.items()}
@@ -226,9 +222,9 @@ def _greedy_cover(
         live &= ~covered
         count = covered.bit_count()
         remaining -= count
-        rows.append(tuple(row))
-        trace_rows.append(GreedyTraceRow(rows[-1], count, remaining))
-    return SymbolMatrix(n=len(need), q=q, rows=tuple(rows)), GreedyTrace(tuple(trace_rows))
+        trace_rows.append(GreedyTraceRow(tuple(row), count, remaining))
+    rows = tuple(rec.row for rec in trace_rows)
+    return SymbolMatrix(n=len(need), q=q, rows=rows), GreedyTrace(tuple(trace_rows))
 
 
 def _constant_row_family(spec: CffSpec) -> tuple[SymbolMatrix, GreedyTrace]:
@@ -316,9 +312,10 @@ def construct_cff_sperner(n: int) -> SymbolMatrix:
     Columns are the first n floor(N/2)-subsets of the row set in
     lexicographic order, with N minimal such that C(N, floor(N/2)) >= n.
     Distinct equal-size subsets are pairwise incomparable, which is exactly
-    the (1, 1) cover-free property.
+    the (1, 1) cover-free property. Over CONSTRAINT_CAP pairs it is refused.
     """
     rows = sperner_row_count(n)
+    _check_constraint_cap(CffSpec(n, 1, 1))
     chosen = [set(subset) for subset in islice(combinations(range(rows), rows // 2), n)]
     matrix_rows = tuple(
         tuple(1 if i in block else 0 for block in chosen) for i in range(rows)

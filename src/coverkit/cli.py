@@ -4,7 +4,7 @@ Subcommands: construct (universal | cff), verify, bounds, minimal. All
 reports are line-oriented key=value text on stdout; diagnostics go to
 stderr. Exit statuses: 0 success or valid, 1 violation found by verify,
 2 usage error or a document that cannot be read or parsed, 3 resource or
-budget exceeded.
+budget exceeded, or memory exhausted.
 
 Constructed matrices are always self-verified before a file is written,
 and the file header records the method and seed needed to reproduce it.
@@ -31,7 +31,7 @@ from .errors import (
 )
 from .oracle import SearchBudget, minimal_cff_size, minimal_universal_size
 from .universal import build_universal_lemma1, construct_universal_greedy
-from .verify import CffWitness, UniversalWitness, Verdict, verify_cff, verify_universal
+from .verify import UniversalWitness, Verdict, verify_cff, verify_universal
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -65,7 +65,7 @@ def _print_verdict(verdict: Verdict) -> int:
     if isinstance(w, UniversalWitness):
         sigma = "".join(SYMBOL_DIGITS[sym] for sym in w.pattern)
         print(f"S={_ones(w.columns)} sigma={sigma}")
-    elif isinstance(w, CffWitness):
+    else:
         print(f"R={_ones(w.r_columns)} S={_ones(w.s_columns)}")
     return EXIT_VIOLATED
 
@@ -204,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
         spec_parser.add_argument("--q", type=int, default=2)
         spec_parser.add_argument("--r", type=int)
         spec_parser.add_argument("--s", type=int)
-    mini.add_argument("--max-rows", type=int, default=32)
-    mini.add_argument("--node-limit", type=int, default=50_000_000)
+    mini.add_argument("--max-rows", type=int, default=SearchBudget.max_rows)
+    mini.add_argument("--node-limit", type=int, default=SearchBudget.node_limit)
     mini.set_defaults(func=_cmd_minimal)
 
     return parser
@@ -222,6 +222,9 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (ResourceLimitError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
     except (CoverkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,8 @@ from .errors import AlphabetError, ParameterError, ResourceLimitError
 SYMBOL_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 MAX_ALPHABET = len(SYMBOL_DIGITS)
 
-# Hard cap on the number of constraints a constructor or the oracle tracks.
+# Hard cap on the constraints tracked by the oracle and by every constructor:
+# the three cover-free routes (so each lemma1 component) and universal greedy.
 CONSTRAINT_CAP = 2**26
 
 
@@ -146,10 +147,8 @@ class SymbolMatrix:
         decoded = []
         for i, text in enumerate(rows):
             decoded.append(tuple(decode_symbol(ch, q, where=f"row {i}") for ch in text))
-        if not decoded:
-            if n is None:
-                raise ParameterError("empty matrix needs an explicit n")
-            return cls(n=n, q=q, rows=())
+        if not decoded and n is None:
+            raise ParameterError("empty matrix needs an explicit n")
         return cls(n=len(decoded[0]) if n is None else n, q=q, rows=tuple(decoded))
 
     @property

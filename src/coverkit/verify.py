@@ -197,17 +197,19 @@ def _missing_cff(m: SymbolMatrix, spec: CffSpec) -> Iterator[CffWitness]:
 def _missing(m: SymbolMatrix, spec: UniversalSpec | CffSpec) -> Iterator[Witness]:
     """Every constraint of ``spec``, a valid spec on the n and q of ``m``,
     that ``m`` misses, in its verifier's order; a universal ``spec`` past
-    PATTERN_CAP is refused first. An empty matrix misses them all: only the
-    first is yielded, and nothing of size n is built."""
+    PATTERN_CAP is refused first. An empty matrix misses them all: it yields
+    only the first, built once it is asked for."""
     if isinstance(spec, UniversalSpec):
         if _power_over(spec.q, spec.d, PATTERN_CAP):
             raise ResourceLimitError(
                 f"pattern space q**d = {spec.q}**{spec.d} exceeds the cap of {PATTERN_CAP}"
             )
-        scan, first = _missing_universal, UniversalWitness(tuple(range(spec.d)), (0,) * spec.d)
+        scan = _missing_universal
+        first = (UniversalWitness(tuple(range(d)), (0,) * d) for d in [spec.d])
     else:
-        scan, first = _missing_cff, CffWitness(tuple(range(spec.r)), tuple(range(spec.r, spec.d)))
-    return scan(m, spec) if m.rows else iter([first])
+        scan = _missing_cff
+        first = (CffWitness(tuple(range(r)), tuple(range(r, spec.d))) for r in [spec.r])
+    return scan(m, spec) if m.rows else first
 
 
 def _verdict(missing: Iterator[Witness]) -> Verdict:

@@ -146,6 +146,7 @@ class TestRead:
             "kind=raw n=2 q=2 rows=1 seed=-07",
             "kind=raw n=\uff12 q=2 rows=1",
             "kind=raw n=2 q=2 rows=one",      # non-integer
+            "kind=raw n=2 q=2 rows=-1",       # negative row count
             "kind=raw n=2 q=2",               # missing rows
             "kind=raw  n=2 q=2 rows=1",       # double space
             "kind=nope n=2 q=2 rows=1",       # unknown kind

@@ -61,7 +61,7 @@ class TestNrs:
     def test_symmetric(self, r, s):
         assert nrs(r, s) == pytest.approx(nrs(s, r), rel=1e-12)
 
-    @pytest.mark.parametrize("r,s", [(0, 3), (3, 0), (0, 1), (1, 0)])
+    @pytest.mark.parametrize("r,s", [(0, 3), (3, 0), (0, 1), (1, 0), (-1, 2)])
     def test_degenerate_log_rejected(self, r, s):
         with pytest.raises(DomainError):
             nrs(r, s)

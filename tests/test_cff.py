@@ -112,6 +112,11 @@ class TestRowBound:
             x = Decimal(whole).ln() / (Decimal(whole) / (whole - 1)).ln()
         assert universal_greedy_size_bound(UniversalSpec(11, 11, 36)) == int(x) + 1
 
+    def test_a_row_count_past_a_machine_word(self):
+        # k is past 2**67, so the search cannot index a C-sized range of
+        # candidates; the 60-digit decimal formula gives the same k.
+        assert universal_greedy_size_bound(UniversalSpec(12, 12, 36)) == 203760951162030268797
+
     def test_matches_the_float_formula_on_a_grid(self):
         points = 0
         for n in range(2, 41):
@@ -171,6 +176,12 @@ class TestRandomized:
     def test_constraint_cap(self):
         with pytest.raises(ResourceLimitError):
             construct_cff_randomized(CffSpec(60, 3, 3), seed=0)
+
+    def test_gives_up_after_the_batch_cap(self):
+        # A row separates a given (R, S) with chance 2**-14, so 10,000 rows
+        # miss each of the 3,432 pairs with chance about 0.54.
+        with pytest.raises(ConvergenceError, match="after 10000 batches of 1"):
+            construct_cff_randomized(CffSpec(14, 7, 7), seed=0, batch=1)
 
 
 class TestSperner:

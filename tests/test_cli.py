@@ -173,8 +173,8 @@ def run_limited(argv):
 
 
 class TestTooBigIsRefused:
-    """A run past a cap exits 3 at once, however far past the cap it is:
-    construct and verify with one stderr line, minimal with a
+    """A run past a cap, or out of memory, exits 3 at once, however far past
+    the cap it is: construct and verify with one stderr line, minimal with a
     budget_exceeded outcome of nodes 0. Each runs in a child process with
     bounded memory."""
 
@@ -220,6 +220,20 @@ class TestTooBigIsRefused:
              "--method", "derand"]
         )
         assert "at least 2**1000000 " in err
+
+    def test_cff_sperner(self):
+        # 20000 * 19999 (R, S) pairs: refused before the antichain is built
+        err = self.refused(
+            ["construct", "cff", "--n", "20000", "--r", "1", "--s", "1", "--method", "sperner"]
+        )
+        assert err == "error: constraint set of size 399980000 exceeds the cap of 67108864\n"
+
+    def test_running_out_of_memory(self, tmp_path):
+        # The first witness alone holds 5 * 10**8 column indices, about 4 GB.
+        f = tmp_path / "empty.txt"
+        f.write_text("kind=cff n=1000000000 q=2 rows=0 r=500000000 s=1\n")
+        err = self.refused(["verify", str(f)])
+        assert err == "error: out of memory\n"
 
     def test_printable_count_keeps_its_message(self):
         err = self.refused(

@@ -54,6 +54,7 @@ def universal_specs(draw):
 
 class TestAgainstReference:
     @given(st.integers(1, 9))
+    @settings(deadline=None)
     def test_cff_at_every_r_and_s(self, n):
         # r = 0, s = 0 and r + s = n included; at n = 1 with (1, 0) the
         # column in R still has one block of C(0, 0) = 1 constraint.

@@ -195,6 +195,31 @@ class TestPinnedSearch:
             nodes,
         )
 
+    # Between them these run out of nodes at each place the search counts
+    # them: a search node, a scanned candidate, a final row's cover list and
+    # a final row's scan of it.
+    @pytest.mark.parametrize(
+        "spec",
+        [UniversalSpec(4, 2, 2), CffSpec(5, 1, 1), UniversalSpec(3, 2, 3), CffSpec(5, 1, 2)],
+        ids=repr,
+    )
+    def test_every_node_limit_finishes_or_refuses(self, spec):
+        unlimited = search(spec)
+        for limit in range(1, unlimited.nodes + 3):
+            outcome = search(spec, SearchBudget(node_limit=limit))
+            if unlimited.nodes <= limit:
+                assert outcome == unlimited, limit
+            else:
+                assert (outcome.status, outcome.size, outcome.nodes) == (
+                    "budget_exceeded", None, limit + 1
+                ), limit
+
+
+@pytest.mark.parametrize("fields", [{"max_rows": 0}, {"node_limit": 0}])
+def test_a_budget_field_must_be_positive(fields):
+    with pytest.raises(ParameterError, match="budget fields must be positive"):
+        SearchBudget(**fields)
+
 
 # The exact minima of every spec with q**n <= 2**7, None where the minimum
 # exceeds 9 rows, computed by the search without its symmetry breaks.

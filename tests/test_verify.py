@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 import tracemalloc
 from itertools import combinations, product
 from math import comb
@@ -24,6 +26,7 @@ from coverkit import (
 
 from coverkit.verify import PATTERN_CAP
 
+from test_cli import child_env
 from test_core import matrices
 
 
@@ -237,6 +240,19 @@ class TestCountUncovered:
         huge = SymbolMatrix(n=10**9, q=2)
         assert count_uncovered(huge, UniversalSpec(10**9, 1, 2)) == 2 * 10**9
         assert count_uncovered(huge, CffSpec(10**9, 1, 1)) == 10**9 * (10**9 - 1)
+
+    def test_an_empty_count_builds_no_witness(self):
+        # The first witness's R alone would hold 10**9 - 1 indices, about
+        # 8 GB, so the count runs in a child with 1 GiB of address space.
+        code = (
+            "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from coverkit import CffSpec, SymbolMatrix, count_uncovered\n"
+            "print(count_uncovered(SymbolMatrix(n=10**9, q=2), CffSpec(10**9, 10**9 - 1, 1)))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=30
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, f"{10**9}\n", "")
 
     def test_constant_rows_leave_six(self):
         m = SymbolMatrix.from_strings(["000", "111"])
