@@ -22,9 +22,11 @@ one per (column, symbol) for the constraints requiring that symbol there,
 from ``verify._constraint_index``, and one per distinct coverage numerator
 for the constraints holding it. Deciding a column costs one AND and popcount
 per (numerator, symbol) pair and a few ANDs per numerator to move the chosen
-symbol's constraints to their new numerator: the count of operations does
-not grow with the number of constraints, and each is one pass in C over a
-bitset's words.
+symbol's constraints to their new numerator. The count of operations does
+not grow with the number of constraints; each is one pass in C over a
+bitset's words, and the width of the bitsets follows the count of
+constraints still unmet: once it falls to half the width, the met ones are
+squeezed out of every bitset.
 
 Every constructor verifies its own output before returning it.
 """
@@ -35,7 +37,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, islice, pairwise
 from math import comb
-from typing import Literal, Sequence, get_args
+from typing import Callable, Literal, Sequence, get_args
 
 from .core import CffSpec, SymbolMatrix, _check_constraint_cap, _num_constraints
 from .errors import ConvergenceError, ParameterError
@@ -150,6 +152,43 @@ def _checked(m: SymbolMatrix, verdict: Verdict) -> SymbolMatrix:
     return m
 
 
+def _squeezer(keep: int) -> Callable[[int], int]:
+    """The map taking a bitset x to the bits of x at the set positions of
+    ``keep``, packed from bit 0 up in the same order.
+
+    This is the log-step compress of Warren, *Hacker's Delight*, section 7-4,
+    whose names it keeps. Each kept bit moves right by the count of unkept
+    positions below it, 2**k of the way at stage k when bit k of that count
+    is set, so ceil(log2 W) stages suffice for W = keep.bit_length(). The
+    stage masks ``mv`` are built once, from ``keep``; the map then costs an
+    AND, XOR, OR and shift per stage, each one pass in C over x's words.
+    """
+    width = keep.bit_length()
+    mk = ~keep << 1 & (1 << width) - 1  # bit i: position i - 1 is unkept
+    m, stages, shift = keep, [], 1
+    while shift < width:
+        # mp: bit i is the parity of mk's bits 0 to i
+        mp, step = mk ^ mk << 1, 2
+        while step < width:
+            mp ^= mp << step
+            step *= 2
+        mv = mp & m  # the kept bits that move at this stage
+        if mv:
+            stages.append((shift, mv))
+        m = m ^ mv | mv >> shift
+        mk &= ~mp
+        shift *= 2
+
+    def squeeze(x: int) -> int:
+        x &= keep
+        for shift, mv in stages:
+            t = x & mv
+            x = x ^ t | t >> shift
+        return x
+
+    return squeeze
+
+
 def _greedy_cover(
     need: list[list[int]], size: int, weights: Sequence[int]
 ) -> tuple[SymbolMatrix, GreedyTrace]:
@@ -177,6 +216,13 @@ def _greedy_cover(
     is decided, the union of the groups is what the row met. Equal weights
     keep at most k + 1 numerators, so a column costs a few dozen big-int
     operations, not a Python step per constraint.
+
+    Each of those operations costs in proportion to the sets' width, and
+    the width follows the live count: once no more than half the width is
+    live, ``_squeezer`` drops the met constraints from ``need``, the start
+    sets and ``untouched``, so bit i is then the i-th live constraint. The
+    order of the constraints is kept, so every tally, tie and row is the
+    same as at full width.
     """
     q, total = len(weights), sum(weights)
     # untouched[j]: the constraints with no requirement at column j.
@@ -192,8 +238,8 @@ def _greedy_cover(
                     folded[u] = folded.get(u, 0) | part
         start_sets = folded
 
-    live = (1 << size) - 1  # constraints no earlier row has met
-    remaining = size
+    width = remaining = size
+    live = (1 << width) - 1  # constraints no earlier row has met
     trace_rows: list[GreedyTraceRow] = []
     while live:
         groups = {v: members & live for v, members in start_sets.items()}
@@ -223,6 +269,14 @@ def _greedy_cover(
         count = covered.bit_count()
         remaining -= count
         trace_rows.append(GreedyTraceRow(tuple(row), count, remaining))
+        if remaining and remaining * 2 <= width:
+            # Drop the met constraints from every set, keeping their order.
+            squeeze = _squeezer(live)
+            need = [[squeeze(s) for s in sets] for sets in need]
+            untouched = [~sum(sets) for sets in need]
+            start_sets = {v: squeeze(s) for v, s in start_sets.items()}
+            width = remaining
+            live = (1 << width) - 1
     rows = tuple(rec.row for rec in trace_rows)
     return SymbolMatrix(n=len(need), q=q, rows=rows), GreedyTrace(tuple(trace_rows))
 

@@ -14,6 +14,7 @@ A construction's report is printed only once its file is written.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict
 from typing import Sequence
@@ -159,7 +160,9 @@ def _cmd_minimal(args) -> int:
     return EXIT_OK if outcome.found else EXIT_RESOURCE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="coverkit",
         description="Construct, verify, and bound universal sets and cover-free families.",

@@ -457,6 +457,18 @@ class TestUsage:
         assert run_cli(["construct", "universal", "--n", "4", "--method", "greedy"]) == 2
         capsys.readouterr()
 
+    def test_the_parser_is_built_once_and_parsing_leaves_it_as_built(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        for argv in (["bounds", "--n"], ["minimal", "--n", "4", "--d", "2", "--max-rows", "1"],
+                     ["--help"], ["construct", "cff", "--help"]):
+            run_cli(argv)
+        capsys.readouterr()
+        fresh = cli.build_parser.__wrapped__()
+        for argv in (["minimal", "--n", "4", "--d", "2"],
+                     ["construct", "cff", "--n", "5", "--r", "1", "--s", "2", "--method", "derand"]):
+            assert cli.build_parser().parse_args(argv) == fresh.parse_args(argv)
+        assert cli.build_parser().format_help() == fresh.format_help()
+
     def test_entry_point_in_subprocess(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "coverkit.cli", "bounds", "--n", "16", "--d", "2"],

@@ -1,13 +1,15 @@
 """The bit-sliced greedy engine and Las Vegas filter against the
-per-constraint list code they replaced, kept here as slow references."""
+per-constraint list code they replaced, kept here as slow references, and
+the engine's squeeze against a gather of one bit at a time."""
 
 import random
-from itertools import combinations, compress
+from itertools import combinations, compress, product
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coverkit import CffSpec, SymbolMatrix, construct_cff_randomized
-from coverkit.cff import MAX_BATCHES, GreedyTrace, GreedyTraceRow, _greedy_cover
+from coverkit.cff import MAX_BATCHES, GreedyTrace, GreedyTraceRow, _greedy_cover, _squeezer
 from coverkit.verify import _column_index
 
 
@@ -101,6 +103,87 @@ class TestAgainstReference:
         # Symbols 0 and 1 tie at column 0 and at column 1.
         m, _ = greedy_cover(2, [[(0, 0)], [(0, 1)], [(1, 1)], [(1, 0)]], (1, 1))
         assert m.rows[0] == (0, 0)
+
+
+def compactions(trace, size):
+    """How often ``_greedy_cover`` squeezes its sets on the way to
+    ``trace``: whenever a row leaves at most half the width unmet, which
+    then becomes the width."""
+    width, count = size, 0
+    for rec in trace.rows:
+        if rec.remaining and rec.remaining * 2 <= width:
+            width, count = rec.remaining, count + 1
+    return count
+
+
+@st.composite
+def compacting_inputs(draw):
+    """100-400 distinct constraints of 2-4 requirements on 12-16 column
+    sets, in any order, and symbol weights not all equal.
+
+    A row meets at most one constraint per column set, so at most m <= 16
+    constraints, and there are at least 9 * m. The first row to leave at
+    most half of them unmet therefore leaves more than 2 * m: it compacts,
+    and so does the first row to leave at most half of those, which leaves
+    at least one.
+    """
+    n = draw(st.integers(5, 8))
+    q = draw(st.integers(3, 4))
+    weights = tuple(
+        draw(st.lists(st.integers(1, 5), min_size=q, max_size=q).filter(lambda w: len(set(w)) > 1))
+    )
+    column_sets = draw(
+        st.lists(
+            st.lists(st.integers(0, n - 1), min_size=2, max_size=4, unique=True),
+            min_size=12, max_size=16, unique_by=frozenset,
+        )
+    )
+    requirements = []
+    for columns in column_sets:
+        tuples = list(product(range(q), repeat=len(columns)))
+        for t in draw(st.sets(st.integers(0, len(tuples) - 1), min_size=9, max_size=25)):
+            requirements.append(list(zip(columns, tuples[t])))
+    return n, draw(st.permutations(requirements)), weights
+
+
+class TestCompaction:
+    @given(compacting_inputs())
+    @settings(max_examples=50, deadline=None)
+    def test_same_rows_and_trace_across_compactions(self, case):
+        n, requirements, weights = case
+        expected = reference_greedy_cover(n, requirements, weights)
+        assert compactions(expected[1], len(requirements)) >= 2
+        assert greedy_cover(n, requirements, weights) == expected
+
+
+def gather(x, keep):
+    """The bits of x at the set positions of keep, packed from bit 0 up,
+    taken one at a time."""
+    out = 0
+    for k, i in enumerate(i for i in range(keep.bit_length()) if keep >> i & 1):
+        out |= (x >> i & 1) << k
+    return out
+
+
+class TestSqueezer:
+    @pytest.mark.parametrize("kind", ["empty", "full", "top bit", "random"])
+    def test_matches_a_gather_at_every_width(self, kind):
+        rng = random.Random(kind)
+        for width in range(1, 301):
+            keep = {
+                "empty": 0,
+                "full": (1 << width) - 1,
+                "top bit": 1 << width - 1,
+                "random": rng.getrandbits(width) | 1 << width - 1,
+            }[kind]
+            squeeze = _squeezer(keep)
+            # bits set outside keep, above its top bit too
+            for x in (rng.getrandbits(width + 9), ~keep & (1 << width + 9) - 1):
+                assert squeeze(x) == gather(x, keep), (width, keep, x)
+
+    @given(st.integers(0, 1 << 300), st.integers(0, 1 << 310))
+    def test_matches_a_gather(self, keep, x):
+        assert _squeezer(keep)(x) == gather(x, keep)
 
 
 def reference_randomized_rows(spec, seed, batch):
