@@ -20,10 +20,10 @@ from .cff import (
     construct_cff_derandomized,
     construct_cff_randomized,
     construct_cff_sperner,
-    derandomized_size_bound,
     sperner_row_count,
 )
 from .core import CffSpec, SymbolMatrix, UniversalSpec, complement, dedup_rows
+from .core import derandomized_size_bound, universal_greedy_size_bound
 from .errors import (
     AlphabetError,
     ConsistencyError,
@@ -35,11 +35,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .oracle import SearchBudget, SearchOutcome, minimal_cff_size, minimal_universal_size
-from .universal import (
-    build_universal_lemma1,
-    construct_universal_greedy,
-    universal_greedy_size_bound,
-)
+from .universal import build_universal_lemma1, construct_universal_greedy
 from .verify import (
     CffWitness,
     UniversalWitness,

@@ -39,7 +39,7 @@ from itertools import combinations, islice, pairwise
 from math import comb
 from typing import Callable, Literal, Sequence, get_args
 
-from .core import CffSpec, SymbolMatrix, _check_constraint_cap, _num_constraints
+from .core import CffSpec, SymbolMatrix, _check_work, _num_constraints
 from .errors import ConvergenceError, ParameterError
 from .verify import Verdict, _constraint_index, verify_cff
 
@@ -76,73 +76,6 @@ class GreedyTrace:
     @property
     def total_rows(self) -> int:
         return len(self.rows)
-
-
-def _power_bounds(base: int, k: int, bits: int) -> tuple[int, int, int]:
-    """(lo, hi, e) with lo * 2**e <= base**k <= hi * 2**e, by square and
-    multiply, rounding lo down and hi up to ``bits`` bits after each step."""
-    lo = hi = 1
-    e = 0
-    for bit in bin(k)[2:]:
-        lo, hi, e = lo * lo, hi * hi, 2 * e
-        if bit == "1":
-            lo, hi = lo * base, hi * base
-        cut = hi.bit_length() - bits
-        if cut > 0:
-            lo, hi, e = lo >> cut, -(-hi >> cut), e + cut
-    return lo, hi, e
-
-
-def _power_below(m: int, a: int, b: int, k: int) -> bool:
-    """Whether m * a**k < b**k, for 0 <= a < b, decided exactly.
-
-    The two powers are bounded at rising precision until the bounds settle
-    the comparison; at worst the precision reaches the powers' own size,
-    where the bounds are the exact values. So the cost follows how close
-    the two sides are, not the size of the powers.
-    """
-    bits = 64
-    while True:
-        a_lo, a_hi, ae = _power_bounds(a, k, bits)
-        b_lo, b_hi, be = _power_bounds(b, k, bits)
-        e = min(ae, be)
-        if (m * a_hi) << (ae - e) < b_lo << (be - e):
-            return True
-        if (m * a_lo) << (ae - e) >= b_hi << (be - e):
-            return False
-        bits *= 2
-
-
-def greedy_row_bound(num_constraints: int, covered: int, whole: int) -> int:
-    """Rows needed when every row covers at least the fraction covered/whole
-    of what remains: the least k with M * (whole - covered)**k < whole**k for
-    M constraints, in exact integers. In real arithmetic this is
-    floor(ln M / -ln(1 - c)) + 1. M <= 1 or a rate of 1 means one row."""
-    if num_constraints <= 1 or covered >= whole:
-        return 1
-
-    def enough(k: int) -> bool:
-        return _power_below(num_constraints, whole - covered, whole, k)
-
-    # Double, then bisect: k reaches ~4e5 at c = 5**-6.
-    hi = 1
-    while not enough(hi):
-        hi *= 2
-    lo = hi // 2  # not enough: hi == 1 or hi was doubled past it; M > 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if enough(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def derandomized_size_bound(spec: CffSpec) -> int:
-    """The guaranteed row-count bound of the derandomized constructor."""
-    r, s, d = spec.r, spec.s, spec.d
-    # c = p**r (1-p)**s at p = r/d; 0**0 == 1 covers the edges
-    return greedy_row_bound(_num_constraints(spec), r**r * s**s, d**d)
 
 
 def _checked(m: SymbolMatrix, verdict: Verdict) -> SymbolMatrix:
@@ -303,7 +236,7 @@ def construct_cff_derandomized(spec: CffSpec) -> tuple[SymbolMatrix, GreedyTrace
     The row count satisfies floor(ln M / -ln(1-c)) + 1 with
     M = C(n,r) * C(n-r,s) and c = p**r (1-p)**s.
     """
-    _check_constraint_cap(spec)
+    _check_work(spec, "construct")
     if spec.r == 0 or spec.s == 0:
         return _constant_row_family(spec)
     r, s = spec.r, spec.s
@@ -319,7 +252,7 @@ def construct_cff_randomized(spec: CffSpec, seed: int, batch: int = 16) -> Symbo
     (spec, seed, batch). For r = 0 or s = 0 the constant-row closed form is
     returned directly.
     """
-    _check_constraint_cap(spec)
+    _check_work(spec, "construct", batch)
     if batch < 1:
         raise ParameterError(f"batch must be positive, got {batch}")
     if spec.r == 0 or spec.s == 0:
@@ -351,10 +284,11 @@ def construct_cff_randomized(spec: CffSpec, seed: int, batch: int = 16) -> Symbo
 
 
 def sperner_row_count(n: int) -> int:
-    """Least N with C(N, floor(N/2)) >= n: the optimal (n, (1, 1)) size."""
+    """Least N with C(N, floor(N/2)) >= n: the optimal (n, (1, 1)) size,
+    searched from n.bit_length() up, as C(N, floor(N/2)) < 2**N for N >= 1."""
     if n < 2:
         raise ParameterError(f"need n >= 2, got {n}")
-    rows = 1
+    rows = n.bit_length()
     while comb(rows, rows // 2) < n:
         rows += 1
     return rows
@@ -366,10 +300,11 @@ def construct_cff_sperner(n: int) -> SymbolMatrix:
     Columns are the first n floor(N/2)-subsets of the row set in
     lexicographic order, with N minimal such that C(N, floor(N/2)) >= n.
     Distinct equal-size subsets are pairwise incomparable, which is exactly
-    the (1, 1) cover-free property. Over CONSTRAINT_CAP pairs it is refused.
+    the (1, 1) cover-free property. Its work is its self-verify over n(n - 1)
+    (R, S) pairs, first checked at the n.bit_length() rows it has at least.
     """
+    _check_work(CffSpec(n, 1, 1), "verify", n.bit_length())
     rows = sperner_row_count(n)
-    _check_constraint_cap(CffSpec(n, 1, 1))
     chosen = [set(subset) for subset in islice(combinations(range(rows), rows // 2), n)]
     matrix_rows = tuple(
         tuple(1 if i in block else 0 for block in chosen) for i in range(rows)

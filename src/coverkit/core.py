@@ -20,9 +20,9 @@ from .errors import AlphabetError, ParameterError, ResourceLimitError
 SYMBOL_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 MAX_ALPHABET = len(SYMBOL_DIGITS)
 
-# Hard cap on the constraints tracked by the oracle and by every constructor:
-# the three cover-free routes (so each lemma1 component) and universal greedy.
-CONSTRAINT_CAP = 2**26
+# In ``_work``'s units, about a bit operation of big-integer arithmetic each,
+# 2**35 is a few seconds; 2**20 more admits 2**24 patterns on a few rows.
+WORK_BUDGET = 2**35 + 2**20
 
 
 def _check_shape(n: int, q: int) -> None:
@@ -81,30 +81,117 @@ def _num_constraints(spec: UniversalSpec | CffSpec) -> int:
     return comb(spec.n, spec.r) * comb(spec.n - spec.r, spec.s)
 
 
-def _power_over(base: int, k: int, cap: int) -> bool:
-    """Whether base**k > cap for base >= 2, without a power past the cap."""
-    return k >= cap.bit_length() or base**k > cap
+def _power_bounds(base: int, k: int, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo * 2**e <= base**k <= hi * 2**e, by square and
+    multiply, rounding lo down and hi up to ``bits`` bits after each step."""
+    lo = hi = 1
+    e = 0
+    for bit in bin(k)[2:]:
+        lo, hi, e = lo * lo, hi * hi, 2 * e
+        if bit == "1":
+            lo, hi = lo * base, hi * base
+        cut = hi.bit_length() - bits
+        if cut > 0:
+            lo, hi, e = lo >> cut, -(-hi >> cut), e + cut
+    return lo, hi, e
 
 
-def _check_constraint_cap(spec: UniversalSpec | CffSpec) -> None:
-    """Raise ResourceLimitError if ``spec`` has more than CONSTRAINT_CAP
-    constraints. q**d >= 2**d and C(n, k) >= 2**min(k, n - k), so a spec
-    whose exponents sum past the cap's is refused before any count is built;
-    below that, every factor is a small binomial or power."""
-    if isinstance(spec, UniversalSpec):
-        exponent = min(spec.d, spec.n - spec.d) + spec.d
-    else:
-        exponent = min(spec.r, spec.n - spec.r) + min(spec.s, spec.n - spec.d)
-    if exponent >= CONSTRAINT_CAP.bit_length():
-        size = f"at least 2**{exponent}"
-    elif (count := _num_constraints(spec)) > CONSTRAINT_CAP:
-        try:
-            size = str(count)
-        except ValueError:  # more digits than the interpreter will print
-            size = f"at least 2**{count.bit_length() - 1}"
-    else:
-        return
-    raise ResourceLimitError(f"constraint set of size {size} exceeds the cap of {CONSTRAINT_CAP}")
+def _power_below(m: int, a: int, b: int, k: int) -> bool:
+    """Whether m * a**k < b**k, for 0 <= a < b, decided exactly.
+
+    The two powers are bounded at rising precision until the bounds settle
+    the comparison; at worst the precision reaches the powers' own size,
+    where the bounds are the exact values. So the cost follows how close
+    the two sides are, not the size of the powers.
+    """
+    bits = 64
+    while True:
+        a_lo, a_hi, ae = _power_bounds(a, k, bits)
+        b_lo, b_hi, be = _power_bounds(b, k, bits)
+        e = min(ae, be)
+        if (m * a_hi) << (ae - e) < b_lo << (be - e):
+            return True
+        if (m * a_lo) << (ae - e) >= b_hi << (be - e):
+            return False
+        bits *= 2
+
+
+def greedy_row_bound(num_constraints: int, covered: int, whole: int) -> int:
+    """Rows needed when every row covers at least the fraction covered/whole
+    of what remains: the least k with M * (whole - covered)**k < whole**k for
+    M constraints, in exact integers. In real arithmetic this is
+    floor(ln M / -ln(1 - c)) + 1. M <= 1 or a rate of 1 means one row."""
+    if num_constraints <= 1 or covered >= whole:
+        return 1
+    # Bisect: ln M < M.bit_length() and c < -ln(1 - c), so hi rows are
+    # enough, and no rows (lo) are not, as M > 1.
+    lo, hi = 0, num_constraints.bit_length() * whole // covered + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _power_below(num_constraints, whole - covered, whole, mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def derandomized_size_bound(spec: CffSpec) -> int:
+    """The guaranteed row-count bound of the derandomized constructor."""
+    r, s, d = spec.r, spec.s, spec.d
+    # c = p**r (1-p)**s at p = r/d; 0**0 == 1 covers the edges
+    return greedy_row_bound(_num_constraints(spec), r**r * s**s, d**d)
+
+
+def universal_greedy_size_bound(spec: UniversalSpec) -> int:
+    """Guaranteed row bound of the direct greedy:
+    floor(ln(C(n,d) q**d) / -ln(1 - q**-d)) + 1."""
+    return greedy_row_bound(_num_constraints(spec), 1, spec.q**spec.d)
+
+
+def _work(spec: UniversalSpec | CffSpec, op: str, rows: int) -> int:
+    """The estimated work of ``op`` on ``spec``, an exact integer. With M
+    constraints and the greedy row bound R:
+
+    * "construct": n q M index bits, built in 2**11 (an interpreter step)
+      per column and d-subset or R, and a pass over them for each of
+      max(R, ``rows``) rows; a Las Vegas run takes at least its batch, and
+      about R. The self-verify is checked apart.
+    * "verify" of ``rows`` rows: 2**11 and 2**8 a row for each d-subset,
+      and 2**11 for each of the q**d patterns; or 2**11 and 1 a row for
+      each (R, S) pair. An empty matrix is not scanned.
+    * "search": q**n cover masks, kept and rescanned, at 2**9 a bit and
+      2**14 a candidate.
+    """
+    n, d, universal = spec.n, spec.d, isinstance(spec, UniversalSpec)
+    if op == "verify" and universal:
+        return ((comb(n, d) * (rows + 8) if rows else 0) + 8 * spec.q**d) << 8
+    if op == "verify":
+        return _num_constraints(spec) * (rows + 2**11) if rows else 0
+    q, m = (spec.q if universal else 2), _num_constraints(spec)
+    if op == "search":
+        return q**n * (m + 2**5) << 9
+    bound = universal_greedy_size_bound(spec) if universal else derandomized_size_bound(spec)
+    subsets = comb(n, d if universal else spec.r)
+    return ((max(rows, bound) + 1) * q * m + (subsets << 11)) * n
+
+
+def _check_work(spec: UniversalSpec | CffSpec, op: str, rows: int = 0) -> None:
+    """Raise ResourceLimitError if ``_work`` exceeds WORK_BUDGET: at once if
+    2**e does, a lower bound from bit lengths alone (C(n, k) >= 2**min(k,
+    n - k), q >= 2**(q.bit_length() - 1)), before any big count is built."""
+    n, d, universal = spec.n, spec.d, isinstance(spec, UniversalSpec)
+    log_q = spec.q.bit_length() - 1 if universal else 1
+    steps = min(d, n - d) if universal else min(spec.r, n - spec.r) + min(spec.s, n - d)
+    patterns = d * log_q if universal else 0
+    e = {"verify": 11 + max(steps if rows else 0, patterns),
+         "search": n * log_q + max(steps + patterns, 5) + 9,
+         "construct": n.bit_length() - 1 + log_q + steps + patterns}[op]
+    if e < WORK_BUDGET.bit_length():
+        work = _work(spec, op, rows)
+        if work <= WORK_BUDGET:
+            return
+        e = work.bit_length() - 1
+    raise ResourceLimitError(f"estimated work of at least 2**{e} exceeds the budget of {WORK_BUDGET}")
 
 
 def _check_row(row: Sequence[int], n: int, q: int, index: int) -> tuple[int, ...]:

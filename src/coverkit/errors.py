@@ -19,7 +19,7 @@ class DomainError(CoverkitError, ValueError):
 
 
 class ResourceLimitError(CoverkitError, RuntimeError):
-    """A request exceeds a hard memory or constraint-set cap."""
+    """A request's estimated work exceeds the work budget."""
 
 
 class ConvergenceError(CoverkitError, RuntimeError):

@@ -40,7 +40,7 @@ nodes plus scanned candidates, so ``node_limit`` bounds the search's time.
 
 A search either returns the exact minimum with a certificate, proves the
 minimum exceeds ``max_rows``, or aborts cleanly when the node budget runs
-out. It never returns a wrong answer.
+out or the work budget refuses its masks. It never returns a wrong answer.
 """
 
 from __future__ import annotations
@@ -49,15 +49,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Literal
 
-from .core import CffSpec, SymbolMatrix, UniversalSpec, _num_constraints, _power_over
-from .errors import ParameterError
+from .core import CffSpec, SymbolMatrix, UniversalSpec, _check_work
+from .errors import ParameterError, ResourceLimitError
 from .verify import _constraint_index
-
-# Candidate row spaces larger than this are out of the oracle's scale.
-ROW_SPACE_CAP = 2**20
-# So are cover masks of more bits in all: q**n candidates times the
-# constraint count.
-MASK_BITS_CAP = 2**26
 
 
 @dataclass(frozen=True)
@@ -80,9 +74,9 @@ class SearchOutcome:
     matrix of that size passing the verifier. status "infeasible": the
     search completed and proved the minimum exceeds the budget's max_rows.
     status "budget_exceeded": the node limit was hit first (then nodes is
-    node_limit + 1), or the row space, the constraint set or the cover masks
-    were over their cap (then nodes is 0); nothing is claimed. nodes counts
-    search nodes plus scanned candidates.
+    node_limit + 1), or the q**n cover masks were estimated past the work
+    budget (then nodes is 0); nothing is claimed. nodes counts search nodes
+    plus scanned candidates.
     """
 
     status: Literal["found", "infeasible", "budget_exceeded"]
@@ -106,8 +100,9 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
     for columns (j, j+1)."""
     n, limit = spec.n, budget.node_limit
     q = spec.q if isinstance(spec, UniversalSpec) else 2
-    # As q**n >= 2, masks under their cap have under CONSTRAINT_CAP constraints.
-    if _power_over(q, n, ROW_SPACE_CAP) or q**n * _num_constraints(spec) > MASK_BITS_CAP:
+    try:
+        _check_work(spec, "search")
+    except ResourceLimitError:
         return SearchOutcome("budget_exceeded", nodes=0)
     count = nodes = q**n
     if nodes > limit:
@@ -231,9 +226,8 @@ def minimal_universal_size(
     """Exact smallest size of an (n, d)-universal set over q symbols.
 
     Deepening starts at q**d, the coverage lower bound (a row realizes one
-    pattern per column subset). Requires q**n <= 2**20, at most 2**26
-    (columns, pattern) constraints and at most 2**26 cover-mask bits (q**n
-    times the constraint count). Any other spec is a ParameterError.
+    pattern per column subset). A spec whose q**n cover masks are estimated
+    past the work budget is budget_exceeded with nodes 0.
     """
     if not isinstance(spec, UniversalSpec):
         raise ParameterError(f"expected a UniversalSpec, got {type(spec).__name__}")
@@ -243,9 +237,8 @@ def minimal_universal_size(
 def minimal_cff_size(spec: CffSpec, budget: SearchBudget = SearchBudget()) -> SearchOutcome:
     """Exact smallest size of an (n, (r, s))-cover-free family.
 
-    Requires 2**n <= 2**20, at most 2**26 (R, S) constraints and at most
-    2**26 cover-mask bits (2**n times the constraint count). Any other spec
-    is a ParameterError.
+    A spec whose 2**n cover masks are estimated past the work budget is
+    budget_exceeded with nodes 0.
     """
     if not isinstance(spec, CffSpec):
         raise ParameterError(f"expected a CffSpec, got {type(spec).__name__}")

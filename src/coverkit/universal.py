@@ -14,16 +14,9 @@ It runs the engine of ``construct_cff_derandomized`` with symbol weights
 
 from __future__ import annotations
 
-from .cff import CffMethod, GreedyTrace, _checked, _construct, _greedy_cover, greedy_row_bound
-from .core import CffSpec, SymbolMatrix, UniversalSpec, complement, dedup_rows
-from .core import _check_constraint_cap, _num_constraints
+from .cff import CffMethod, GreedyTrace, _checked, _construct, _greedy_cover
+from .core import CffSpec, SymbolMatrix, UniversalSpec, _check_work, complement, dedup_rows
 from .verify import _constraint_index, verify_universal
-
-
-def universal_greedy_size_bound(spec: UniversalSpec) -> int:
-    """Guaranteed row bound of the direct greedy:
-    floor(ln(C(n,d) q**d) / -ln(1 - q**-d)) + 1."""
-    return greedy_row_bound(_num_constraints(spec), 1, spec.q**spec.d)
 
 
 def build_universal_lemma1(
@@ -37,19 +30,20 @@ def build_universal_lemma1(
     """Union-of-cover-free-families construction of an (n, d)-universal set
     over the binary alphabet.
 
-    Builds F(n, (i, d-i)) for i = 0..floor(d/2) with the requested method,
-    then each i > floor(d/2) as the complement of its mirror F(n, (d-i, i)),
-    and returns their rows in component order i = 0..d, deduplicated and
-    verified as a whole.
+    Builds F(n, (i, d-i)) for i = floor(d/2) down to 0 with the requested
+    method, then each i > floor(d/2) as the complement of its mirror
+    F(n, (d-i, i)), and returns their rows in component order i = 0..d,
+    deduplicated and verified as a whole.
 
     The union ranges over all of i = 0..d: every weight class of patterns,
     including the all-ones one, needs its component. ``seed``/``batch``
     only matter for the randomized method (component i uses seed + i).
     """
     UniversalSpec(n, d)
-    half = d // 2 + 1
-    parts = [_construct(CffSpec(n, i, d - i), cff_method, seed + i, batch) for i in range(half)]
-    parts += [complement(parts[d - i]) for i in range(half, d + 1)]
+    # The middle component costs the most, so it is built, or refused, first.
+    parts = [_construct(CffSpec(n, i, d - i), cff_method, seed + i, batch)
+             for i in range(d // 2, -1, -1)][::-1]
+    parts += [complement(parts[d - i]) for i in range(d // 2 + 1, d + 1)]
     rows = tuple(row for part in parts for row in part.rows)
     union = dedup_rows(SymbolMatrix(n=n, q=2, rows=rows))
     return _checked(union, verify_universal(union, d))
@@ -66,6 +60,6 @@ def construct_universal_greedy(spec: UniversalSpec) -> tuple[SymbolMatrix, Greed
     q**d; ties go to the smallest symbol. The row count satisfies
     floor(ln(C(n,d) q**d) / -ln(1 - q**-d)) + 1.
     """
-    _check_constraint_cap(spec)
+    _check_work(spec, "construct")
     m, trace = _greedy_cover(*_constraint_index(spec), (1,) * spec.q)
     return _checked(m, verify_universal(m, spec.d)), trace

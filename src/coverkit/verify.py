@@ -27,13 +27,8 @@ from itertools import combinations, product
 from math import comb
 from typing import Iterable, Iterator, Literal, Union
 
-from .core import MAX_ALPHABET, CffSpec, SymbolMatrix, UniversalSpec, _num_constraints, _power_over
-from .errors import AlphabetError, ParameterError, ResourceLimitError
-
-# Largest pattern space q**d checked: its indices fit the widest (4-byte)
-# field of the packed columns, and a subset missing patterns is scanned over
-# all q**d of them.
-PATTERN_CAP = 2**24
+from .core import MAX_ALPHABET, CffSpec, SymbolMatrix, UniversalSpec, _check_work, _num_constraints
+from .errors import AlphabetError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -84,7 +79,9 @@ def _missing_universal(m: SymbolMatrix, spec: UniversalSpec) -> Iterator[Univers
     S shows; S is complete when they number q**d, and it misses the patterns
     whose rank in ``product`` order is not among them. The sums over each
     head S[:d-1] are shared across ``combinations`` order, so most subsets
-    cost one add. A subset holds O(rows) bytes, whatever q**d is.
+    cost one add. A subset holds O(rows) bytes, whatever q**d is. The widest
+    field holds indices below 2**32: ``_missing`` runs this only within
+    WORK_BUDGET, which charges 2**11 a pattern, so q**d <= 2**24.
     """
     q, n, rows, d = m.q, m.n, m.rows, spec.d
     total = q**d
@@ -196,14 +193,11 @@ def _missing_cff(m: SymbolMatrix, spec: CffSpec) -> Iterator[CffWitness]:
 
 def _missing(m: SymbolMatrix, spec: UniversalSpec | CffSpec) -> Iterator[Witness]:
     """Every constraint of ``spec``, a valid spec on the n and q of ``m``,
-    that ``m`` misses, in its verifier's order; a universal ``spec`` past
-    PATTERN_CAP is refused first. An empty matrix misses them all: it yields
-    only the first, built once it is asked for."""
+    that ``m`` misses, in its verifier's order, once ``_check_work`` admits
+    the scan. An empty matrix misses them all: it yields only the first,
+    built once it is asked for."""
+    _check_work(spec, "verify", m.num_rows)
     if isinstance(spec, UniversalSpec):
-        if _power_over(spec.q, spec.d, PATTERN_CAP):
-            raise ResourceLimitError(
-                f"pattern space q**d = {spec.q}**{spec.d} exceeds the cap of {PATTERN_CAP}"
-            )
         scan = _missing_universal
         first = (UniversalWitness(tuple(range(d)), (0,) * d) for d in [spec.d])
     else:

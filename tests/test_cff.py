@@ -20,7 +20,8 @@ from coverkit import (
     universal_greedy_size_bound,
     verify_cff,
 )
-from coverkit.cff import GreedyTrace, GreedyTraceRow, _power_below, greedy_row_bound
+from coverkit.cff import GreedyTrace, GreedyTraceRow
+from coverkit.core import _power_below, greedy_row_bound
 
 
 def small_specs(max_n=8, max_part=2):
@@ -204,6 +205,14 @@ class TestSperner:
             rows = sperner_row_count(n)
             assert comb(rows, rows // 2) >= n
             assert comb(rows - 1, (rows - 1) // 2) < n
+
+    def test_row_count_matches_the_search_from_one(self):
+        # The search starts at n.bit_length(); from N = 1 it finds the same N.
+        for n in range(2, 20_000):
+            rows = 1
+            while comb(rows, rows // 2) < n:
+                rows += 1
+            assert sperner_row_count(n) == rows, n
 
     def test_rejects_tiny_n(self):
         with pytest.raises(ParameterError):

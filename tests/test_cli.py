@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from argparse import Namespace
@@ -10,6 +11,7 @@ import coverkit
 from coverkit import SymbolMatrix, UniversalSpec, load_array
 from coverkit import cli
 from coverkit.cli import run_cli
+from coverkit.core import WORK_BUDGET as BUDGET
 
 
 def parse_kv(output):
@@ -173,10 +175,10 @@ def run_limited(argv):
 
 
 class TestTooBigIsRefused:
-    """A run past a cap, or out of memory, exits 3 at once, however far past
-    the cap it is: construct and verify with one stderr line, minimal with a
-    budget_exceeded outcome of nodes 0. Each runs in a child process with
-    bounded memory."""
+    """A run estimated past the work budget, or out of memory, exits 3 at
+    once, however far past the budget it is: construct and verify with one
+    stderr line, minimal with a budget_exceeded outcome of nodes 0. Each runs
+    in a child process with bounded memory."""
 
     def refused(self, argv):
         rc, out, err, elapsed = run_limited(argv)
@@ -192,14 +194,14 @@ class TestTooBigIsRefused:
             ["construct", "universal", "--n", "10000", "--d", "10000", "--q", "3",
              "--method", "greedy"]
         )
-        assert err == "error: constraint set of size at least 2**10000 exceeds the cap of 67108864\n"
+        assert err == f"error: estimated work of at least 2**10014 exceeds the budget of {BUDGET}\n"
 
     def test_universal_constraint_count_past_printing_with_a_huge_n(self):
         # C(10**4000, 2) * 4 has more digits than the interpreter prints
         err = self.refused(
             ["construct", "universal", "--n", "1" + "0" * 4000, "--d", "2", "--method", "greedy"]
         )
-        assert err == "error: constraint set of size at least 2**26576 exceeds the cap of 67108864\n"
+        assert err == f"error: estimated work of at least 2**13292 exceeds the budget of {BUDGET}\n"
 
     def test_cff_constraint_count_too_long_to_print(self):
         self.refused(
@@ -212,21 +214,45 @@ class TestTooBigIsRefused:
             ["construct", "universal", "--n", "16000000", "--d", "16000000", "--q", "3",
              "--method", "greedy"]
         )
-        assert "at least 2**16000000 " in err
+        assert "at least 2**16000024 " in err
 
     def test_cff_derandomized_with_huge_binomials(self):
         err = self.refused(
             ["construct", "cff", "--n", "2000000", "--r", "1000000", "--s", "1000000",
              "--method", "derand"]
         )
-        assert "at least 2**1000000 " in err
+        assert "at least 2**1000021 " in err
 
     def test_cff_sperner(self):
         # 20000 * 19999 (R, S) pairs: refused before the antichain is built
         err = self.refused(
             ["construct", "cff", "--n", "20000", "--r", "1", "--s", "1", "--method", "sperner"]
         )
-        assert err == "error: constraint set of size 399980000 exceeds the cap of 67108864\n"
+        assert err == f"error: estimated work of at least 2**39 exceeds the budget of {BUDGET}\n"
+
+    def test_cff_sperner_with_a_huge_n(self):
+        # Refused before the row count is searched for
+        err = self.refused(
+            ["construct", "cff", "--n", "1" + "0" * 4000, "--r", "1", "--s", "1",
+             "--method", "sperner"]
+        )
+        assert err == f"error: estimated work of at least 2**26589 exceeds the budget of {BUDGET}\n"
+
+    @pytest.mark.parametrize("n, r, e", [("90", "2", 39), ("8000", "1", 45)])
+    def test_cff_derandomized_past_the_budget_by_its_work(self, n, r, e):
+        # Under 2**26 (R, S) pairs, but 211 s and 593 MB at (90, (2, 2)),
+        # and an index of about 10**12 bits at (8000, (1, 1))
+        err = self.refused(["construct", "cff", "--n", n, "--r", r, "--s", r, "--method", "derand"])
+        assert err == f"error: estimated work of at least 2**{e} exceeds the budget of {BUDGET}\n"
+
+    def test_verify_past_the_budget_by_its_subsets(self, tmp_path):
+        # C(1000, 3) subsets of 200 rows: about 18 minutes of scanning
+        rng = random.Random(3)
+        rows = ["".join(rng.choice("01") for _ in range(1000)) for _ in range(200)]
+        f = tmp_path / "wide.txt"
+        f.write_text("kind=universal n=1000 q=2 rows=200 d=3\n" + "\n".join(rows) + "\n")
+        err = self.refused(["verify", str(f)])
+        assert err == f"error: estimated work of at least 2**43 exceeds the budget of {BUDGET}\n"
 
     def test_running_out_of_memory(self, tmp_path):
         # The first witness alone holds 5 * 10**8 column indices, about 4 GB.
@@ -239,24 +265,23 @@ class TestTooBigIsRefused:
         err = self.refused(
             ["construct", "cff", "--n", "60", "--r", "3", "--s", "3", "--method", "derand"]
         )
-        assert err == "error: constraint set of size 1001277200 exceeds the cap of 67108864\n"
+        assert err == f"error: estimated work of at least 2**47 exceeds the budget of {BUDGET}\n"
 
     def test_verify_refuses_a_huge_strength_before_computing_q_to_the_d(self, tmp_path):
         f = tmp_path / "huge.txt"
         f.write_text("kind=universal n=16000000 q=3 rows=0 d=16000000\n")
         err = self.refused(["verify", str(f)])
-        assert err == "error: pattern space q**d = 3**16000000 exceeds the cap of 16777216\n"
+        assert err == f"error: estimated work of at least 2**16000011 exceeds the budget of {BUDGET}\n"
 
     def test_minimal_over_the_constraint_cap(self):
-        # 2**20 candidate rows, at the row-space cap, but C(20, 10) * 2**10
-        # = 189,190,144 constraints, 2.8 times the constraint cap
+        # 2**20 candidate rows of C(20, 10) * 2**10 = 189,190,144 constraints
         rc, out, err, elapsed = run_limited(["minimal", "--n", "20", "--d", "10"])
         assert (rc, out, err) == (3, "status=budget_exceeded\nnodes=0\n", "")
         assert elapsed < 1.0
 
     def test_minimal_over_the_mask_bits_cap(self):
-        # 2**20 candidate rows and C(20, 10) = 184,756 constraints, each
-        # under its cap, but about 24 GB of cover masks
+        # 2**20 candidate rows and C(20, 10) = 184,756 constraints: about
+        # 24 GB of cover masks
         rc, out, err, elapsed = run_limited(["minimal", "--n", "20", "--r", "10", "--s", "10"])
         assert (rc, out, err) == (3, "status=budget_exceeded\nnodes=0\n", "")
         assert elapsed < 1.0

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coverkit import (
     AlphabetError,
@@ -18,8 +18,7 @@ from coverkit import (
     verify_cff,
     verify_universal,
 )
-from coverkit.core import CONSTRAINT_CAP, _check_constraint_cap, _num_constraints
-from coverkit.verify import PATTERN_CAP
+from coverkit.core import WORK_BUDGET, _check_work, _num_constraints, _work
 
 
 def matrices(max_n=5, max_rows=7, qs=(2,)):
@@ -152,38 +151,164 @@ class TestDedupRows:
         assert verify_cff(m, r, s) == verify_cff(dedup_rows(m), r, s)
 
 
-def capped_specs():
-    """Universal and cover-free specs whose constraint counts straddle
-    CONSTRAINT_CAP, some far enough past it to be refused by exponent alone."""
+def specs(max_n=400, max_d=16, max_q=36):
+    """Universal and cover-free specs of up to ``max_n`` columns."""
     universal = st.builds(
         lambda n, d, q: UniversalSpec(n, min(d, n), q),
-        st.integers(1, 400),
-        st.integers(1, 16),
-        st.integers(2, 36),
+        st.integers(1, max_n),
+        st.integers(1, max_d),
+        st.integers(2, max_q),
     )
     cff = st.builds(
         lambda n, rs: CffSpec(max(n, sum(rs)), *rs),
-        st.integers(1, 400),
-        st.tuples(st.integers(0, 16), st.integers(0, 16)).filter(lambda rs: sum(rs) >= 1),
+        st.integers(1, max_n),
+        st.tuples(st.integers(0, max_d), st.integers(0, max_d)).filter(lambda rs: sum(rs) >= 1),
     )
     return universal | cff
 
 
-class TestConstraintCap:
-    @given(capped_specs())
-    def test_refuses_exactly_the_specs_over_the_cap(self, spec):
-        count = _num_constraints(spec)
-        try:
-            _check_constraint_cap(spec)
-        except ResourceLimitError as exc:
-            assert count > CONSTRAINT_CAP
-            size = str(exc).split("constraint set of size ")[1].split(" exceeds")[0]
-            if size.startswith("at least 2**"):
-                assert 2 ** int(size[len("at least 2**"):]) <= count
-            else:
-                assert int(size) == count
-        else:
-            assert count <= CONSTRAINT_CAP
+def admitted(spec, op, rows=0):
+    try:
+        _check_work(spec, op, rows)
+    except ResourceLimitError:
+        return False
+    return True
+
+
+def q_of(spec):
+    return spec.q if isinstance(spec, UniversalSpec) else 2
+
+
+def grown(spec):
+    """``spec`` with one more column, and, while C(n, k) still grows in k,
+    with d, r or s one larger."""
+    if isinstance(spec, UniversalSpec):
+        yield UniversalSpec(spec.n + 1, spec.d, spec.q)
+        if 2 * (spec.d + 1) <= spec.n:
+            yield UniversalSpec(spec.n, spec.d + 1, spec.q)
+    else:
+        yield CffSpec(spec.n + 1, spec.r, spec.s)
+        if 2 * (spec.d + 1) <= spec.n:
+            yield CffSpec(spec.n, spec.r + 1, spec.s)
+            yield CffSpec(spec.n, spec.r, spec.s + 1)
+
+
+OPS = st.sampled_from(["construct", "verify", "search"])
+
+
+class TestWork:
+    @given(specs(max_n=40, max_d=6, max_q=6), OPS, st.integers(0, 300))
+    @settings(deadline=None)
+    def test_monotone(self, spec, op, rows):
+        work = _work(spec, op, rows)
+        assert _work(spec, op, rows + 1) >= work
+        for bigger in grown(spec):
+            assert _work(bigger, op, rows) >= work, bigger
+
+    @given(specs(max_d=12), OPS, st.integers(0, 300))
+    @settings(deadline=None)
+    def test_the_check_refuses_exactly_past_the_budget(self, spec, op, rows):
+        # So the exponent pre-screen refuses no spec the estimate admits.
+        assert admitted(spec, op, rows) is (_work(spec, op, rows) <= WORK_BUDGET)
+
+    @given(specs())
+    def test_refuses_every_spec_the_count_caps_refused(self, spec):
+        # The caps this budget replaced: 2**26 constraints for a
+        # construction, 2**24 patterns for a verifier, and for the oracle
+        # 2**20 candidate rows or 2**26 cover-mask bits. A construction's
+        # self-verify of at least one row counts as part of it.
+        m, q = _num_constraints(spec), q_of(spec)
+        if m > 2**26:
+            assert not admitted(spec, "construct") or not admitted(spec, "verify", 1)
+        if isinstance(spec, UniversalSpec) and q**spec.d > 2**24:
+            assert not admitted(spec, "verify")
+        if q**spec.n > 2**20 or q**spec.n * m > 2**26:
+            assert not admitted(spec, "search")
+
+    def test_the_last_pattern_space_kept(self):
+        # 2**24 patterns stay admitted with a few rows; the next larger
+        # pattern space, 28**5, is refused even on an empty matrix.
+        assert admitted(UniversalSpec(25, 24, 2), "verify", 50)
+        larger = min(q**d for q in range(2, 37) for d in range(1, 25) if q**d > 2**24)
+        assert larger == 28**5
+        assert not admitted(UniversalSpec(5, 5, 28), "verify", 0)
+
+    # (spec, the rows a construct route is given: its Las Vegas batch or 0,
+    # the rows of its output or an upper bound on them)
+    BUILDS = [
+        # the construct workload of the benchmark, with its pinned row counts
+        (CffSpec(14, 2, 2), 0, 45),
+        (CffSpec(15, 2, 2), 0, 48),
+        (CffSpec(17, 2, 2), 0, 49),
+        (CffSpec(18, 2, 2), 0, 52),
+        (CffSpec(20, 1, 3), 0, 29),
+        (CffSpec(20, 3, 1), 0, 31),
+        (CffSpec(10, 3, 3), 0, 119),
+        (CffSpec(12, 2, 3), 0, 71),
+        (CffSpec(12, 3, 2), 0, 73),
+        (CffSpec(24, 2, 2), 0, 61),
+        (CffSpec(24, 2, 2), 16, 192),
+        (UniversalSpec(16, 4, 2), 0, 59),
+        (UniversalSpec(14, 3, 3), 0, 81),
+        (UniversalSpec(7, 3, 5), 0, 253),
+        # the components of lemma1 (16, 4) and, at batch 16, of (14, 5)
+        (CffSpec(16, 0, 4), 0, 1),
+        (CffSpec(16, 1, 3), 0, 97),
+        (CffSpec(16, 2, 2), 0, 97),
+        (CffSpec(14, 0, 5), 16, 1),
+        (CffSpec(14, 1, 4), 16, 720),
+        (CffSpec(14, 2, 3), 16, 720),
+        # the commands that rebuild the benchmark's pinned verify inputs
+        (UniversalSpec(30, 4, 2), 0, 81),
+        (CffSpec(40, 2, 2), 0, 82),
+        (UniversalSpec(16, 3, 3), 0, 84),
+        # Las Vegas (40, (2, 2)) at its default batch
+        (CffSpec(40, 2, 2), 16, 200),
+    ]
+
+    @pytest.mark.parametrize("spec, batch, rows", BUILDS)
+    def test_admits_the_benchmarked_builds_and_their_self_verify(self, spec, batch, rows):
+        assert admitted(spec, "construct", batch)
+        assert admitted(spec, "verify", rows)
+
+    @pytest.mark.parametrize("spec, rows", [
+        # lemma1's unions, and the random matrices the verify workload draws
+        (UniversalSpec(16, 4, 2), 97),
+        (UniversalSpec(14, 5, 2), 720),
+        (CffSpec(20, 2, 2), 300),
+        (UniversalSpec(16, 4, 2), 300),
+        # the Sperner antichain at n = 2000: its 14 rows, and the 11 its
+        # admission assumes
+        (CffSpec(2000, 1, 1), 14),
+        (CffSpec(2000, 1, 1), 11),
+    ])
+    def test_admits_the_benchmarked_verifies(self, spec, rows):
+        assert admitted(spec, "verify", rows)
+
+    @pytest.mark.parametrize("spec", [
+        UniversalSpec(6, 2),
+        UniversalSpec(7, 2),
+        CffSpec(7, 1, 1),
+        CffSpec(8, 1, 1),
+        CffSpec(7, 1, 2),
+        CffSpec(14, 2, 0),
+        CffSpec(14, 0, 3),
+        UniversalSpec(16, 1),
+        UniversalSpec(11, 3),
+        UniversalSpec(14, 3),
+        UniversalSpec(8, 2),
+        CffSpec(8, 1, 2),
+    ])
+    def test_admits_the_benchmarked_searches(self, spec):
+        assert admitted(spec, "search")
+
+    def test_refuses_what_runs_for_minutes(self):
+        assert not admitted(CffSpec(90, 2, 2), "construct")
+        assert not admitted(CffSpec(8000, 1, 1), "construct")
+        assert not admitted(UniversalSpec(1000, 3, 2), "verify", 200)
+        # a constant-row family of 67,863,915 constraints, refused by its
+        # one-row self-verify
+        assert not admitted(CffSpec(29, 0, 13), "verify", 1)
 
     def test_counts(self):
         assert _num_constraints(UniversalSpec(5, 2, 3)) == 10 * 9
@@ -219,7 +344,7 @@ class TestEntryPointsAgreeWithSpecs:
     def test_universal(self, n, d, q):
         bad = raised(lambda: UniversalSpec(n, d, q))
         assert bad in (None, ParameterError)
-        over = bad is None and q**d > PATTERN_CAP
+        over = bad is None and _work(UniversalSpec(n, d, q), "verify", 0) > WORK_BUDGET
         verified = raised(lambda: verify_universal(SymbolMatrix(n=n, q=q), d))
         assert verified is (ResourceLimitError if over else bad)
         if n <= 4:

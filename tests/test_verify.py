@@ -24,8 +24,6 @@ from coverkit import (
     verify_universal,
 )
 
-from coverkit.verify import PATTERN_CAP
-
 from test_cli import child_env
 from test_core import matrices
 
@@ -165,10 +163,9 @@ class TestPackedFields:
         assert verify_universal(doubled, d).witness == (unmet[0] if unmet else None)
 
     def test_pattern_cap_needs_memory_of_the_rows_not_the_patterns(self):
-        # q**d == PATTERN_CAP: a per-subset pattern bitmap would take 16 MB.
+        # q**d == 2**24: a per-subset pattern bitmap would take 16 MB.
         m = random_matrix(25, 2, 50, seed=24)
         S = tuple(range(24))
-        assert 2**24 == PATTERN_CAP
         tracemalloc.start()
         try:
             verdict = verify_universal(m, 24)
