@@ -24,8 +24,8 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import CffSpec, SymbolMatrix, UniversalSpec, _check_shape, decode_symbol
-from .errors import AlphabetError, ConsistencyError, FormatError, ParameterError
+from .core import CffSpec, SymbolMatrix, UniversalSpec, _check_shape, decode_row
+from .errors import ConsistencyError, FormatError, ParameterError
 
 KINDS = ("universal", "cff", "raw")
 
@@ -72,8 +72,8 @@ def _validate_header(header: ArrayFileHeader, *, where: str = "header") -> None:
         raise FormatError(f"{where}: {exc}") from None
     if header.rows < 0:
         raise FormatError(f"{where}: rows must be non-negative, got {header.rows}")
-    if header.kind == "cff" and header.q != 2:
-        raise FormatError(f"{where}: kind=cff requires q=2, got q={header.q}")
+    if header.kind == "cff" and header.q != CffSpec.q:
+        raise FormatError(f"{where}: kind=cff requires q={CffSpec.q}, got q={header.q}")
     if header.method is not None:
         if not header.method or any(ch.isspace() or ch == "=" for ch in header.method):
             raise FormatError(
@@ -143,16 +143,11 @@ def read_array(text: str) -> tuple[SymbolMatrix, ArrayFileHeader]:
             f"but extra content follows"
         )
     rows = []
-    for i, line in enumerate(body):
-        where = f"line {i + 2}"
+    for i, line in enumerate(body, 2):
         if len(line) != header.n:
-            raise FormatError(f"{where}: row has {len(line)} symbols, expected n={header.n}")
-        try:
-            rows.append(tuple(decode_symbol(ch, header.q, where=where) for ch in line))
-        except AlphabetError as exc:
-            raise FormatError(str(exc)) from None
-    matrix = SymbolMatrix(n=header.n, q=header.q, rows=tuple(rows))
-    return matrix, header
+            raise FormatError(f"line {i}: row has {len(line)} symbols, expected n={header.n}")
+        rows.append(decode_row(line, header.q, where=f"line {i}", error=FormatError))
+    return SymbolMatrix(n=header.n, q=header.q, rows=tuple(rows)), header
 
 
 def save_array(path: str | Path, m: SymbolMatrix, header: ArrayFileHeader) -> None:

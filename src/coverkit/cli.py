@@ -22,7 +22,7 @@ from typing import Sequence
 from .arrayfile import ArrayFileHeader, load_array, save_array
 from .bounds import BoundsReport, cff_bounds_report, universal_bounds_report
 from .cff import _construct
-from .core import CffSpec, SymbolMatrix, SYMBOL_DIGITS, UniversalSpec
+from .core import CffSpec, SymbolMatrix, UniversalSpec, encode_row
 from .errors import (
     ConvergenceError,
     CoverkitError,
@@ -64,8 +64,7 @@ def _print_verdict(verdict: Verdict) -> int:
     print("violated")
     w = verdict.witness
     if isinstance(w, UniversalWitness):
-        sigma = "".join(SYMBOL_DIGITS[sym] for sym in w.pattern)
-        print(f"S={_ones(w.columns)} sigma={sigma}")
+        print(f"S={_ones(w.columns)} sigma={encode_row(w.pattern)}")
     else:
         print(f"R={_ones(w.r_columns)} S={_ones(w.s_columns)}")
     return EXIT_VIOLATED
@@ -128,7 +127,7 @@ def _spec_from_flags(flags, n: int, q: int) -> UniversalSpec | CffSpec:
     if flags.r is None or flags.s is None:
         raise ParameterError("specify --d, or both --r and --s")
     spec = CffSpec(n=n, r=flags.r, s=flags.s)
-    if q != 2:
+    if q != spec.q:
         raise ParameterError(f"--r/--s name a binary cover-free family, got q = {q}")
     return spec
 

@@ -98,8 +98,7 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
     meeting every constraint of ``spec``. Bit i of a cover mask is the i-th
     constraint the verifier scans; bit n-2-j of a column-pair mask stands
     for columns (j, j+1)."""
-    n, limit = spec.n, budget.node_limit
-    q = spec.q if isinstance(spec, UniversalSpec) else 2
+    n, q, limit = spec.n, spec.q, budget.node_limit
     try:
         _check_work(spec, "search")
     except ResourceLimitError:

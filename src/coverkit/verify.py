@@ -166,7 +166,7 @@ def _constraint_index(spec: UniversalSpec | CffSpec) -> tuple[list[list[int]], i
     constraint its verifier scans."""
     if isinstance(spec, UniversalSpec):
         return _column_index(spec.q, _universal_columns(spec.n, spec.d, spec.q))
-    return _column_index(2, _cff_columns(spec.n, spec.r, spec.s))
+    return _column_index(spec.q, _cff_columns(spec.n, spec.r, spec.s))
 
 
 def _row_index(m: SymbolMatrix) -> tuple[list[list[int]], int]:
@@ -226,7 +226,7 @@ def verify_cff(m: SymbolMatrix, r: int, s: int) -> Verdict:
     Returns a valid verdict, or the lexicographically first failing
     (R, S) pair.
     """
-    if m.q != 2:
+    if m.q != CffSpec.q:
         raise AlphabetError(f"cover-free check needs a binary matrix, got q = {m.q}")
     return _verdict(_missing(m, CffSpec(m.n, r, s)))
 
@@ -235,15 +235,18 @@ def count_uncovered(m: SymbolMatrix, spec: UniversalSpec | CffSpec) -> int:
     """Exact number of unmet constraints of ``m`` against ``spec``.
 
     Zero exactly when the corresponding verifier returns valid. An empty
-    matrix meets none, so its count is the constraint count, not a scan.
+    matrix meets none, so its count is the constraint count, not a scan,
+    charged to the work budget before it is built.
     """
     if not isinstance(spec, (UniversalSpec, CffSpec)):
         raise ParameterError(f"unsupported spec type {type(spec).__name__}")
     if spec.n != m.n:
         raise ParameterError(f"spec has n={spec.n} but matrix has n={m.n}")
-    if isinstance(spec, CffSpec) and m.q != 2:
+    if isinstance(spec, CffSpec) and m.q != spec.q:
         raise AlphabetError(f"cover-free check needs a binary matrix, got q = {m.q}")
-    if isinstance(spec, UniversalSpec) and spec.q != m.q:
+    if spec.q != m.q:
         raise ParameterError(f"spec has q={spec.q} but matrix has q={m.q}")
     missing = _missing(m, spec)
+    if not m.rows:
+        _check_work(spec, "count")
     return sum(1 for _ in missing) if m.rows else _num_constraints(spec)

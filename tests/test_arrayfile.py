@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coverkit import (
+    AlphabetError,
     ArrayFileHeader,
     ConsistencyError,
     FormatError,
@@ -219,6 +220,36 @@ class TestHeaderMatchesItsWriter:
         else:
             assert line == canonical
             assert accepted == (m, header)
+
+
+DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+
+@st.composite
+def digit_rows(draw):
+    """(q, n, rows): rows of n characters that mix symbols below q, digits
+    at or past q, and any other character but a newline, non-ASCII too."""
+    q, n = draw(st.integers(2, 36)), draw(st.integers(1, 6))
+    chars = st.sampled_from(DIGITS[:q]) | st.sampled_from(DIGITS) | st.characters(
+        blacklist_characters="\n"
+    )
+    return q, n, draw(st.lists(st.text(chars, min_size=n, max_size=n), max_size=4))
+
+
+class TestReadDecodesAsFromStrings:
+    @given(digit_rows())
+    def test_same_rows_or_same_message(self, case):
+        q, n, rows = case
+        document = f"kind=raw n={n} q={q} rows={len(rows)}\n" + "".join(r + "\n" for r in rows)
+        try:
+            expected = SymbolMatrix.from_strings(rows, q=q, n=n).rows
+        except AlphabetError as exc:
+            where, _, message = str(exc).partition(": ")
+            with pytest.raises(FormatError) as info:
+                read_array(document)
+            assert str(info.value) == f"line {int(where.removeprefix('row ')) + 2}: {message}"
+        else:
+            assert read_array(document)[0].rows == expected
 
 
 class TestRoundTrip:

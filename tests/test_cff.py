@@ -217,6 +217,8 @@ class TestSperner:
     def test_rejects_tiny_n(self):
         with pytest.raises(ParameterError):
             construct_cff_sperner(1)
+        with pytest.raises(ParameterError, match="^need n >= 2, got 1$"):
+            sperner_row_count(1)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 12, 20])
     def test_output_verifies(self, n):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -55,6 +57,17 @@ class TestSpecs:
     def test_cff_spec_d_accessor(self):
         assert CffSpec(n=6, r=2, s=3).d == 5
 
+    def test_cff_spec_is_binary_and_keeps_its_three_fields(self):
+        spec = CffSpec(4, 1, 1)
+        assert spec.q == CffSpec.q == 2
+        assert [f.name for f in dataclasses.fields(CffSpec)] == ["n", "r", "s"]
+        assert dataclasses.asdict(spec) == {"n": 4, "r": 1, "s": 1}
+        assert repr(spec) == "CffSpec(n=4, r=1, s=1)"
+        with pytest.raises(TypeError):
+            CffSpec(4, 1, 1, q=3)
+        with pytest.raises(AttributeError):
+            spec.q = 3
+
     @pytest.mark.parametrize("n,r,s", [(4, 0, 0), (4, -1, 2), (4, 2, 3), (0, 1, 1)])
     def test_cff_spec_rejects(self, n, r, s):
         with pytest.raises(ParameterError):
@@ -87,6 +100,30 @@ class TestSymbolMatrix:
         m = SymbolMatrix.from_strings(["01"])
         with pytest.raises(AttributeError):
             m.n = 5
+
+    def test_from_no_strings_needs_n(self):
+        with pytest.raises(ParameterError, match="^empty matrix needs an explicit n$"):
+            SymbolMatrix.from_strings([])
+        assert SymbolMatrix.from_strings([], n=3) == SymbolMatrix(n=3, q=2)
+
+    @pytest.mark.parametrize("rows, message", [
+        (["01", "0!"], "row 1: '!' is not a symbol digit"),
+        (["2!"], "row 0: symbol 2 out of range for q=2"),
+        (["!2"], "row 0: '!' is not a symbol digit"),
+        (["0x"], "row 0: symbol 33 out of range for q=2"),
+        (["0é"], "row 0: 'é' is not a symbol digit"),
+    ])
+    def test_from_strings_names_the_first_bad_character(self, rows, message):
+        with pytest.raises(AlphabetError) as info:
+            SymbolMatrix.from_strings(rows)
+        assert str(info.value) == message
+
+    def test_repr_shows_eight_rows(self):
+        m = SymbolMatrix.from_strings([format(i, "04b") for i in range(9)])
+        assert repr(m) == (
+            "SymbolMatrix(n=4, q=2, rows[9]=[0000,0001,0010,0011,0100,0101,0110,0111,...])"
+        )
+        assert repr(SymbolMatrix(n=2, q=3)) == "SymbolMatrix(n=2, q=3, rows[0]=[])"
 
 
 class TestComplement:
@@ -175,10 +212,6 @@ def admitted(spec, op, rows=0):
     return True
 
 
-def q_of(spec):
-    return spec.q if isinstance(spec, UniversalSpec) else 2
-
-
 def grown(spec):
     """``spec`` with one more column, and, while C(n, k) still grows in k,
     with d, r or s one larger."""
@@ -193,7 +226,7 @@ def grown(spec):
             yield CffSpec(spec.n, spec.r, spec.s + 1)
 
 
-OPS = st.sampled_from(["construct", "verify", "search"])
+OPS = st.sampled_from(["construct", "verify", "search", "count"])
 
 
 class TestWork:
@@ -217,7 +250,7 @@ class TestWork:
         # construction, 2**24 patterns for a verifier, and for the oracle
         # 2**20 candidate rows or 2**26 cover-mask bits. A construction's
         # self-verify of at least one row counts as part of it.
-        m, q = _num_constraints(spec), q_of(spec)
+        m, q = _num_constraints(spec), spec.q
         if m > 2**26:
             assert not admitted(spec, "construct") or not admitted(spec, "verify", 1)
         if isinstance(spec, UniversalSpec) and q**spec.d > 2**24:
@@ -309,6 +342,16 @@ class TestWork:
         # a constant-row family of 67,863,915 constraints, refused by its
         # one-row self-verify
         assert not admitted(CffSpec(29, 0, 13), "verify", 1)
+
+    def test_charges_a_count_by_the_square_of_its_bits(self):
+        # C(N, N / 2) took 0.19, 0.67 and 2.2 s to build at N = 10**5,
+        # 2 * 10**5 and 4 * 10**5, and over 100 s at 4 * 10**6.
+        for n in (10**5, 2 * 10**5, 4 * 10**5):
+            assert admitted(CffSpec(n, n // 2, 1), "count")
+        assert not admitted(CffSpec(4 * 10**6, 2 * 10**6, 1), "count")
+        # R = all but one column, or one column: a handful of bits
+        assert admitted(CffSpec(10**9, 10**9 - 1, 1), "count")
+        assert admitted(CffSpec(10**9, 1, 1), "count")
 
     def test_counts(self):
         assert _num_constraints(UniversalSpec(5, 2, 3)) == 10 * 9

@@ -17,12 +17,14 @@ from coverkit import (
     SymbolMatrix,
     UniversalSpec,
     UniversalWitness,
+    Verdict,
     build_universal_lemma1,
     complement,
     count_uncovered,
     verify_cff,
     verify_universal,
 )
+from coverkit.core import WORK_BUDGET
 
 from test_cli import child_env
 from test_core import matrices
@@ -52,6 +54,16 @@ def unmet_cff(m, r, s):
         for S in combinations([j for j in range(m.n) if j not in R], s)
         if not any(all(row[j] == 1 for j in R) and all(row[j] == 0 for j in S) for row in m.rows)
     ]
+
+
+class TestVerdict:
+    @pytest.mark.parametrize("status, witness", [
+        ("valid", CffWitness((0,), (1,))),
+        ("violated", None),
+    ])
+    def test_a_witness_exactly_when_violated(self, status, witness):
+        with pytest.raises(ParameterError, match="^witness must be present exactly when violated$"):
+            Verdict(status, witness)
 
 
 class TestVerifyUniversal:
@@ -250,6 +262,34 @@ class TestCountUncovered:
             [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=30
         )
         assert (result.returncode, result.stdout, result.stderr) == (0, f"{10**9}\n", "")
+
+    def test_an_empty_count_past_the_budget_is_refused_before_it_is_built(self):
+        # C(4 * 10**6, 2 * 10**6) has 4 * 10**6 bits and took over 100 s to
+        # build; its charge, the square of (2 * 10**6 + 1) * 22 bits over 2**9,
+        # is refused at once. A child keeps a regression from stalling the suite.
+        code = (
+            "import time\n"
+            "from coverkit import CffSpec, ResourceLimitError, SymbolMatrix, count_uncovered\n"
+            "started = time.perf_counter()\n"
+            "try:\n"
+            "    count_uncovered(SymbolMatrix(n=4 * 10**6, q=2), CffSpec(4 * 10**6, 2 * 10**6, 1))\n"
+            "except ResourceLimitError as exc:\n"
+            "    print(exc)\n"
+            "print(time.perf_counter() - started)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=30
+        )
+        message, elapsed = result.stdout.splitlines()
+        assert (result.returncode, result.stderr) == (0, "")
+        assert message == f"estimated work of at least 2**41 exceeds the budget of {WORK_BUDGET}"
+        assert float(elapsed) < 1.0
+
+    def test_rejects_a_non_binary_matrix_for_a_cff_spec(self):
+        m = SymbolMatrix.from_strings(["012"], q=3)
+        with pytest.raises(AlphabetError) as info:
+            count_uncovered(m, CffSpec(3, 1, 1))
+        assert str(info.value) == "cover-free check needs a binary matrix, got q = 3"
 
     def test_constant_rows_leave_six(self):
         m = SymbolMatrix.from_strings(["000", "111"])
