@@ -215,10 +215,14 @@ def _check_work(spec: UniversalSpec | CffSpec, op: str, rows: int = 0) -> None:
     raise ResourceLimitError(f"estimated work of at least 2**{e} exceeds the budget of {WORK_BUDGET}")
 
 
+def _check_length(row: tuple[int, ...], n: int, index: int) -> None:
+    if len(row) != n:
+        raise ParameterError(f"row {index} has {len(row)} entries, expected {n}")
+
+
 def _check_row(row: Sequence[int], n: int, q: int, index: int) -> tuple[int, ...]:
     t = tuple(row)
-    if len(t) != n:
-        raise ParameterError(f"row {index} has {len(t)} entries, expected {n}")
+    _check_length(t, n, index)
     for sym in t:
         if not isinstance(sym, int) or isinstance(sym, bool) or not 0 <= sym < q:
             raise AlphabetError(f"row {index} contains symbol {sym!r} outside 0..{q - 1}")
@@ -231,7 +235,8 @@ class SymbolMatrix:
 
     Rows are a sequence, so duplicates are representable; the covering
     properties are defined on the row set and dedup is always explicit.
-    Symbols are validated at construction, never later.
+    Symbols are validated at construction, never later: by the constructor,
+    or by ``decode_row`` for the rows of ``from_strings`` and ``read_array``.
     """
 
     n: int
@@ -253,7 +258,20 @@ class SymbolMatrix:
         decoded = tuple(decode_row(text, q, where=f"row {i}") for i, text in enumerate(rows))
         if not decoded and n is None:
             raise ParameterError("empty matrix needs an explicit n")
-        return cls(n=len(decoded[0]) if n is None else n, q=q, rows=decoded)
+        return cls._decoded(len(decoded[0]) if n is None else n, q, decoded)
+
+    @classmethod
+    def _decoded(cls, n: int, q: int, rows: tuple[tuple[int, ...], ...]) -> "SymbolMatrix":
+        """The matrix of ``rows``, each returned by ``decode_row`` for this q,
+        so its symbols are already checked: only the shape and each row's
+        length are, with the constructor's messages."""
+        _check_shape(n, q)
+        for i, row in enumerate(rows):
+            _check_length(row, n, i)
+        m = object.__new__(cls)
+        for name, value in (("n", n), ("q", q), ("rows", rows)):
+            object.__setattr__(m, name, value)
+        return m
 
     @property
     def num_rows(self) -> int:

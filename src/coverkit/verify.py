@@ -3,9 +3,12 @@ cover-free properties, with concrete violation witnesses.
 
 Both verifiers enumerate every constraint:
 
-* universal: every d-subset S of columns must show all q**d patterns;
+* universal: every d-subset S of columns must show all q**d patterns. The
+  indices S shows on all rows are one sum of packed columns; where they fit
+  a byte (q**d <= 256), one ``bytes.translate`` deletes them from the q**d
+  indices and leaves the missing ones, and wider indices go into a ``set``;
 * cover-free: every disjoint pair (R, S) with |R| = r, |S| = s must have a
-  row that is all-1 on R and all-0 on S.
+  row that is all-1 on R and all-0 on S, one AND of row bitsets per pair.
 
 Edge conventions for the cover-free check: r = 0 reads the empty
 intersection as the full ground set, so the requirement becomes "some row
@@ -75,13 +78,16 @@ def _missing_universal(m: SymbolMatrix, spec: UniversalSpec) -> Iterator[Univers
     fewest that hold q**d - 1, laid out as a native array of unsigned ints.
     The pattern index of subset S on every row, sum(symbol at S[k] *
     q**(d-1-k)), is then one big-int sum of scaled columns, since no field
-    can carry into the next. Its bytes, read back as fields, are the indices
-    S shows; S is complete when they number q**d, and it misses the patterns
-    whose rank in ``product`` order is not among them. The sums over each
-    head S[:d-1] are shared across ``combinations`` order, so most subsets
-    cost one add. A subset holds O(rows) bytes, whatever q**d is. The widest
-    field holds indices below 2**32: ``_missing`` runs this only within
-    WORK_BUDGET, which charges 2**11 a pattern, so q**d <= 2**24.
+    can carry into the next; its fields are the indices S shows, and S
+    misses the patterns whose rank in ``product`` order is not among them.
+    With 1-byte fields (q**d <= 256), deleting the sum's bytes from
+    ``bytes(range(q**d))`` with one ``translate`` leaves exactly those
+    ranks, ascending. Wider fields are read back through ``memoryview.cast``
+    into a ``set``, and S is complete when it has q**d members. The sums
+    over each head S[:d-1] are shared across ``combinations`` order, so most
+    subsets cost one add. A subset holds O(rows) bytes, whatever q**d is.
+    The widest field holds indices below 2**32: ``_missing`` runs this only
+    within WORK_BUDGET, which charges 2**11 a pattern, so q**d <= 2**24.
     """
     q, n, rows, d = m.q, m.n, m.rows, spec.d
     total = q**d
@@ -91,6 +97,8 @@ def _missing_universal(m: SymbolMatrix, spec: UniversalSpec) -> Iterator[Univers
     size = len(rows) * array(code).itemsize
     columns = [int.from_bytes(array(code, col).tobytes(), order) for col in zip(*rows)]
     powers = [q**k for k in reversed(range(d))]
+    every = bytes(range(total)) if code == "B" else None
+    patterns = list(product(range(q), repeat=d)) if every else None
     # partial[k]: the sum over the current head's first k columns; a head
     # keeps those of the last head up to the first column where they differ.
     partial = [0] * d
@@ -104,7 +112,15 @@ def _missing_universal(m: SymbolMatrix, spec: UniversalSpec) -> Iterator[Univers
         last_head, base = head, partial[-1]
         # The last column of S has weight q**0.
         for j in range(head[-1] + 1 if head else 0, n):
-            shown = set(memoryview((base + columns[j]).to_bytes(size, order)).cast(code))
+            fields = (base + columns[j]).to_bytes(size, order)
+            if every:
+                missing = every.translate(None, fields)
+                if missing:
+                    S = head + (j,)
+                    for idx in missing:
+                        yield UniversalWitness(S, patterns[idx])
+                continue
+            shown = set(memoryview(fields).cast(code))
             if len(shown) < total:
                 S = head + (j,)
                 for idx, pattern in enumerate(product(range(q), repeat=d)):

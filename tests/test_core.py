@@ -118,6 +118,30 @@ class TestSymbolMatrix:
             SymbolMatrix.from_strings(rows)
         assert str(info.value) == message
 
+    @given(matrices(max_n=6, max_rows=6, qs=(2, 3, 17, 36)))
+    def test_from_strings_builds_what_the_constructor_builds(self, m):
+        # The decoded rows skip the constructor's per-symbol check.
+        built = SymbolMatrix.from_strings(m.row_strings(), q=m.q, n=m.n)
+        assert (built, hash(built), repr(built)) == (m, hash(m), repr(m))
+        with pytest.raises(AttributeError):
+            built.rows = ()
+
+    @pytest.mark.parametrize("rows, kwargs, message", [
+        (["01", "0"], {}, "row 1 has 1 entries, expected 2"),
+        (["01"], {"n": 3}, "row 0 has 2 entries, expected 3"),
+        ([""], {}, "n must be positive, got 0"),
+        (["01"], {"q": 37}, "alphabet size must be in [2, 36], got 37"),
+        (["00"], {"q": 1}, "alphabet size must be in [2, 36], got 1"),
+    ])
+    def test_from_strings_keeps_the_constructor_messages(self, rows, kwargs, message):
+        q, n = kwargs.get("q", 2), kwargs.get("n", len(rows[0]))
+        symbols = tuple(tuple(map(int, row)) for row in rows)
+        for build in (lambda: SymbolMatrix.from_strings(rows, **kwargs),
+                      lambda: SymbolMatrix(n=n, q=q, rows=symbols)):
+            with pytest.raises(ParameterError) as info:
+                build()
+            assert str(info.value) == message
+
     def test_repr_shows_eight_rows(self):
         m = SymbolMatrix.from_strings([format(i, "04b") for i in range(9)])
         assert repr(m) == (

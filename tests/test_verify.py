@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from itertools import combinations, product
 from math import comb
 
@@ -25,6 +26,7 @@ from coverkit import (
     verify_universal,
 )
 from coverkit.core import WORK_BUDGET
+from coverkit.verify import _missing_universal
 
 from test_cli import child_env
 from test_core import matrices
@@ -186,6 +188,73 @@ class TestPackedFields:
             tracemalloc.stop()
         assert verdict.witness == UniversalWitness(S, first_missing(m, S))
         assert peak < 2 * 2**20
+
+
+def reference_missing_universal(m, spec):
+    """The packed-column kernel as it was before byte fields took the
+    ``translate`` path: every field width reads a subset's indices back
+    through ``memoryview.cast`` into a ``set``, and the patterns whose rank
+    is not in it are missing. Kept as the reference the kernel must match."""
+    q, n, rows, d = m.q, m.n, m.rows, spec.d
+    total = q**d
+    code = "B" if total <= 1 << 8 else "H" if total <= 1 << 16 else "I"
+    order = sys.byteorder
+    size = len(rows) * array(code).itemsize
+    columns = [int.from_bytes(array(code, col).tobytes(), order) for col in zip(*rows)]
+    powers = [q**k for k in reversed(range(d))]
+    partial = [0] * d
+    last_head = (-1,) * (d - 1)
+    for head in combinations(range(n - 1), d - 1):
+        k = 0
+        while k < d - 2 and head[k] == last_head[k]:
+            k += 1
+        for k in range(k, d - 1):
+            partial[k + 1] = partial[k] + columns[head[k]] * powers[k]
+        last_head, base = head, partial[-1]
+        for j in range(head[-1] + 1 if head else 0, n):
+            shown = set(memoryview((base + columns[j]).to_bytes(size, order)).cast(code))
+            if len(shown) < total:
+                S = head + (j,)
+                for idx, pattern in enumerate(product(range(q), repeat=d)):
+                    if idx not in shown:
+                        yield UniversalWitness(S, pattern)
+
+
+@st.composite
+def kernel_cases(draw, q=None, d=None):
+    """(matrix, spec) with 1 to 40 rows, drawn with repeats from a pool of
+    distinct-or-not rows, so duplicate rows are common. Without a fixed
+    (q, d), q is 2..6 and q**d falls on both sides of 256."""
+    if d is None:
+        q, n = draw(st.integers(2, 6)), draw(st.integers(1, 6))
+        d = draw(st.integers(1, n))
+    else:
+        n = draw(st.integers(d, d + 2))
+    row = st.tuples(*[st.integers(0, q - 1)] * n)
+    pool = draw(st.lists(row, min_size=1, max_size=40))
+    if draw(st.booleans()):
+        pool.append((q - 1,) * n)  # shows index q**d - 1, the top of its field
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    return SymbolMatrix(n=n, q=q, rows=tuple(rows)), UniversalSpec(n, d, q)
+
+
+class TestKernelAgainstReference:
+    """The whole witness list of ``_missing_universal`` equals the set-based
+    reference's, on the 1-byte ``translate`` path and the wider ``set`` path."""
+
+    @given(kernel_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_small_alphabets(self, case):
+        m, spec = case
+        assert list(_missing_universal(m, spec)) == list(reference_missing_universal(m, spec))
+
+    @pytest.mark.parametrize("q,d", [(2, 8), (4, 4), (16, 2), (3, 6), (17, 2)])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_at_and_past_the_byte_boundary(self, q, d, data):
+        # q**d is 256, the last 1-byte field, or just past it (729, 289).
+        m, spec = data.draw(kernel_cases(q, d))
+        assert list(_missing_universal(m, spec)) == list(reference_missing_universal(m, spec))
 
 
 class TestVerifyCff:
