@@ -147,7 +147,7 @@ def read_array(text: str) -> tuple[SymbolMatrix, ArrayFileHeader]:
         if len(line) != header.n:
             raise FormatError(f"line {i}: row has {len(line)} symbols, expected n={header.n}")
         rows.append(decode_row(line, header.q, where=f"line {i}", error=FormatError))
-    return SymbolMatrix._decoded(header.n, header.q, tuple(rows)), header
+    return SymbolMatrix(header.n, header.q, tuple(rows)), header
 
 
 def save_array(path: str | Path, m: SymbolMatrix, header: ArrayFileHeader) -> None:

@@ -15,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from functools import wraps
 from math import comb, inf, log, log2
+from typing import ClassVar
 
 from .core import CffSpec, UniversalSpec
 from .errors import DomainError
-
-LOG_BASE = 2
 
 # Fields whose source formulas are asymptotic; populated ones get flagged.
 _ASYMPTOTIC_FIELDS = frozenset(
@@ -46,7 +45,7 @@ class BoundsReport:
     theorem1_target: float | None = None
     bshouty_baseline: float | None = None
     asymptotic_caveat: frozenset[str] = field(init=False)
-    log_base: int = LOG_BASE
+    log_base: ClassVar[int] = 2  # every unbased log is base 2; not a field
 
     def __post_init__(self) -> None:
         for name, value in self.populated().items():

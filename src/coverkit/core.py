@@ -3,7 +3,8 @@ and the elementary row transforms (complement, dedup).
 
 A ``SymbolMatrix`` is an N x n array over the alphabet {0, ..., q-1}. Rows
 are test vectors (ground-set elements in the cover-free reading); column j
-is the block B_j, so for q = 2 the matrix is an incidence matrix. All types
+is the block B_j, so for q = 2 the matrix is an incidence matrix. Its
+constructor is the one way to build one, and it checks every row. All types
 here are immutable; transforms return new values. This module alone owns
 the alphabet: ``CffSpec.q`` is always 2, and only ``decode_row`` and
 ``encode_row`` read and write the base-36 digits that stand for symbols.
@@ -18,10 +19,14 @@ from typing import ClassVar, Iterable, Sequence
 from .errors import AlphabetError, ParameterError, ResourceLimitError
 
 # File format and repr encode one symbol per character; q is capped where
-# the digit alphabet ends. _ENCODE maps a symbol's byte to its digit's.
+# the digit alphabet ends. _ENCODE maps a symbol's byte to its digit's,
+# _DECODE a digit's byte to its symbol's and any other byte to 255, and
+# _SYMBOLS[:q] holds the symbols below q.
 SYMBOL_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 MAX_ALPHABET = len(SYMBOL_DIGITS)
+_SYMBOLS = bytes(range(MAX_ALPHABET))
 _ENCODE = SYMBOL_DIGITS.encode().ljust(256)
+_DECODE = bytes(SYMBOL_DIGITS.find(chr(b)) & 255 for b in range(256))
 
 # In ``_work``'s units, about a bit operation of big-integer arithmetic each,
 # 2**35 is a few seconds; 2**20 more admits 2**24 patterns on a few rows.
@@ -215,14 +220,19 @@ def _check_work(spec: UniversalSpec | CffSpec, op: str, rows: int = 0) -> None:
     raise ResourceLimitError(f"estimated work of at least 2**{e} exceeds the budget of {WORK_BUDGET}")
 
 
-def _check_length(row: tuple[int, ...], n: int, index: int) -> None:
-    if len(row) != n:
-        raise ParameterError(f"row {index} has {len(row)} entries, expected {n}")
-
-
 def _check_row(row: Sequence[int], n: int, q: int, index: int) -> tuple[int, ...]:
+    """The row as a tuple of n symbols, each an int but not a bool, in 0..q-1.
+    A ``bytes`` row, or one of exact ints, passes by one ``translate``; any
+    other row is scanned symbol by symbol, naming the first bad one."""
     t = tuple(row)
-    _check_length(t, n, index)
+    if len(t) != n:
+        raise ParameterError(f"row {index} has {len(t)} entries, expected {n}")
+    try:
+        if type(row) is bytes or {int}.issuperset(map(type, t)):
+            if not (row if type(row) is bytes else bytes(t)).translate(None, _SYMBOLS[:q]):
+                return t
+    except ValueError:  # an int outside 0..255
+        pass
     for sym in t:
         if not isinstance(sym, int) or isinstance(sym, bool) or not 0 <= sym < q:
             raise AlphabetError(f"row {index} contains symbol {sym!r} outside 0..{q - 1}")
@@ -235,8 +245,8 @@ class SymbolMatrix:
 
     Rows are a sequence, so duplicates are representable; the covering
     properties are defined on the row set and dedup is always explicit.
-    Symbols are validated at construction, never later: by the constructor,
-    or by ``decode_row`` for the rows of ``from_strings`` and ``read_array``.
+    The constructor checks every row, whatever built it, and stores it as a
+    tuple of ints; nothing is checked later.
     """
 
     n: int
@@ -254,31 +264,17 @@ class SymbolMatrix:
     @classmethod
     def from_strings(cls, rows: Iterable[str], *, q: int = 2, n: int | None = None) -> "SymbolMatrix":
         """Build from digit strings like "0110" (base-36 digits for q > 10);
-        ``n`` is required only when ``rows`` is empty."""
-        decoded = tuple(decode_row(text, q, where=f"row {i}") for i, text in enumerate(rows))
-        if not decoded and n is None:
+        ``n`` is required only when ``rows`` is empty. The constructor checks
+        the shape, then decodes and checks each row in turn."""
+        texts = list(rows)
+        if not texts and n is None:
             raise ParameterError("empty matrix needs an explicit n")
-        return cls._decoded(len(decoded[0]) if n is None else n, q, decoded)
-
-    @classmethod
-    def _decoded(cls, n: int, q: int, rows: tuple[tuple[int, ...], ...]) -> "SymbolMatrix":
-        """The matrix of ``rows``, each returned by ``decode_row`` for this q,
-        so its symbols are already checked: only the shape and each row's
-        length are, with the constructor's messages."""
-        _check_shape(n, q)
-        for i, row in enumerate(rows):
-            _check_length(row, n, i)
-        m = object.__new__(cls)
-        for name, value in (("n", n), ("q", q), ("rows", rows)):
-            object.__setattr__(m, name, value)
-        return m
+        n = len(texts[0]) if n is None else n
+        return cls(n, q, (decode_row(text, q, where=f"row {i}") for i, text in enumerate(texts)))
 
     @property
     def num_rows(self) -> int:
         return len(self.rows)
-
-    def row_string(self, i: int) -> str:
-        return encode_row(self.rows[i])
 
     def row_strings(self) -> list[str]:
         return list(map(encode_row, self.rows))
@@ -290,15 +286,19 @@ class SymbolMatrix:
         return f"SymbolMatrix(n={self.n}, q={self.q}, rows[{self.num_rows}]=[{shown}])"
 
 
-def decode_row(text: str, q: int, *, where: str, error=AlphabetError) -> tuple[int, ...]:
-    """The symbols of a string of base-36 digits, decoded in C; raises ``error``,
-    after ``where``, at the first non-digit or symbol outside 0..q-1."""
-    row = tuple(map(SYMBOL_DIGITS.find, text))
-    if row and not 0 <= min(row) <= max(row) < q:
-        sym, ch = next((sym, ch) for sym, ch in zip(row, text) if not 0 <= sym < q)
-        what = f"{ch!r} is not a symbol digit" if sym < 0 else f"symbol {sym} out of range for q={q}"
-        raise error(f"{where}: {what}")
-    return row
+def decode_row(text: str, q: int, *, where: str, error=AlphabetError) -> bytes:
+    """The symbols of a string of base-36 digits, one byte each, decoded in C
+    for q <= MAX_ALPHABET; raises ``error``, after ``where``, at the first
+    non-digit or symbol outside 0..q-1."""
+    if text.isascii():
+        row = text.encode().translate(_DECODE)
+        if not row.translate(None, _SYMBOLS[:q]):
+            return row
+    for ch in text:
+        sym = SYMBOL_DIGITS.find(ch)
+        if not 0 <= sym < q:
+            what = f"{ch!r} is not a symbol digit" if sym < 0 else f"symbol {sym} out of range for q={q}"
+            raise error(f"{where}: {what}")
 
 
 def encode_row(row: Sequence[int]) -> str:

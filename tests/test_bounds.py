@@ -1,3 +1,4 @@
+import dataclasses
 from math import log2
 
 import pytest
@@ -136,6 +137,12 @@ class TestReport:
         assert list(report.populated()) == ["union_bound", "nrs", "dyachkov"]
         with pytest.raises(TypeError):
             BoundsReport(union_bound=3.0, asymptotic_caveat=frozenset())
+
+    def test_log_base_is_fixed_and_not_a_field(self):
+        assert "log_base" not in {f.name for f in dataclasses.fields(BoundsReport)}
+        assert BoundsReport(union_bound=1.0).log_base == BoundsReport.log_base == 2
+        with pytest.raises(TypeError):
+            BoundsReport(union_bound=1.0, log_base=10)
 
     def test_non_finite_bound_rejected(self):
         with pytest.raises(DomainError):

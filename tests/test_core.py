@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,56 @@ from coverkit import (
     verify_cff,
     verify_universal,
 )
-from coverkit.core import WORK_BUDGET, _check_work, _num_constraints, _work
+from coverkit.core import WORK_BUDGET, _check_work, _num_constraints, _work, decode_row
+
+
+def reference_check_row(row, n, q, index):
+    """The per-symbol rule the constructor keeps: the row as a tuple, or the
+    first error, with its message."""
+    t = tuple(row)
+    if len(t) != n:
+        raise ParameterError(f"row {index} has {len(t)} entries, expected {n}")
+    for sym in t:
+        if not isinstance(sym, int) or isinstance(sym, bool) or not 0 <= sym < q:
+            raise AlphabetError(f"row {index} contains symbol {sym!r} outside 0..{q - 1}")
+    return t
+
+
+def reference_decode_row(text, q, where):
+    """The per-character decoder: each character's index in the digits."""
+    row = tuple(map("0123456789abcdefghijklmnopqrstuvwxyz".find, text))
+    for sym, ch in zip(row, text):
+        if not 0 <= sym < q:
+            what = f"{ch!r} is not a symbol digit" if sym < 0 else f"symbol {sym} out of range for q={q}"
+            raise AlphabetError(f"{where}: {what}")
+    return row
+
+
+class Colour(enum.IntEnum):
+    RED = 0
+    GREEN = 1
+    BLUE = 40
+
+
+@st.composite
+def candidate_rows(draw):
+    """(n, q, rows): rows near length n of ints in and out of 0..q-1 and
+    past a byte, bools, IntEnum members, floats and None, as tuples and
+    lists, and as bytes and bytearrays where the symbols fit a byte."""
+    n, q = draw(st.integers(1, 6)), draw(st.integers(2, 36))
+    in_range = st.integers(0, q - 1)
+    ints = in_range | st.integers(-2, 300) | st.sampled_from((-1, q, 255, 256, 2**70))
+    anything = ints | st.booleans() | st.sampled_from(Colour) | st.floats(0, 3) | st.none()
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        length = draw(st.sampled_from((n, n, n, n - 1, n + 1)))
+        symbol = draw(st.sampled_from((in_range, ints, anything)))
+        syms = draw(st.lists(symbol, min_size=length, max_size=length))
+        kinds = [tuple, list]
+        if all(isinstance(sym, int) and 0 <= sym < 256 for sym in syms):
+            kinds += [bytes, bytearray]
+        rows.append(draw(st.sampled_from(kinds))(syms))
+    return n, q, rows
 
 
 def matrices(max_n=5, max_rows=7, qs=(2,)):
@@ -118,9 +168,57 @@ class TestSymbolMatrix:
             SymbolMatrix.from_strings(rows)
         assert str(info.value) == message
 
+    @given(candidate_rows())
+    def test_accepts_exactly_what_the_per_symbol_rule_accepts(self, case):
+        n, q, rows = case
+        try:
+            expected = tuple(reference_check_row(row, n, q, i) for i, row in enumerate(rows))
+        except (AlphabetError, ParameterError) as exc:
+            with pytest.raises(type(exc)) as info:
+                SymbolMatrix(n=n, q=q, rows=rows)
+            assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        else:
+            m = SymbolMatrix(n=n, q=q, rows=rows)
+            assert m.rows == expected
+            assert [list(map(type, row)) for row in m.rows] == [
+                list(map(type, row)) for row in expected]
+
+    def test_every_path_stores_tuples_of_exact_ints(self):
+        expected = SymbolMatrix(n=3, q=3, rows=((0, 1, 2), (2, 2, 0)))
+        for m in (SymbolMatrix.from_strings(["012", "220"], q=3),
+                  read_array("kind=raw n=3 q=3 rows=2\n012\n220\n")[0],
+                  SymbolMatrix(n=3, q=3, rows=(b"\x00\x01\x02", b"\x02\x02\x00")),
+                  SymbolMatrix(n=3, q=3, rows=(bytearray(b"\x00\x01\x02"), [2, 2, 0]))):
+            assert type(m.rows) is tuple
+            assert {type(row) for row in m.rows} == {tuple}
+            assert {type(sym) for row in m.rows for sym in row} == {int}
+            assert (m, hash(m), m.rows) == (expected, hash(expected), expected.rows)
+
+    @given(st.integers(2, 36), st.text(
+        st.sampled_from("0123456789abcdefghijklmnopqrstuvwxyzA!/:`{é\udc80\x00\xff"), max_size=8))
+    def test_decode_row_decodes_as_the_per_character_rule(self, q, text):
+        try:
+            expected = reference_decode_row(text, q, "row 3")
+        except AlphabetError as exc:
+            with pytest.raises(AlphabetError) as info:
+                decode_row(text, q, where="row 3")
+            assert str(info.value) == str(exc)
+        else:
+            assert tuple(decode_row(text, q, where="row 3")) == expected
+
+    @pytest.mark.parametrize("rows, q, message", [
+        (["01"], 1, "alphabet size must be in [2, 36], got 1"),
+        (["0!"], 37, "alphabet size must be in [2, 36], got 37"),
+        (["", "!"], 2, "n must be positive, got 0"),
+        (["01", "0", "!1"], 2, "row 1 has 1 entries, expected 2"),
+    ])
+    def test_from_strings_checks_the_shape_then_each_row_in_turn(self, rows, q, message):
+        with pytest.raises(ParameterError) as info:
+            SymbolMatrix.from_strings(rows, q=q)
+        assert type(info.value) is ParameterError and str(info.value) == message
+
     @given(matrices(max_n=6, max_rows=6, qs=(2, 3, 17, 36)))
     def test_from_strings_builds_what_the_constructor_builds(self, m):
-        # The decoded rows skip the constructor's per-symbol check.
         built = SymbolMatrix.from_strings(m.row_strings(), q=m.q, n=m.n)
         assert (built, hash(built), repr(built)) == (m, hash(m), repr(m))
         with pytest.raises(AttributeError):
