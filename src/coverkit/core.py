@@ -176,7 +176,10 @@ def _work(spec: UniversalSpec | CffSpec, op: str, rows: int) -> int:
       about R. The self-verify is checked apart.
     * "verify" of ``rows`` rows: 2**11 and 2**8 a row for each d-subset,
       and 2**11 for each of the q**d patterns; or 2**11 and 1 a row for
-      each (R, S) pair. An empty matrix is not scanned.
+      each (R, S) pair, the per-pair loop's cost. That charge still bounds
+      the cover-free scan: its packed form runs only where its own cost
+      estimate is below the loop's, and only within a memory cap. An
+      empty matrix is not scanned.
     * "search": q**n cover masks, kept and rescanned, at 2**9 a bit and
       2**14 a candidate.
     * "count": C(n, d) or C(n, r) C(n - r, s) built by ``math.comb``, of

@@ -7,7 +7,7 @@ from itertools import combinations, product
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coverkit import (
     AlphabetError,
@@ -25,8 +25,9 @@ from coverkit import (
     verify_cff,
     verify_universal,
 )
+from coverkit import verify
 from coverkit.core import WORK_BUDGET
-from coverkit.verify import _missing_universal
+from coverkit.verify import _PACKED_CAP, _missing_universal, _packed_cff, _packs, _pairwise_cff, _row_index
 
 from test_cli import child_env
 from test_core import matrices
@@ -45,6 +46,17 @@ def unmet_universal(m, d):
         for pattern in product(range(m.q), repeat=d)
         if not any(all(row[j] == p for j, p in zip(S, pattern)) for row in m.rows)
     ]
+
+
+def witnesses(groups):
+    """The witnesses of a kernel's groups, in order, after checking that each
+    group holds as many as its count says, and at least one."""
+    found = []
+    for count, group in groups:
+        group = list(group)
+        assert count == len(group) > 0
+        found += group
+    return found
 
 
 def unmet_cff(m, r, s):
@@ -246,7 +258,7 @@ class TestKernelAgainstReference:
     @settings(max_examples=200, deadline=None)
     def test_small_alphabets(self, case):
         m, spec = case
-        assert list(_missing_universal(m, spec)) == list(reference_missing_universal(m, spec))
+        assert witnesses(_missing_universal(m, spec)) == list(reference_missing_universal(m, spec))
 
     @pytest.mark.parametrize("q,d", [(2, 8), (4, 4), (16, 2), (3, 6), (17, 2)])
     @given(data=st.data())
@@ -254,7 +266,87 @@ class TestKernelAgainstReference:
     def test_at_and_past_the_byte_boundary(self, q, d, data):
         # q**d is 256, the last 1-byte field, or just past it (729, 289).
         m, spec = data.draw(kernel_cases(q, d))
-        assert list(_missing_universal(m, spec)) == list(reference_missing_universal(m, spec))
+        assert witnesses(_missing_universal(m, spec)) == list(reference_missing_universal(m, spec))
+
+
+@st.composite
+def cff_cases(draw):
+    """(matrix, r, s) with n up to 12 and any r, s with 1 <= r + s <= n,
+    rows drawn with repeats from a pool that may hold the all-0 and all-1
+    rows. The row count is often 7, 8, 15, 16, 23 or 24, where the spare bit
+    of ``_packed_cff`` ends a byte or starts the next."""
+    n = draw(st.integers(1, 12))
+    r = draw(st.integers(0, n))
+    s = draw(st.integers(0 if r else 1, n - r))
+    pool = draw(st.lists(st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=12))
+    pool += [(bit,) * n for bit in (0, 1) if draw(st.booleans())]
+    size = draw(st.sampled_from([7, 8, 15, 16, 23, 24]) | st.integers(1, 30))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    return SymbolMatrix(n=n, q=2, rows=tuple(rows)), r, s
+
+
+class TestCffForms:
+    """Both forms of the cover-free scan, each called directly, list every
+    (R, S) pair no row separates, in the definition's order, in groups whose
+    counts are right; ``_packs`` picks between them, and only on cost."""
+
+    @given(cff_cases())
+    @example((SymbolMatrix(n=6, q=2, rows=((0,) * 6,) * 8), 2, 2))  # no R has a row all-1
+    @example((SymbolMatrix(n=6, q=2, rows=((1,) * 6,) * 16), 2, 2))
+    @example((SymbolMatrix(n=12, q=2, rows=((0, 1) * 6,) * 24), 0, 3))
+    @example((SymbolMatrix(n=12, q=2, rows=((1, 0) * 6,) * 23), 4, 0))
+    @settings(max_examples=200, deadline=None)
+    def test_both_forms_match_the_definition(self, case):
+        m, r, s = case
+        index, size = _row_index(m)
+        packed = witnesses(_packed_cff(index, size, m.n, r, s))
+        assert packed == witnesses(_pairwise_cff(index, size, m.n, r, s))
+        assert packed == unmet_cff(m, r, s)
+
+    def test_the_packed_form_stays_within_its_cap(self, monkeypatch):
+        # (20, (1, 5)) has 15,504 fields. At 288 rows, 37-byte fields, the
+        # packed form is the cheaper one and its n + 7 blocks fit the cap;
+        # at 296 rows, 38-byte fields, they would not fit, and only the cap
+        # keeps it from packing.
+        spec = CffSpec(20, 1, 5)
+        for rows, packs in [(288, True), (296, False)]:
+            assert _packs(20, 1, 5, rows) == packs
+            m = random_matrix(20, 2, rows, seed=rows)
+            tracemalloc.start()
+            try:
+                count_uncovered(m, spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= _PACKED_CAP
+        monkeypatch.setattr(verify, "_PACKED_CAP", 2**30)
+        assert _packs(20, 1, 5, 296)
+
+
+class TestCountBuildsNoWitness:
+    """``count_uncovered`` sums each kernel's group counts; only reading a
+    group builds its witnesses."""
+
+    @pytest.mark.parametrize("m,spec", [
+        (random_matrix(7, 3, 5, seed=1), UniversalSpec(7, 3, 3)),  # 1-byte fields
+        (random_matrix(5, 7, 9, seed=2), UniversalSpec(5, 3, 7)),  # 2-byte fields
+        (random_matrix(12, 2, 9, seed=3), CffSpec(12, 2, 2)),  # packed
+        (random_matrix(10, 2, 40, seed=4), CffSpec(10, 7, 3)),  # per pair
+    ])
+    def test_counts_without_witnesses(self, m, spec, monkeypatch):
+        if isinstance(spec, UniversalSpec):
+            expected = unmet_universal(m, spec.d)
+        else:
+            expected = unmet_cff(m, spec.r, spec.s)
+            assert _packs(spec.n, spec.r, spec.s, m.num_rows) == (spec.r == 2)
+        assert expected
+
+        def refuse(*args):
+            raise AssertionError("a count built a witness")
+
+        monkeypatch.setattr(verify, "UniversalWitness", refuse)
+        monkeypatch.setattr(verify, "CffWitness", refuse)
+        assert count_uncovered(m, spec) == len(expected)
 
 
 class TestVerifyCff:
