@@ -55,8 +55,8 @@ class BoundsReport:
         object.__setattr__(self, "asymptotic_caveat", flagged)
 
     def populated(self) -> dict[str, float]:
-        """The bound fields that are set, in declaration order."""
-        bounds = (f.name for f in fields(self) if f.type == "float | None")
+        """The bound fields, the constructor's, that are set, in declaration order."""
+        bounds = (f.name for f in fields(self) if f.init)
         return {name: getattr(self, name) for name in bounds if getattr(self, name) is not None}
 
 

@@ -173,7 +173,8 @@ def _work(spec: UniversalSpec | CffSpec, op: str, rows: int) -> int:
     * "construct": n q M index bits, built in 2**11 (an interpreter step)
       per column and d-subset or R, and a pass over them for each of
       max(R, ``rows``) rows; a Las Vegas run takes at least its batch, and
-      about R. The self-verify is checked apart.
+      about R, and draws and records each of its ``rows`` at 2**11 a
+      column and 15 * 2**11 a row. The self-verify is checked apart.
     * "verify" of ``rows`` rows: 2**11 and 2**8 a row for each d-subset,
       and 2**11 for each of the q**d patterns; or 2**11 and 1 a row for
       each (R, S) pair, the per-pair loop's cost. That charge still bounds
@@ -199,7 +200,7 @@ def _work(spec: UniversalSpec | CffSpec, op: str, rows: int) -> int:
         return q**n * (m + 2**5) << 9
     bound = universal_greedy_size_bound(spec) if universal else derandomized_size_bound(spec)
     subsets = comb(n, d if universal else spec.r)
-    return ((max(rows, bound) + 1) * q * m + (subsets << 11)) * n
+    return ((max(rows, bound) + 1) * q * m + (subsets << 11)) * n + (rows * (n + 15) << 11)
 
 
 def _check_work(spec: UniversalSpec | CffSpec, op: str, rows: int = 0) -> None:

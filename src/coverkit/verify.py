@@ -10,9 +10,10 @@ Both verifiers enumerate every constraint:
 * cover-free: every disjoint pair (R, S) with |R| = r, |S| = s must have a
   row that is all-1 on R and all-0 on S. Where a cost estimate on (n, r,
   s, rows) favours it and its memory fits a cap, every S of one R is
-  checked in a few big-int operations over one packed field per s-subset;
+  counted in a few big-int operations over one packed field per s-subset;
   otherwise, on wide rows or where C(n, s) far outnumbers the C(n - r, s)
-  pairs of one R, by one AND of row bitsets per pair.
+  pairs of one R, by one AND of row bitsets per pair. Either form lists a
+  failing R's witnesses pair by pair, by that AND.
 
 A count sums how many constraints each subset or R misses; only a verdict
 builds a witness.
@@ -33,10 +34,9 @@ import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, compress, product, repeat
+from itertools import combinations, product, repeat
 from math import comb
-from operator import not_
-from typing import Iterable, Iterator, Literal, Union
+from typing import Container, Iterable, Iterator, Literal, Union
 
 from .core import MAX_ALPHABET, CffSpec, SymbolMatrix, UniversalSpec, _check_work, _num_constraints
 from .errors import AlphabetError, ParameterError
@@ -95,11 +95,11 @@ def _missing_universal(m: SymbolMatrix, spec: UniversalSpec) -> Iterator[Missed]
     misses the patterns whose rank in ``product`` order is not among them.
     With 1-byte fields (q**d <= 256), deleting the sum's bytes from
     ``bytes(range(q**d))`` with one ``translate`` leaves exactly those
-    ranks, ascending. Wider fields are read back through ``memoryview.cast``
-    into a ``set``, and S misses q**d less its size. Either way a count
-    builds no witness. The sums over each head S[:d-1] are shared across
-    ``combinations`` order, so most subsets cost one add. A subset holds
-    O(rows) bytes, whatever q**d is.
+    ranks. Wider fields are read back through ``memoryview.cast`` into a
+    ``set``, and S misses q**d less its size. A count builds no witness;
+    ``_unshown`` lists S's from the bytes or the set. The sums over each
+    head S[:d-1] are shared across ``combinations`` order, so most subsets
+    cost one add. A subset holds O(rows) bytes, whatever q**d is.
     The widest field holds indices below 2**32: ``_missing`` runs this only
     within WORK_BUDGET, which charges 2**11 a pattern, so q**d <= 2**24.
     """
@@ -112,7 +112,6 @@ def _missing_universal(m: SymbolMatrix, spec: UniversalSpec) -> Iterator[Missed]
     columns = [int.from_bytes(array(code, col).tobytes(), order) for col in zip(*rows)]
     powers = [q**k for k in reversed(range(d))]
     every = bytes(range(total)) if code == "B" else None
-    patterns = list(product(range(q), repeat=d)) if every else None
     # partial[k]: the sum over the current head's first k columns; a head
     # keeps those of the last head up to the first column where they differ.
     partial = [0] * d
@@ -130,16 +129,14 @@ def _missing_universal(m: SymbolMatrix, spec: UniversalSpec) -> Iterator[Missed]
             if every:
                 missing = every.translate(None, fields)
                 if missing:
-                    yield len(missing), map(
-                        UniversalWitness, repeat(head + (j,)), map(patterns.__getitem__, missing)
-                    )
+                    yield len(missing), _unshown(head + (j,), q, fields)
                 continue
             shown = set(memoryview(fields).cast(code))
             if len(shown) < total:
                 yield total - len(shown), _unshown(head + (j,), q, shown)
 
 
-def _unshown(S: tuple[int, ...], q: int, shown: set[int]) -> Iterator[UniversalWitness]:
+def _unshown(S: tuple[int, ...], q: int, shown: Container[int]) -> Iterator[UniversalWitness]:
     """The witnesses of the patterns on ``S`` whose rank is not in ``shown``."""
     for idx, pattern in enumerate(product(range(q), repeat=len(S))):
         if idx not in shown:
@@ -256,15 +253,22 @@ def _pairwise_cff(index: list[list[int]], size: int, n: int, r: int, s: int) -> 
     a group of its own, so a verdict stops at the first."""
     full = (1 << size) - 1
     for R in combinations(range(n), r):
-        on_R = full
-        for j in R:
-            on_R &= index[j][1]
-        for S in combinations([j for j in range(n) if j not in R], s):
-            separated = on_R
-            for j in S:
-                separated &= index[j][0]
-            if not separated:
-                yield 1, map(CffWitness, (R,), (S,))
+        for S in _unseparated(index, full, n, R, s):
+            yield 1, map(CffWitness, (R,), (S,))
+
+
+def _unseparated(index: list[list[int]], full: int, n: int, R: tuple, s: int) -> Iterator[tuple]:
+    """The s-subsets S outside R, in ``combinations`` order, that no row
+    separates from R: the AND of R's rows all-1 and S's rows all-0 is empty."""
+    on_R = full
+    for j in R:
+        on_R &= index[j][1]
+    for S in combinations([j for j in range(n) if j not in R], s):
+        separated = on_R
+        for j in S:
+            separated &= index[j][0]
+        if not separated:
+            yield S
 
 
 def _packed_cff(index: list[list[int]], size: int, n: int, r: int, s: int) -> Iterator[Missed]:
@@ -277,10 +281,9 @@ def _packed_cff(index: list[list[int]], size: int, n: int, r: int, s: int) -> It
     in each field the rows that separate (R, S); adding 2**size - 1 to every
     field carries into the spare bit exactly where one is left, and no field
     carries into the next. A field whose S meets R is always empty, so R
-    misses C(n - r, s) less the spare bits set. Only an R that misses any is
-    decoded, and only when its witnesses are read: the empty fields in
-    ascending order, less those that meet R. At most n + 6 ints of the
-    block's size are alive at once.
+    misses C(n - r, s) less the spare bits set; its witnesses are listed by
+    ``_unseparated`` once they are read. At most n + 6 ints of the block's
+    size are alive at once.
     """
     width = size // 8 + 1
     full = (1 << size) - 1
@@ -306,17 +309,7 @@ def _packed_cff(index: list[list[int]], size: int, n: int, r: int, s: int) -> It
         met = (met + fill) & spare
         missed = pairs - met.bit_count()
         if missed:
-            yield missed, _unmet(R, met, n, s, width)
-
-
-def _unmet(R: tuple[int, ...], met: int, n: int, s: int, width: int) -> Iterator[CffWitness]:
-    """The witnesses (R, S) of the fields of ``_packed_cff`` whose spare bit,
-    in the last byte of each, is clear in ``met``, less those whose S meets
-    R, in field order. A generator, so nothing is decoded until the first
-    is read."""
-    spares = met.to_bytes(comb(n, s) * width, "little")[width - 1 :: width]
-    empty = compress(combinations(range(n), s), map(not_, spares))
-    yield from map(CffWitness, repeat(R), filter(set(R).isdisjoint, empty))
+            yield missed, map(CffWitness, repeat(R), _unseparated(index, full, n, R, s))
 
 
 def _missing(m: SymbolMatrix, spec: UniversalSpec | CffSpec) -> Iterator[Missed]:
@@ -328,7 +321,7 @@ def _missing(m: SymbolMatrix, spec: UniversalSpec | CffSpec) -> Iterator[Missed]
     _check_work(spec, "verify", m.num_rows)
     if isinstance(spec, UniversalSpec):
         scan = _missing_universal
-        first = (UniversalWitness(tuple(range(d)), (0,) * d) for d in [spec.d])
+        first = _unshown(tuple(range(spec.d)), spec.q, ())
     else:
         scan = _missing_cff
         first = (CffWitness(tuple(range(r)), tuple(range(r, spec.d))) for r in [spec.r])

@@ -1,5 +1,7 @@
 import dataclasses
 import enum
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,8 @@ from coverkit import (
     verify_universal,
 )
 from coverkit.core import WORK_BUDGET, _check_work, _num_constraints, _work, decode_row
+
+from test_cli import child_env
 
 
 def reference_check_row(row, n, q, index):
@@ -464,6 +468,29 @@ class TestWork:
         # a constant-row family of 67,863,915 constraints, refused by its
         # one-row self-verify
         assert not admitted(CffSpec(29, 0, 13), "verify", 1)
+        # a Las Vegas batch of 10**8 rows; 10**6 took 4.3 s and 172 MB
+        assert not admitted(CffSpec(4, 1, 1), "construct", 10**8)
+
+    def test_a_huge_las_vegas_batch_is_refused_at_once(self):
+        # 10**8 rows would take minutes and some 15 GB, so each call runs in
+        # a child with 1 GiB of address space, through both entry points.
+        code = (
+            "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "import time\n"
+            "from coverkit import CffSpec, ResourceLimitError, build_universal_lemma1\n"
+            "from coverkit import construct_cff_randomized\n"
+            "for call in (lambda: construct_cff_randomized(CffSpec(4, 1, 1), seed=0, batch=10**8),\n"
+            "             lambda: build_universal_lemma1(4, 2, 'randomized', batch=10**8)):\n"
+            "    started = time.perf_counter()\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ResourceLimitError:\n"
+            "        print(time.perf_counter() - started < 1.0)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=30
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, "True\nTrue\n", "")
 
     def test_charges_a_count_by_the_square_of_its_bits(self):
         # C(N, N / 2) took 0.19, 0.67 and 2.2 s to build at N = 10**5,

@@ -303,6 +303,17 @@ class TestCffForms:
         assert packed == witnesses(_pairwise_cff(index, size, m.n, r, s))
         assert packed == unmet_cff(m, r, s)
 
+    def test_both_forms_list_alike_where_the_packed_form_runs(self):
+        # (20, (1, 5)) at 288 rows: 15,504 fields of 37 bytes, which _packs
+        # picks, and 2,201 pairs no row separates.
+        m = random_matrix(20, 2, 288, seed=288)
+        assert _packs(20, 1, 5, 288)
+        index, size = _row_index(m)
+        pairwise = witnesses(_pairwise_cff(index, size, 20, 1, 5))
+        assert witnesses(_packed_cff(index, size, 20, 1, 5)) == pairwise
+        assert len(pairwise) == count_uncovered(m, CffSpec(20, 1, 5)) == 2201
+        assert verify_cff(m, 1, 5).witness == pairwise[0]
+
     def test_the_packed_form_stays_within_its_cap(self, monkeypatch):
         # (20, (1, 5)) has 15,504 fields. At 288 rows, 37-byte fields, the
         # packed form is the cheaper one and its n + 7 blocks fit the cap;
