@@ -175,12 +175,13 @@ def _work(spec: UniversalSpec | CffSpec, op: str, rows: int) -> int:
       max(R, ``rows``) rows; a Las Vegas run takes at least its batch, and
       about R, and draws and records each of its ``rows`` at 2**11 a
       column and 15 * 2**11 a row. The self-verify is checked apart.
-    * "verify" of ``rows`` rows: 2**11 and 2**8 a row for each d-subset,
-      and 2**11 for each of the q**d patterns; or 2**11 and 1 a row for
-      each (R, S) pair, the per-pair loop's cost. That charge still bounds
-      the cover-free scan: its packed form runs only where its own cost
-      estimate is below the loop's, and only within a memory cap. An
-      empty matrix is not scanned.
+    * "verify" of ``rows`` rows: 2**14 and 2**8 a row for each d-subset
+      (its ``to_bytes``, ``translate`` and yield take about 1 us even at
+      one row), and 2**11 for each of the q**d patterns; or 2**11 and 1 a
+      row for each (R, S) pair, the per-pair loop's cost. That charge
+      still bounds the cover-free scan: its packed form runs only where
+      its own cost estimate is below the loop's, and only within a memory
+      cap. An empty matrix is not scanned.
     * "search": q**n cover masks, kept and rescanned, at 2**9 a bit and
       2**14 a candidate.
     * "count": C(n, d) or C(n, r) C(n - r, s) built by ``math.comb``, of
@@ -192,7 +193,7 @@ def _work(spec: UniversalSpec | CffSpec, op: str, rows: int) -> int:
     if op == "count":
         return (_binomial_exponent(spec) * n.bit_length()) ** 2 >> 9
     if op == "verify" and universal:
-        return ((comb(n, d) * (rows + 8) if rows else 0) + 8 * spec.q**d) << 8
+        return ((comb(n, d) * (rows + 2**6) if rows else 0) + 8 * spec.q**d) << 8
     if op == "verify":
         return _num_constraints(spec) * (rows + 2**11) if rows else 0
     q, m = spec.q, _num_constraints(spec)

@@ -38,6 +38,11 @@ Each candidate scanned costs a node, as does each search node, each of the
 q**n cover masks and each later scan of them: ``SearchOutcome.nodes`` counts
 nodes plus scanned candidates, so ``node_limit`` bounds the search's time.
 
+The tables these prunes read come from ``_scan_tables``, which takes a
+Python step per constraint or per run of equal entries, and one
+comprehension over the candidates; a non-final row's scan counts its nodes
+from the candidate index. Neither changes a count.
+
 A search either returns the exact minimum with a certificate, proves the
 minimum exceeds ``max_rows``, or aborts cleanly when the node budget runs
 out or the work budget refuses its masks. It never returns a wrong answer.
@@ -47,6 +52,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 from typing import Literal
 
 from .core import CffSpec, SymbolMatrix, UniversalSpec, _check_work
@@ -93,11 +99,87 @@ class _OutOfNodes(Exception):
     pass
 
 
+def _scan_tables(
+    spec: UniversalSpec | CffSpec,
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """(cover, suffix_or, suffix_max, last) over the q**n candidate rows of
+    ``spec``, in ``product`` order: bit c of cover[i] is set when candidate
+    i meets the c-th constraint the verifier scans, suffix_or[i] and
+    suffix_max[i] are the union and the largest bit count of cover[i:]
+    (both 0 at i = q**n), and last[c] is the last candidate meeting
+    constraint c.
+
+    No step is taken per candidate in Python but for one comprehension. A
+    cover mask is the AND of a mask of the first n // 2 columns and one of
+    the rest, so the comprehension pairs two lists of about q**(n/2) masks.
+    last[c] holds the symbol c requires at each column it constrains and
+    q - 1 at every other, so it costs a step per requirement. suffix_or
+    changes only at a last cover, and suffix_max only where a candidate's
+    bit count beats every later one (found by ``dict.fromkeys`` and
+    ``list.index`` on the counts, taken from the end), so both are filled
+    a run at a time, with one int shared per run.
+    """
+    n, q = spec.n, spec.q
+    index, size = _constraint_index(spec)
+    full = (1 << size) - 1
+
+    def masks(columns: list[list[int]]) -> list[int]:
+        out = [full]
+        for sets in columns:
+            rest = full & ~sum(sets)
+            allowed = [rest | held for held in sets]
+            out = [mask & extra for mask in out for extra in allowed]
+        return out
+
+    tails = masks(index[n // 2:])
+    cover = [head & tail for head in masks(index[: n // 2]) for tail in tails]
+    count = len(cover)
+
+    last = [count - 1] * size
+    for j, sets in enumerate(index):
+        for c, held in enumerate(sets[:-1]):
+            drop = (q - 1 - c) * q ** (n - 1 - j)
+            # The bits of held, lowest first, as bytes that are 0 where clear.
+            for k in compress(range(size), format(held, "b")[::-1].encode().replace(b"0", b"\0")):
+                last[k] -= drop
+
+    def filled(runs: list[tuple[int, int]]) -> list[int]:
+        """The table holding each value up to its run's last index."""
+        table, start = [], 0
+        for i, value in runs:
+            table += [value] * (i + 1 - start)
+            start = i + 1
+        return table + [0] * (count + 1 - start)
+
+    # Walking back from the end, suffix_or grows at each last cover, and
+    # suffix_max where a bit count first seen beats every count seen before.
+    runs, live = [], 0
+    for i in sorted(set(last), reverse=True):
+        live |= cover[i]
+        runs.append((i, live))
+    suffix_or = filled(runs[::-1])
+    back = list(map(int.bit_count, reversed(cover)))
+    runs, k = [], 0
+    for bits in dict.fromkeys(back):
+        if not runs or bits > runs[-1][1]:
+            k = back.index(bits, k)
+            runs.append((count - 1 - k, bits))
+    suffix_max = filled(runs[::-1])
+    return cover, suffix_or, suffix_max, last
+
+
 def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> SearchOutcome:
     """Search the q**n candidate rows, in ``product`` order, for the fewest
     meeting every constraint of ``spec``. Bit i of a cover mask is the i-th
     constraint the verifier scans; bit n-2-j of a column-pair mask stands
-    for columns (j, j+1)."""
+    for columns (j, j+1).
+
+    A non-final row's scan counts its nodes from the candidate index, which
+    saves an add and a test on each candidate, most of them skipped at once.
+    It tests the budget before each child and at the scan's end: a budget
+    that runs out mid-scan is caught at the end, no more than q**n <=
+    node_limit candidates late, with the same outcome.
+    """
     n, q, limit = spec.n, spec.q, budget.node_limit
     try:
         _check_work(spec, "search")
@@ -106,13 +188,9 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
     count = nodes = q**n
     if nodes > limit:
         return SearchOutcome("budget_exceeded", nodes=limit + 1)
-    index, num_constraints = _constraint_index(spec)
+    cover, suffix_or, suffix_max, max_row_for = _scan_tables(spec)
+    num_constraints = len(max_row_for)
     full = (1 << num_constraints) - 1
-    cover = [full]
-    for sets in index:
-        rest = full & ~sum(sets)
-        allowed = [rest | held for held in sets]
-        cover = [mask & extra for mask in cover for extra in allowed]
     # The column pairs where candidate i decreases (dec) or is equal (eq).
     # For q = 2 they are (i >> 1) & ~i and ~(i ^ (i >> 1)), computed inline.
     dec = eq = None
@@ -122,22 +200,6 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
             dec = [pairs << 1 | (i % q > c) for i, pairs in enumerate(dec) for c in range(q)]
             eq = [pairs << 1 | (i % q == c) for i, pairs in enumerate(eq) for c in range(q)]
 
-    suffix_or = [0] * (count + 1)
-    suffix_max = [0] * (count + 1)
-    for i in range(count - 1, -1, -1):
-        suffix_or[i] = suffix_or[i + 1] | cover[i]
-        pc = cover[i].bit_count()
-        suffix_max[i] = pc if pc > suffix_max[i + 1] else suffix_max[i + 1]
-
-    # A constraint's last cover is the candidate past which the suffix ORs
-    # no longer hold it.
-    max_row_for = [0] * num_constraints
-    for i in range(count):
-        ends = suffix_or[i] & ~suffix_or[i + 1]
-        while ends:
-            low = ends & -ends
-            max_row_for[low.bit_length() - 1] = i
-            ends ^= low
     # covers_of[c]: the candidates covering constraint c, in order, built
     # when the final-row loop first needs them.
     covers_of: dict[int, list[int]] = {}
@@ -183,10 +245,9 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
                 raise _OutOfNodes
             return False
         hi, need = max_row_for[first], uncovered.bit_count()
+        # Scanning candidate i brings nodes to base + i + 1.
+        base = nodes - last
         for i in range(last, hi + 1):
-            nodes += 1
-            if nodes > limit:
-                raise _OutOfNodes
             if tied & (dec[i] if dec else (i >> 1) & ~i):
                 continue
             newly = cover[i] & uncovered
@@ -194,11 +255,18 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
                 continue
             if need - newly.bit_count() > (rows_left - 1) * suffix_max[i]:
                 continue
+            nodes = base + i + 1
+            if nodes > limit:
+                raise _OutOfNodes
             chosen.append(i)
             if dfs(i, uncovered & ~cover[i], rows_left - 1,
                    tied & (eq[i] if eq else ~(i ^ (i >> 1)))):
                 return True
             chosen.pop()
+            base = nodes - i - 1
+        nodes = base + hi + 1
+        if nodes > limit:
+            raise _OutOfNodes
         return False
 
     # Universal sets start from the all-zero row, candidate 0.

@@ -2,6 +2,7 @@ import dataclasses
 import enum
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from coverkit import (
     build_universal_lemma1,
     complement,
     construct_cff_sperner,
+    count_uncovered,
     dedup_rows,
     read_array,
     verify_cff,
@@ -491,6 +493,16 @@ class TestWork:
             [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=30
         )
         assert (result.returncode, result.stdout, result.stderr) == (0, "True\nTrue\n", "")
+
+    def test_a_one_row_universal_count_is_charged_per_subset(self):
+        # At one row each of the C(33, 8) subsets costs about 1.7 us to
+        # count whatever the rows: 25 s when it was admitted at 0.93.
+        spec, m = UniversalSpec(33, 8, 2), SymbolMatrix(n=33, q=2, rows=((0,) * 33,))
+        assert not admitted(spec, "verify", 1)
+        started = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            count_uncovered(m, spec)
+        assert time.perf_counter() - started < 1.0
 
     def test_charges_a_count_by_the_square_of_its_bits(self):
         # C(N, N / 2) took 0.19, 0.67 and 2.2 s to build at N = 10**5,

@@ -1,7 +1,9 @@
 import hashlib
 import time
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coverkit import (
     CffSpec,
@@ -18,6 +20,8 @@ from coverkit import (
     verify_cff,
     verify_universal,
 )
+from coverkit.oracle import _scan_tables
+from coverkit.verify import _constraint_index
 
 
 class TestMinimalUniversal:
@@ -68,6 +72,20 @@ class TestMinimalUniversal:
         )
         assert time.perf_counter() - started < 1.0
         assert (outcome.status, outcome.nodes) == ("budget_exceeded", 20001)
+
+    def test_the_scan_tables_keep_one_int_per_run(self):
+        # The cover masks take about 6.5 MB; a suffix union per candidate
+        # would take as much again.
+        tracemalloc.start()
+        try:
+            outcome = minimal_universal_size(
+                UniversalSpec(14, 3), SearchBudget(max_rows=8, node_limit=20000)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (outcome.status, outcome.nodes) == ("budget_exceeded", 20001)
+        assert peak < 10 * 2**20
 
 
 class TestMinimalCff:
@@ -134,6 +152,53 @@ class TestSandwich:
         assert outcome.found
         built, _ = construct_universal_greedy(spec)
         assert outcome.size <= built.num_rows <= universal_greedy_size_bound(spec)
+
+
+def reference_tables(spec):
+    """(cover, suffix_or, suffix_max, last) by the per-candidate loops: the
+    masks a column at a time, the suffix tables a candidate at a time from
+    the end, and a constraint's last cover where the suffix unions drop it."""
+    index, size = _constraint_index(spec)
+    full = (1 << size) - 1
+    cover = [full]
+    for sets in index:
+        rest = full & ~sum(sets)
+        allowed = [rest | held for held in sets]
+        cover = [mask & extra for mask in cover for extra in allowed]
+    count = len(cover)
+    suffix_or, suffix_max = [0] * (count + 1), [0] * (count + 1)
+    for i in range(count - 1, -1, -1):
+        suffix_or[i] = suffix_or[i + 1] | cover[i]
+        suffix_max[i] = max(suffix_max[i + 1], cover[i].bit_count())
+    last = [0] * size
+    for i in range(count):
+        ends = suffix_or[i] & ~suffix_or[i + 1]
+        while ends:
+            low = ends & -ends
+            last[low.bit_length() - 1] = i
+            ends ^= low
+    return cover, suffix_or, suffix_max, last
+
+
+@st.composite
+def table_specs(draw):
+    """Universal specs with n <= 7 at q = 2 and 3, and cover-free specs with
+    n <= 8, r = 0 and s = 0 included."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 7))
+        return UniversalSpec(n, draw(st.integers(1, n)), draw(st.sampled_from((2, 3))))
+    n = draw(st.integers(1, 8))
+    r = draw(st.integers(0, n))
+    return CffSpec(n, r, draw(st.integers(1 if r == 0 else 0, n - r)))
+
+
+@given(table_specs())
+@settings(deadline=None)
+def test_the_scan_tables_match_the_per_candidate_loops(spec):
+    cover, suffix_or, suffix_max, last = reference_tables(spec)
+    assert _scan_tables(spec) == (cover, suffix_or, suffix_max, last)
+    for c, i in enumerate(last):
+        assert cover[i] >> c & 1 and not suffix_or[i + 1] >> c & 1, c
 
 
 def certificate_sha(m):
