@@ -133,7 +133,7 @@ def _greedy_cover(
     W = sum(weights). Each constraint has an exact numerator, over W**k for
     k requirements, of the chance the current row meets it: 0 once an
     earlier row met it or a decided symbol conflicts. Column j takes the
-    symbol c with the largest gain tally // weights[c] * W (tally sums the
+    symbol c with the largest gain tally // weights[c] (tally sums the
     numerators requiring c at j), ties to the smallest; the division is
     exact, since each of those numerators still has the factor weights[c].
 
@@ -181,7 +181,7 @@ def _greedy_cover(
             best, best_gain = 0, -1
             for c, members in enumerate(sets):
                 tally = sum(v * (s & members).bit_count() for v, s in groups.items())
-                gain = tally // weights[c] * total
+                gain = tally // weights[c]
                 if gain > best_gain:
                     best, best_gain = c, gain
             row.append(best)

@@ -40,8 +40,9 @@ nodes plus scanned candidates, so ``node_limit`` bounds the search's time.
 
 The tables these prunes read come from ``_scan_tables``, which takes a
 Python step per constraint or per run of equal entries, and one
-comprehension over the candidates; a non-final row's scan counts its nodes
-from the candidate index. Neither changes a count.
+comprehension over the candidates (for q > 2, ``_tie_table`` adds one per
+column for the column pairs); a non-final row's scan counts its nodes from
+the candidate index. Neither changes a count.
 
 A search either returns the exact minimum with a certificate, proves the
 minimum exceeds ``max_rows``, or aborts cleanly when the node budget runs
@@ -168,11 +169,23 @@ def _scan_tables(
     return cover, suffix_or, suffix_max, last
 
 
+def _tie_table(n: int, q: int) -> list[int]:
+    """The column-pair masks of the q**n candidates, in ``product`` order:
+    bit n-2-j of ties[i] is set when candidate i decreases columns (j, j+1),
+    and bit 2n-3-j when it keeps them equal. Each column's comprehension
+    sets the bits of its pair with the column before."""
+    ties = [0] * q
+    for _ in range(n - 1):
+        ties = [t << 1 | (i % q > c) | (i % q == c) << n - 1
+                for i, t in enumerate(ties) for c in range(q)]
+    return ties
+
+
 def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> SearchOutcome:
     """Search the q**n candidate rows, in ``product`` order, for the fewest
     meeting every constraint of ``spec``. Bit i of a cover mask is the i-th
     constraint the verifier scans; bit n-2-j of a column-pair mask stands
-    for columns (j, j+1).
+    for columns (j, j+1); for q > 2 they come from ``_tie_table``.
 
     A non-final row's scan counts its nodes from the candidate index, which
     saves an add and a test on each candidate, most of them skipped at once.
@@ -191,14 +204,8 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
     cover, suffix_or, suffix_max, max_row_for = _scan_tables(spec)
     num_constraints = len(max_row_for)
     full = (1 << num_constraints) - 1
-    # The column pairs where candidate i decreases (dec) or is equal (eq).
-    # For q = 2 they are (i >> 1) & ~i and ~(i ^ (i >> 1)), computed inline.
-    dec = eq = None
-    if q > 2:
-        dec = eq = [0] * q
-        for _ in range(n - 1):
-            dec = [pairs << 1 | (i % q > c) for i, pairs in enumerate(dec) for c in range(q)]
-            eq = [pairs << 1 | (i % q == c) for i, pairs in enumerate(eq) for c in range(q)]
+    # For q = 2 the column-pair masks are (i >> 1) & ~i and ~(i ^ (i >> 1)).
+    ties = _tie_table(n, q) if q > 2 else None
 
     # covers_of[c]: the candidates covering constraint c, in order, built
     # when the final-row loop first needs them.
@@ -236,7 +243,7 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
             stop = min(len(covers), lo + limit - nodes)
             for k in range(lo, stop):
                 i = covers[k]
-                if uncovered & ~cover[i] == 0 and not tied & (dec[i] if dec else (i >> 1) & ~i):
+                if uncovered & ~cover[i] == 0 and not tied & (ties[i] if ties else (i >> 1) & ~i):
                     nodes += k + 1 - lo
                     chosen.append(i)
                     return True
@@ -248,7 +255,7 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
         # Scanning candidate i brings nodes to base + i + 1.
         base = nodes - last
         for i in range(last, hi + 1):
-            if tied & (dec[i] if dec else (i >> 1) & ~i):
+            if tied & (ties[i] if ties else (i >> 1) & ~i):
                 continue
             newly = cover[i] & uncovered
             if not newly:
@@ -260,7 +267,7 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
                 raise _OutOfNodes
             chosen.append(i)
             if dfs(i, uncovered & ~cover[i], rows_left - 1,
-                   tied & (eq[i] if eq else ~(i ^ (i >> 1)))):
+                   tied & (ties[i] >> n - 1 if ties else ~(i ^ (i >> 1)))):
                 return True
             chosen.pop()
             base = nodes - i - 1

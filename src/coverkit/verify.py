@@ -301,12 +301,14 @@ def _packed_cff(index: list[list[int]], size: int, n: int, r: int, s: int) -> It
     fill = spare - (spare >> size)
     pairs = comb(n - r, s)
     for R in combinations(range(n), r):
-        # met holds the rows that separate, then the spare bits of the
-        # fields that have any; one name keeps n + 6 blocks the most alive.
-        met = block
+        # sep: the rows that separate, plus 2**size - 1 per field; met: the
+        # spare bits that carried. The last R's met is freed only once this
+        # R's is built, so its pages are not handed back and faulted in again.
+        sep = block
         for j in R:
-            met &= ones[j]
-        met = (met + fill) & spare
+            sep &= ones[j]
+        sep += fill
+        met = sep & spare
         missed = pairs - met.bit_count()
         if missed:
             yield missed, map(CffWitness, repeat(R), _unseparated(index, full, n, R, s))

@@ -20,7 +20,7 @@ from coverkit import (
     verify_cff,
     verify_universal,
 )
-from coverkit.oracle import _scan_tables
+from coverkit.oracle import _scan_tables, _tie_table
 from coverkit.verify import _constraint_index
 
 
@@ -199,6 +199,26 @@ def test_the_scan_tables_match_the_per_candidate_loops(spec):
     assert _scan_tables(spec) == (cover, suffix_or, suffix_max, last)
     for c, i in enumerate(last):
         assert cover[i] >> c & 1 and not suffix_or[i + 1] >> c & 1, c
+
+
+def reference_pairs(n, q):
+    """(dec, eq) by the per-column loops: bit n-2-j of dec[i] is set when
+    candidate i decreases columns (j, j+1), and of eq[i] when it keeps them
+    equal."""
+    dec = eq = [0] * q
+    for _ in range(n - 1):
+        dec = [pairs << 1 | (i % q > c) for i, pairs in enumerate(dec) for c in range(q)]
+        eq = [pairs << 1 | (i % q == c) for i, pairs in enumerate(eq) for c in range(q)]
+    return dec, eq
+
+
+@given(st.integers(1, 7), st.integers(3, 5))
+@settings(deadline=None)
+def test_the_tie_table_matches_the_per_column_loops(n, q):
+    dec, eq = reference_pairs(n, q)
+    ties = _tie_table(n, q)
+    assert [t & (1 << n - 1) - 1 for t in ties] == dec
+    assert [t >> n - 1 for t in ties] == eq
 
 
 def certificate_sha(m):
