@@ -128,11 +128,8 @@ def read_array(text: str) -> tuple[SymbolMatrix, ArrayFileHeader]:
     """Parse a document; inverse of write_array on valid input."""
     if not text.endswith("\n"):
         raise FormatError("end of input: missing trailing newline")
-    lines = text.split("\n")
-    assert lines[-1] == ""
-    lines.pop()
-    header = _parse_header_line(lines[0])
-    body = lines[1:]
+    first, *body = text[:-1].split("\n")
+    header = _parse_header_line(first)
     if len(body) < header.rows:
         raise FormatError(
             f"end of input: header declares rows={header.rows} but found {len(body)} row lines"
@@ -154,7 +151,7 @@ def save_array(path: str | Path, m: SymbolMatrix, header: ArrayFileHeader) -> No
     """Write a document atomically (temp file in place, then rename)."""
     target = Path(path)
     text = write_array(m, header)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)

@@ -218,7 +218,7 @@ def _constant_row_family(spec: CffSpec) -> tuple[SymbolMatrix, GreedyTrace]:
     """Closed form for r = 0 (all-zero row) and s = 0 (all-one row)."""
     bit = 0 if spec.r == 0 else 1
     row = (bit,) * spec.n
-    m = SymbolMatrix(n=spec.n, q=2, rows=(row,))
+    m = SymbolMatrix(n=spec.n, q=spec.q, rows=(row,))
     trace = GreedyTrace((GreedyTraceRow(row, _num_constraints(spec), 0),))
     return _checked(m, verify_cff(m, spec.r, spec.s)), trace
 
@@ -276,7 +276,7 @@ def construct_cff_randomized(spec: CffSpec, seed: int, batch: int = 16) -> Symbo
                 missed |= sets[1 - bit]
             pending &= missed
         if not pending:
-            m = SymbolMatrix(n=n, q=2, rows=tuple(rows))
+            m = SymbolMatrix(n=n, q=spec.q, rows=tuple(rows))
             return _checked(m, verify_cff(m, r, s))
     raise ConvergenceError(
         f"no ({spec.n}, ({spec.r}, {spec.s})) family after {MAX_BATCHES} batches of {batch}"
@@ -309,7 +309,7 @@ def construct_cff_sperner(n: int) -> SymbolMatrix:
     matrix_rows = tuple(
         tuple(1 if i in block else 0 for block in chosen) for i in range(rows)
     )
-    m = SymbolMatrix(n=n, q=2, rows=matrix_rows)
+    m = SymbolMatrix(n=n, q=CffSpec.q, rows=matrix_rows)
     return _checked(m, verify_cff(m, 1, 1))
 
 

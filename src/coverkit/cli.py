@@ -102,7 +102,7 @@ def _cmd_construct_universal(args) -> int:
     spec = UniversalSpec(n=args.n, d=args.d, q=args.q)
     if args.method == "greedy":
         return _report_construction(args, spec, construct_universal_greedy(spec)[0], "greedy")
-    if spec.q != 2:
+    if spec.q != CffSpec.q:
         raise ParameterError("method lemma1 works on the binary alphabet only")
     cff_method = _CFF_METHOD_NAMES[args.cff_method]
     matrix = build_universal_lemma1(spec.n, spec.d, cff_method, seed=args.seed)

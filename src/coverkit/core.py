@@ -184,14 +184,16 @@ def _work(spec: UniversalSpec | CffSpec, op: str, rows: int) -> int:
       cap. An empty matrix is not scanned.
     * "search": q**n cover masks, kept and rescanned, at 2**9 a bit and
       2**14 a candidate.
-    * "count": C(n, d) or C(n, r) C(n - r, s) built by ``math.comb``, of
-      b <= k n.bit_length() bits for the k >= 1 of ``_binomial_exponent``,
-      at b**2 / 2**9: 2.2 s on 2 vCPUs for C(4 * 10**5, 2 * 10**5), 0.82
-      of the budget. q**d is charged by "verify".
+    * "count": the constraint count built whole, C(n, d) q**d or C(n, r)
+      C(n - r, s), of b <= k n.bit_length() + d q.bit_length() bits for the
+      k of ``_binomial_exponent`` (no q**d for a cover-free family), at
+      b**2 / 2**9: 2.2 s on 2 vCPUs for C(4 * 10**5, 2 * 10**5), 0.82 of
+      the budget.
     """
     n, d, universal = spec.n, spec.d, isinstance(spec, UniversalSpec)
     if op == "count":
-        return (_binomial_exponent(spec) * n.bit_length()) ** 2 >> 9
+        bits = _binomial_exponent(spec) * n.bit_length() + (d * spec.q.bit_length() if universal else 0)
+        return bits**2 >> 9
     if op == "verify" and universal:
         return ((comb(n, d) * (rows + 2**6) if rows else 0) + 8 * spec.q**d) << 8
     if op == "verify":

@@ -39,13 +39,13 @@ def build_universal_lemma1(
     including the all-ones one, needs its component. ``seed``/``batch``
     only matter for the randomized method (component i uses seed + i).
     """
-    UniversalSpec(n, d)
+    spec = UniversalSpec(n, d)
     # The middle component costs the most, so it is built, or refused, first.
     parts = [_construct(CffSpec(n, i, d - i), cff_method, seed + i, batch)
              for i in range(d // 2, -1, -1)][::-1]
     parts += [complement(parts[d - i]) for i in range(d // 2 + 1, d + 1)]
     rows = tuple(row for part in parts for row in part.rows)
-    union = dedup_rows(SymbolMatrix(n=n, q=2, rows=rows))
+    union = dedup_rows(SymbolMatrix(n=n, q=spec.q, rows=rows))
     return _checked(union, verify_universal(union, d))
 
 

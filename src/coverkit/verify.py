@@ -318,16 +318,16 @@ def _missing(m: SymbolMatrix, spec: UniversalSpec | CffSpec) -> Iterator[Missed]
     """Every constraint of ``spec``, a valid spec on the n and q of ``m``,
     that ``m`` misses, in its verifier's order and grouped as its kernel
     finds them, once ``_check_work`` admits the scan. An empty matrix misses
-    them all: it gives one group of only the first, built once it is asked
-    for, and ``count_uncovered`` counts it apart."""
+    them all, and only a verdict asks for it (``count_uncovered`` answers
+    it apart), so it gives one group of only the first, built directly."""
     _check_work(spec, "verify", m.num_rows)
+    if m.rows:
+        return (_missing_universal if isinstance(spec, UniversalSpec) else _missing_cff)(m, spec)
     if isinstance(spec, UniversalSpec):
-        scan = _missing_universal
-        first = _unshown(tuple(range(spec.d)), spec.q, ())
+        first = UniversalWitness(tuple(range(spec.d)), (0,) * spec.d)
     else:
-        scan = _missing_cff
-        first = (CffWitness(tuple(range(r)), tuple(range(r, spec.d))) for r in [spec.r])
-    return scan(m, spec) if m.rows else iter([(1, first)])
+        first = CffWitness(tuple(range(spec.r)), tuple(range(spec.r, spec.d)))
+    return iter([(1, iter([first]))])
 
 
 def _verdict(missing: Iterator[Missed]) -> Verdict:
@@ -360,8 +360,9 @@ def count_uncovered(m: SymbolMatrix, spec: UniversalSpec | CffSpec) -> int:
     """Exact number of unmet constraints of ``m`` against ``spec``.
 
     Zero exactly when the corresponding verifier returns valid. An empty
-    matrix meets none, so its count is the constraint count, not a scan,
-    charged to the work budget before it is built.
+    matrix meets none, so its count is the constraint count, not a scan:
+    it is charged by the "count" estimate alone, before it is built, and
+    never reaches ``_missing``.
     """
     if not isinstance(spec, (UniversalSpec, CffSpec)):
         raise ParameterError(f"unsupported spec type {type(spec).__name__}")
@@ -371,8 +372,7 @@ def count_uncovered(m: SymbolMatrix, spec: UniversalSpec | CffSpec) -> int:
         raise AlphabetError(f"cover-free check needs a binary matrix, got q = {m.q}")
     if spec.q != m.q:
         raise ParameterError(f"spec has q={spec.q} but matrix has q={m.q}")
-    missing = _missing(m, spec)
     if not m.rows:
         _check_work(spec, "count")
         return _num_constraints(spec)
-    return sum(count for count, _ in missing)
+    return sum(count for count, _ in _missing(m, spec))

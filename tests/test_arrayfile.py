@@ -285,3 +285,11 @@ class TestRoundTrip:
         assert load_array(target) == (m, header)
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert not leftovers
+
+    def test_save_to_a_bare_file_name(self, tmp_path, monkeypatch):
+        # A bare name's parent is Path("."), so the temp file goes there too.
+        monkeypatch.chdir(tmp_path)
+        m = SymbolMatrix.from_strings(["01", "10"])
+        save_array("arr.txt", m, raw_header(m))
+        assert load_array(tmp_path / "arr.txt") == (m, raw_header(m))
+        assert [p.name for p in tmp_path.iterdir()] == ["arr.txt"]

@@ -189,6 +189,12 @@ class TestSymbolMatrix:
             assert [list(map(type, row)) for row in m.rows] == [
                 list(map(type, row)) for row in expected]
 
+    def test_a_row_of_int_subclasses_is_checked_symbol_by_symbol(self):
+        # Not exact ints, so the row skips the one translate and passes the
+        # symbol-by-symbol scan.
+        m = SymbolMatrix(n=2, q=2, rows=((Colour.RED, Colour.GREEN),))
+        assert m.rows == ((0, 1),)
+
     def test_every_path_stores_tuples_of_exact_ints(self):
         expected = SymbolMatrix(n=3, q=3, rows=((0, 1, 2), (2, 2, 0)))
         for m in (SymbolMatrix.from_strings(["012", "220"], q=3),

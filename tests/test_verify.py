@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from array import array
 from itertools import combinations, product
@@ -456,6 +457,46 @@ class TestCountUncovered:
         assert (result.returncode, result.stderr) == (0, "")
         assert message == f"estimated work of at least 2**41 exceeds the budget of {WORK_BUDGET}"
         assert float(elapsed) < 1.0
+
+    @pytest.mark.parametrize("n, d, q", [(30, 25, 2), (5, 5, 28)])
+    def test_an_empty_count_is_charged_by_its_own_estimate(self, n, d, q):
+        # C(30, 25) 2**25 and 28**5 are a few dozen bits. A verdict's charge
+        # of 2**11 a pattern refuses both; a count pays only for its bits.
+        started = time.perf_counter()
+        assert count_uncovered(SymbolMatrix(n=n, q=q), UniversalSpec(n, d, q)) == comb(n, d) * q**d
+        assert time.perf_counter() - started < 1.0
+        with pytest.raises(ResourceLimitError):
+            verify_universal(SymbolMatrix(n=n, q=q), d)
+
+    def test_an_empty_count_charges_the_bits_of_its_patterns(self):
+        # 3**(16 * 10**6) has about 2.5 * 10**7 bits; its charge, their
+        # square over 2**9, is refused at once. A child keeps a regression
+        # from stalling the suite.
+        code = (
+            "import time\n"
+            "from coverkit import ResourceLimitError, SymbolMatrix, UniversalSpec, count_uncovered\n"
+            "started = time.perf_counter()\n"
+            "try:\n"
+            "    count_uncovered(SymbolMatrix(n=16 * 10**6, q=3), UniversalSpec(16 * 10**6, 16 * 10**6, 3))\n"
+            "except ResourceLimitError as exc:\n"
+            "    print(exc)\n"
+            "print(time.perf_counter() - started)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=30
+        )
+        message, elapsed = result.stdout.splitlines()
+        assert (result.returncode, result.stderr) == (0, "")
+        assert message == f"estimated work of at least 2**40 exceeds the budget of {WORK_BUDGET}"
+        assert float(elapsed) < 1.0
+
+    def test_an_empty_count_never_scans(self, monkeypatch):
+        def scan(m, spec):
+            raise AssertionError("an empty matrix was scanned")
+
+        monkeypatch.setattr(verify, "_missing", scan)
+        assert count_uncovered(SymbolMatrix(n=4, q=3), UniversalSpec(4, 2, 3)) == 6 * 9
+        assert count_uncovered(SymbolMatrix(n=4, q=2), CffSpec(4, 1, 2)) == 4 * 3
 
     def test_rejects_a_non_binary_matrix_for_a_cff_spec(self):
         m = SymbolMatrix.from_strings(["012"], q=3)
