@@ -19,14 +19,16 @@ reads "1 on R, 0 on S", and undecided symbols are drawn with probabilities
 proportional to integer weights: (s, r) here, (1,) * q for universal sets.
 The engine is bit-sliced: Python ints serve as bitsets over the constraints,
 one per (column, symbol) for the constraints requiring that symbol there,
-from ``verify._constraint_index``, and one per distinct coverage numerator
-for the constraints holding it. Deciding a column costs one AND and popcount
-per (numerator, symbol) pair and a few ANDs per numerator to move the chosen
-symbol's constraints to their new numerator. The count of operations does
-not grow with the number of constraints; each is one pass in C over a
-bitset's words, and the width of the bitsets follows the count of
-constraints still unmet: once it falls to half the width, the met ones are
-squeezed out of every bitset.
+and one per distinct coverage numerator for the constraints holding it. The
+first kind come from ``verify._constraint_index``, which joins each
+column's sets from whole-byte palette entries a block of constraints at a
+time. Deciding a column costs one AND and popcount per (numerator, symbol)
+pair and a few ANDs per numerator, all with nonnegative masks, to move the
+chosen symbol's constraints to their new numerator. The count of
+operations does not grow with the number of constraints; each is one pass
+in C over a bitset's words, and the width of the bitsets follows the count
+of constraints still unmet: once it falls to half the width, the met ones
+are squeezed out of every bitset.
 
 Every constructor verifies its own output before returning it.
 """
@@ -37,11 +39,11 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, islice, pairwise
 from math import comb
-from typing import Callable, Literal, Sequence, get_args
+from typing import Literal, Sequence, get_args
 
 from .core import CffSpec, SymbolMatrix, _check_work, _num_constraints
 from .errors import ConvergenceError, ParameterError
-from .verify import Verdict, _constraint_index, verify_cff
+from .verify import Verdict, _constraint_index, _squeezer, verify_cff
 
 # Las Vegas batch cap; hitting it means the spec is far beyond desk scale.
 MAX_BATCHES = 10_000
@@ -85,43 +87,6 @@ def _checked(m: SymbolMatrix, verdict: Verdict) -> SymbolMatrix:
     return m
 
 
-def _squeezer(keep: int) -> Callable[[int], int]:
-    """The map taking a bitset x to the bits of x at the set positions of
-    ``keep``, packed from bit 0 up in the same order.
-
-    This is the log-step compress of Warren, *Hacker's Delight*, section 7-4,
-    whose names it keeps. Each kept bit moves right by the count of unkept
-    positions below it, 2**k of the way at stage k when bit k of that count
-    is set, so ceil(log2 W) stages suffice for W = keep.bit_length(). The
-    stage masks ``mv`` are built once, from ``keep``; the map then costs an
-    AND, XOR, OR and shift per stage, each one pass in C over x's words.
-    """
-    width = keep.bit_length()
-    mk = ~keep << 1 & (1 << width) - 1  # bit i: position i - 1 is unkept
-    m, stages, shift = keep, [], 1
-    while shift < width:
-        # mp: bit i is the parity of mk's bits 0 to i
-        mp, step = mk ^ mk << 1, 2
-        while step < width:
-            mp ^= mp << step
-            step *= 2
-        mv = mp & m  # the kept bits that move at this stage
-        if mv:
-            stages.append((shift, mv))
-        m = m ^ mv | mv >> shift
-        mk &= ~mp
-        shift *= 2
-
-    def squeeze(x: int) -> int:
-        x &= keep
-        for shift, mv in stages:
-            t = x & mv
-            x = x ^ t | t >> shift
-        return x
-
-    return squeeze
-
-
 def _greedy_cover(
     need: list[list[int]], size: int, weights: Sequence[int]
 ) -> tuple[SymbolMatrix, GreedyTrace]:
@@ -139,29 +104,34 @@ def _greedy_cover(
 
     The state is bit-sliced: each set of constraints is a Python int with
     bit i for constraint i, as ``need[j][c]`` is; ``live`` is the set no
-    earlier row has met, and ``groups`` maps each nonzero numerator to the
-    set of constraints holding it. The groups a row starts from are folded
-    once from ``need``, moving the members of ``need[j][c]`` from v to
-    v * weights[c] for each column in turn. Column j tallies each symbol by
-    AND and popcount against every group; fixing it to c moves the members
-    of ``need[j][c]`` from numerator v to v // weights[c] * W, drops the
-    members requiring another symbol and leaves the rest. Once every column
-    is decided, the union of the groups is what the row met. Equal weights
-    keep at most k + 1 numerators, so a column costs a few dozen big-int
-    operations, not a Python step per constraint.
+    earlier row has met, ``untouched[j]`` the set with no requirement at
+    column j, and ``groups`` maps each nonzero numerator to the set of
+    constraints holding it. Every set is nonnegative, ``untouched[j]`` too
+    (the all-ones mask XOR the sum of ``need[j]``): an AND with a negative
+    int converts it to two's complement on every call, several times the
+    cost of the AND itself. The groups a row starts from are folded once
+    from ``need``, moving the members of ``need[j][c]`` from v to
+    v * weights[c] for each column in turn. Column j tallies each symbol in
+    one loop over the groups, by AND and popcount; fixing it to c moves the
+    members of ``need[j][c]`` from numerator v to v // weights[c] * W,
+    drops the members requiring another symbol and leaves the rest. Once
+    every column is decided, the union of the groups is what the row met.
+    Equal weights keep at most k + 1 numerators, so a column costs a few
+    dozen big-int operations, not a Python step per constraint.
 
     Each of those operations costs in proportion to the sets' width, and
     the width follows the live count: once no more than half the width is
-    live, ``_squeezer`` drops the met constraints from ``need``, the start
-    sets and ``untouched``, so bit i is then the i-th live constraint. The
-    order of the constraints is kept, so every tally, tie and row is the
-    same as at full width.
+    live, ``_squeezer`` drops the met constraints from ``need`` and the
+    start sets, and ``untouched`` is built again, so bit i is then the i-th
+    live constraint. The order of the constraints is kept, so every tally,
+    tie and row is the same as at full width.
     """
     q, total = len(weights), sum(weights)
+    full = (1 << size) - 1
     # untouched[j]: the constraints with no requirement at column j.
-    untouched = [~sum(sets) for sets in need]
+    untouched = [full ^ sum(sets) for sets in need]
     # start_sets[v]: the constraints whose numerator at the start of a row is v.
-    start_sets = {1: (1 << size) - 1}
+    start_sets = {1: full}
     for sets, rest in zip(need, untouched):
         folded: dict[int, int] = {}
         for v, held in start_sets.items():
@@ -180,7 +150,9 @@ def _greedy_cover(
         for sets, rest in zip(need, untouched):
             best, best_gain = 0, -1
             for c, members in enumerate(sets):
-                tally = sum(v * (s & members).bit_count() for v, s in groups.items())
+                tally = 0
+                for v, s in groups.items():
+                    tally += v * (s & members).bit_count()
                 gain = tally // weights[c]
                 if gain > best_gain:
                     best, best_gain = c, gain
@@ -198,7 +170,7 @@ def _greedy_cover(
         # Every column is decided: a constraint still in a group is met by the
         # row. No constraint is in two groups, so their sum is their union.
         covered = sum(groups.values())
-        live &= ~covered
+        live ^= covered
         count = covered.bit_count()
         remaining -= count
         trace_rows.append(GreedyTraceRow(tuple(row), count, remaining))
@@ -206,10 +178,10 @@ def _greedy_cover(
             # Drop the met constraints from every set, keeping their order.
             squeeze = _squeezer(live)
             need = [[squeeze(s) for s in sets] for sets in need]
-            untouched = [~sum(sets) for sets in need]
             start_sets = {v: squeeze(s) for v, s in start_sets.items()}
             width = remaining
             live = (1 << width) - 1
+            untouched = [live ^ sum(sets) for sets in need]
     rows = tuple(rec.row for rec in trace_rows)
     return SymbolMatrix(n=len(need), q=q, rows=rows), GreedyTrace(tuple(trace_rows))
 

@@ -313,17 +313,21 @@ def encode_row(row: Sequence[int]) -> str:
     return bytes(row).translate(_ENCODE).decode()
 
 
+# _FLIP maps each binary symbol's byte to the other's.
+_FLIP = bytes.maketrans(_SYMBOLS[:CffSpec.q], _SYMBOLS[CffSpec.q - 1::-1])
+
+
 def complement(m: SymbolMatrix) -> SymbolMatrix:
-    """Flip every bit of a binary matrix; row order is preserved.
+    """Flip every bit of a binary matrix, one ``translate`` a row; row
+    order is preserved.
 
     Sends an (n, (r, s))-cover-free family to an (n, (s, r)) one, and is an
     involution.
     """
-    if m.q != 2:
+    if m.q != CffSpec.q:
         raise AlphabetError(f"complement needs a binary matrix, got q = {m.q}")
-    return SymbolMatrix(
-        n=m.n, q=2, rows=tuple(tuple(1 - bit for bit in row) for row in m.rows)
-    )
+    rows = tuple(bytes(row).translate(_FLIP) for row in m.rows)
+    return SymbolMatrix(n=m.n, q=CffSpec.q, rows=rows)
 
 
 def dedup_rows(m: SymbolMatrix) -> SymbolMatrix:

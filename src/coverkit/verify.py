@@ -18,6 +18,13 @@ Both verifiers enumerate every constraint:
 A count sums how many constraints each subset or R misses; only a verdict
 builds a witness.
 
+The scan order fixes the bit of each constraint in the (column, symbol)
+bitsets the constructors' engine reads: ``_constraint_index`` builds them
+here, next to the scans, a block of constraints (one R or one subset) at a
+time from whole-byte palette entries. ``_row_index`` builds the same
+bitsets over a matrix's rows, from one byte per row and column, for the
+cover-free scan.
+
 Edge conventions for the cover-free check: r = 0 reads the empty
 intersection as the full ground set, so the requirement becomes "some row
 is all-0 on S"; s = 0 symmetrically requires "some row is all-1 on R".
@@ -36,7 +43,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, product, repeat
 from math import comb
-from typing import Container, Iterable, Iterator, Literal, Union
+from typing import Callable, Container, Iterable, Iterator, Literal, Union
 
 from .core import MAX_ALPHABET, CffSpec, SymbolMatrix, UniversalSpec, _check_work, _num_constraints
 from .errors import AlphabetError, ParameterError
@@ -151,13 +158,13 @@ def _column_index(q: int, columns: Iterable[bytes]) -> tuple[list[list[int]], in
     """(index, size) for ``size`` items, where bit i of the int
     ``index[j][c]`` is set when byte i of the j-th of ``columns`` is c.
 
-    A column holds one byte per item: the symbol the item requires or holds
-    there, or q for none. Over constraints, a row meets those requiring no
-    other symbol at any of its columns; over rows, a constraint is met by
-    the AND of its requirements' sets. The sets of one column are disjoint,
-    so their sum is their union. Each set is one ``translate`` and one
-    ``int(..., 2)`` in C, and the columns are taken one at a time, so a lazy
-    ``columns`` keeps O(size) bytes alive besides the index.
+    A column holds one byte per item: the symbol the item holds there, or q
+    for none. An item is a row for ``_row_index``, and a constraint of one
+    block for the palettes of ``_constraint_index``. The sets of one column
+    are disjoint, so their sum is their union. Each set is one
+    ``translate`` and one ``int(..., 2)`` in C, and the columns are taken
+    one at a time, so a lazy ``columns`` keeps O(size) bytes alive besides
+    the index.
     """
     index, size = [], 0
     for column in columns:
@@ -167,37 +174,87 @@ def _column_index(q: int, columns: Iterable[bytes]) -> tuple[list[list[int]], in
     return index, size
 
 
-def _cff_columns(n: int, r: int, s: int) -> Iterator[bytes]:
-    """Each column's byte per (R, S) pair, in ``_missing_cff`` order: 1 where
-    it is in R, 0 where it is in S, else 2. Per R, a column in R has a block
-    of C(n - r, s) ones; any other has the mask of its rank among the
-    columns outside R."""
-    ones, rest = b"\1" * comb(n - r, s), range(n - r)
-    masks = [bytes(0 if t in S else 2 for S in combinations(rest, s)) for t in rest]
-    for j in range(n):
-        yield b"".join(
-            ones if j in R else masks[j - bisect_left(R, j)] for R in combinations(range(n), r)
-        )
+def _squeezer(keep: int) -> Callable[[int], int]:
+    """The map taking a bitset x to the bits of x at the set positions of
+    ``keep``, packed from bit 0 up in the same order.
 
+    This is the log-step compress of Warren, *Hacker's Delight*, section 7-4,
+    whose names it keeps. Each kept bit moves right by the count of unkept
+    positions below it, 2**k of the way at stage k when bit k of that count
+    is set, so ceil(log2 W) stages suffice for W = keep.bit_length(). The
+    stage masks ``mv`` are built once, from ``keep``; the map then costs an
+    AND, XOR, OR and shift per stage, each one pass in C over x's words.
+    """
+    width = keep.bit_length()
+    mk = ~keep << 1 & (1 << width) - 1  # bit i: position i - 1 is unkept
+    m, stages, shift = keep, [], 1
+    while shift < width:
+        # mp: bit i is the parity of mk's bits 0 to i
+        mp, step = mk ^ mk << 1, 2
+        while step < width:
+            mp ^= mp << step
+            step *= 2
+        mv = mp & m  # the kept bits that move at this stage
+        if mv:
+            stages.append((shift, mv))
+        m = m ^ mv | mv >> shift
+        mk &= ~mp
+        shift *= 2
 
-def _universal_columns(n: int, d: int, q: int) -> Iterator[bytes]:
-    """Each column's byte per (columns, pattern) pair, in
-    ``_missing_universal`` order: digit k of the pattern where it is S[k],
-    else q."""
-    digits = [bytes(p[k] for p in product(range(q), repeat=d)) for k in range(d)]
-    none = bytes([q]) * q**d
-    for j in range(n):
-        yield b"".join(
-            digits[S.index(j)] if j in S else none for S in combinations(range(n), d)
-        )
+    def squeeze(x: int) -> int:
+        x &= keep
+        for shift, mv in stages:
+            t = x & mv
+            x = x ^ t | t >> shift
+        return x
+
+    return squeeze
 
 
 def _constraint_index(spec: UniversalSpec | CffSpec) -> tuple[list[list[int]], int]:
-    """``_column_index`` over the constraints of ``spec``: bit i is the i-th
-    constraint its verifier scans."""
+    """(index, size) for the ``size`` constraints of ``spec``, where bit i
+    of ``index[j][c]`` is set when the i-th constraint its verifier scans
+    requires symbol c at column j.
+
+    The constraints come in blocks of one width: the C(n - r, s) pairs of
+    one R, or the q**d patterns of one d-subset S. Within a block a column
+    is one of a few kinds: in R or the t-th column outside R; at position k
+    of S or not in S. Each symbol's palette holds every kind's set over one
+    block, from ``_column_index``, padded to whole bytes, so a column's set
+    is one join of its kinds' entries, block by block, and one
+    ``int.from_bytes``. One ``_squeezer`` drops the padding; where a block
+    is whole bytes it has no stage and only masks. The columns are built
+    one at a time, so besides the index only one column's kinds and bytes
+    are alive.
+    """
+    n, q = spec.n, spec.q
     if isinstance(spec, UniversalSpec):
-        return _column_index(spec.q, _universal_columns(spec.n, spec.d, spec.q))
-    return _column_index(spec.q, _cff_columns(spec.n, spec.r, spec.s))
+        d = spec.d
+        heads = list(combinations(range(n), d))
+        # kind k < d: at S[k], digit k of each pattern; kind d: not in S
+        blocks = [bytes(p[k] for p in product(range(q), repeat=d)) for k in range(d)]
+        blocks.append(bytes([q]) * q**d)
+        kinds = ([S.index(j) if j in S else d for S in heads] for j in range(n))
+    else:
+        r, s = spec.r, spec.s
+        heads = list(combinations(range(n), r))
+        rest = range(n - r)
+        # kind t < n - r: the t-th column outside R, 0 where it is in S; kind n - r: in R
+        blocks = [bytes(0 if t in S else q for S in combinations(rest, s)) for t in rest]
+        blocks.append(b"\1" * comb(n - r, s))
+        kinds = ([n - r if j in R else j - bisect_left(R, j) for R in heads] for j in range(n))
+    kind_sets, block = _column_index(q, blocks)
+    width = -(-block // 8)
+    # palettes[c][kind]: the kind's set for symbol c over one block, in whole bytes
+    palettes = [[sets[c].to_bytes(width, "little") for sets in kind_sets] for c in range(q)]
+    keep = ((1 << block) - 1).to_bytes(width, "little") * len(heads)  # not the padding
+    squeeze = _squeezer(int.from_bytes(keep, "little"))
+    index = [
+        [squeeze(int.from_bytes(b"".join(map(palette.__getitem__, column)), "little"))
+         for palette in palettes]
+        for column in kinds
+    ]
+    return index, block * len(heads)
 
 
 def _row_index(m: SymbolMatrix) -> tuple[list[list[int]], int]:

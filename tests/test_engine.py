@@ -105,6 +105,35 @@ class TestAgainstReference:
         assert m.rows[0] == (0, 0)
 
 
+@st.composite
+def wide_alphabet_inputs(draw):
+    """As ``engine_inputs``, at q = 5 or 6 with symbol weights not all equal."""
+    n = draw(st.integers(1, 6))
+    q = draw(st.integers(5, 6))
+    weights = tuple(
+        draw(st.lists(st.integers(1, 6), min_size=q, max_size=q).filter(lambda w: len(set(w)) > 1))
+    )
+    requirements = []
+    for _ in range(draw(st.integers(0, 60))):
+        k = draw(st.integers(1, min(3, n)))
+        columns = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+        symbols = draw(st.lists(st.integers(0, q - 1), min_size=k, max_size=k))
+        requirements.append(list(zip(columns, symbols)))
+    return n, requirements, weights
+
+
+class TestWideAlphabets:
+    @given(wide_alphabet_inputs())
+    @example((2, [[(0, 4), (1, 0)], [(1, 4)], [(0, 2)], [(1, 3), (0, 1)]], (1, 2, 3, 4, 5)))
+    @example((3, [[(2, 5)], [(0, 5), (1, 5)], [(1, 0)], [(0, 3), (2, 1)]], (6, 1, 1, 2, 1, 3)))
+    @settings(max_examples=100, deadline=None)
+    def test_same_rows_and_trace_at_q_5_and_6(self, case):
+        n, requirements, weights = case
+        assert greedy_cover(n, requirements, weights) == reference_greedy_cover(
+            n, requirements, weights
+        )
+
+
 def compactions(trace, size):
     """How often ``_greedy_cover`` squeezes its sets on the way to
     ``trace``: whenever a row leaves at most half the width unmet, which

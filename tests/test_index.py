@@ -1,10 +1,12 @@
-"""The (column, symbol) index built from one byte per item against the
-per-requirement builder it replaced, kept here as the definitional
-reference: one list append per requirement, in the verifiers' scan order."""
+"""The (column, symbol) index against the per-requirement builder it
+replaced, kept here as the definitional reference: one list append per
+requirement, in the verifiers' scan order."""
 
 import tracemalloc
 from itertools import combinations, product
+from math import comb
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coverkit import CffSpec, SymbolMatrix, UniversalSpec
@@ -95,3 +97,50 @@ def test_an_index_is_built_one_column_at_a_time():
         tracemalloc.stop()
     assert size == 548_340
     assert peak < 2 * held
+
+
+def block_width(spec):
+    """The constraints of one R, C(n - r, s), or of one subset, q**d."""
+    if isinstance(spec, UniversalSpec):
+        return spec.q**spec.d
+    return comb(spec.n - spec.r, spec.s)
+
+
+# One spec or more per residue of the block width mod 8: whole-byte blocks,
+# blocks narrower than a byte, and r = 0 and s = 0.
+BLOCK_SPECS = [
+    CffSpec(12, 2, 3),  # 120 bits, whole bytes
+    CffSpec(20, 3, 1),  # 17
+    CffSpec(5, 2, 0),  # 1, s = 0
+    UniversalSpec(6, 1, 2),  # 2
+    CffSpec(13, 1, 2),  # 66
+    UniversalSpec(6, 3, 3),  # 27
+    CffSpec(10, 2, 2),  # 28
+    CffSpec(11, 1, 2),  # 45
+    CffSpec(14, 1, 2),  # 78
+    CffSpec(9, 0, 4),  # 126, r = 0
+    CffSpec(6, 0, 2),  # 15, r = 0
+]
+
+
+def test_the_block_specs_cover_every_width_mod_8():
+    assert {block_width(spec) % 8 for spec in BLOCK_SPECS} == set(range(8))
+
+
+def requirements(spec):
+    if isinstance(spec, UniversalSpec):
+        return universal_requirements(spec.n, spec.d, spec.q)
+    return cff_requirements(spec.n, spec.r, spec.s)
+
+
+@pytest.mark.parametrize("spec", BLOCK_SPECS, ids=str)
+def test_blocks_of_every_width_mod_8(spec):
+    expected = reference_column_index(spec.n, spec.q, requirements(spec))
+    assert _constraint_index(spec) == expected
+
+
+def test_a_palette_of_300_kinds():
+    # (300, (1, 1)) has 299 ranks outside R and one kind in R, more than a
+    # byte per block can name.
+    spec = CffSpec(300, 1, 1)
+    assert _constraint_index(spec) == reference_column_index(300, 2, requirements(spec))
