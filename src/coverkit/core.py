@@ -181,7 +181,9 @@ def _work(spec: UniversalSpec | CffSpec, op: str, rows: int) -> int:
       row for each (R, S) pair, the per-pair loop's cost. That charge
       still bounds the cover-free scan: its packed form runs only where
       its own cost estimate is below the loop's, and only within a memory
-      cap. An empty matrix is not scanned.
+      cap. An empty matrix is not scanned. Either family adds 2**11 for each
+      of the d columns of the first witness, which a verdict on an empty
+      matrix builds without a scan.
     * "search": q**n cover masks, kept and rescanned, at 2**9 a bit and
       2**14 a candidate.
     * "count": the constraint count built whole, C(n, d) q**d or C(n, r)
@@ -195,9 +197,9 @@ def _work(spec: UniversalSpec | CffSpec, op: str, rows: int) -> int:
         bits = _binomial_exponent(spec) * n.bit_length() + (d * spec.q.bit_length() if universal else 0)
         return bits**2 >> 9
     if op == "verify" and universal:
-        return ((comb(n, d) * (rows + 2**6) if rows else 0) + 8 * spec.q**d) << 8
+        return ((comb(n, d) * (rows + 2**6) if rows else 0) + 8 * spec.q**d + 8 * d) << 8
     if op == "verify":
-        return _num_constraints(spec) * (rows + 2**11) if rows else 0
+        return (_num_constraints(spec) * (rows + 2**11) if rows else 0) + (d << 11)
     q, m = spec.q, _num_constraints(spec)
     if op == "search":
         return q**n * (m + 2**5) << 9

@@ -17,7 +17,9 @@ Sound prunes on top of the basic scheme (none can change an answer):
 * rows covering nothing new are skipped (a solution containing one would
   shrink to a solution at the previous depth, already proven infeasible);
 * the final row is drawn from the covers of the first uncovered constraint
-  only.
+  only, and holds every symbol the uncovered constraints require: there is
+  none when they require two symbols at one column, and only one when they
+  require a symbol at every column.
 
 Two symmetry breaks, each of which keeps some minimum solution in reach:
 
@@ -42,7 +44,8 @@ The tables these prunes read come from ``_scan_tables``, which takes a
 Python step per constraint or per run of equal entries, and one
 comprehension over the candidates (for q > 2, ``_tie_table`` adds one per
 column for the column pairs); a non-final row's scan counts its nodes from
-the candidate index. Neither changes a count.
+the candidate index, and a final row read from the symbols it must hold is
+charged what its scan would have cost. None of these changes a count.
 
 A search either returns the exact minimum with a certificate, proves the
 minimum exceeds ``max_rows``, or aborts cleanly when the node budget runs
@@ -102,13 +105,14 @@ class _OutOfNodes(Exception):
 
 def _scan_tables(
     spec: UniversalSpec | CffSpec,
-) -> tuple[list[int], list[int], list[int], list[int]]:
-    """(cover, suffix_or, suffix_max, last) over the q**n candidate rows of
-    ``spec``, in ``product`` order: bit c of cover[i] is set when candidate
-    i meets the c-th constraint the verifier scans, suffix_or[i] and
-    suffix_max[i] are the union and the largest bit count of cover[i:]
-    (both 0 at i = q**n), and last[c] is the last candidate meeting
-    constraint c.
+) -> tuple[list[list[int]], list[int], list[int], list[int], list[int]]:
+    """(index, cover, suffix_or, suffix_max, last) over the q**n candidate
+    rows of ``spec``, in ``product`` order: index is ``_constraint_index``'s,
+    which the search reads again for final rows; bit c of cover[i] is set
+    when candidate i meets the c-th constraint the verifier scans,
+    suffix_or[i] and suffix_max[i] are the union and the largest bit count
+    of cover[i:] (both 0 at i = q**n), and last[c] is the last candidate
+    meeting constraint c.
 
     No step is taken per candidate in Python but for one comprehension. A
     cover mask is the AND of a mask of the first n // 2 columns and one of
@@ -166,7 +170,7 @@ def _scan_tables(
             k = back.index(bits, k)
             runs.append((count - 1 - k, bits))
     suffix_max = filled(runs[::-1])
-    return cover, suffix_or, suffix_max, last
+    return index, cover, suffix_or, suffix_max, last
 
 
 def _tie_table(n: int, q: int) -> list[int]:
@@ -192,6 +196,12 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
     It tests the budget before each child and at the scan's end: a budget
     that runs out mid-scan is caught at the end, no more than q**n <=
     node_limit candidates late, with the same outcome.
+
+    A final row whose uncovered constraints require two symbols at one
+    column, or one at every column, is decided without a scan, by two passes
+    over the columns' sets. Its nodes are those the scan would count: the
+    covers from ``last`` on when no row fits, those up to the forced row
+    when it fits, and out of nodes where the scan would run out first.
     """
     n, q, limit = spec.n, spec.q, budget.node_limit
     try:
@@ -201,7 +211,11 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
     count = nodes = q**n
     if nodes > limit:
         return SearchOutcome("budget_exceeded", nodes=limit + 1)
-    cover, suffix_or, suffix_max, max_row_for = _scan_tables(spec)
+    index, cover, suffix_or, suffix_max, max_row_for = _scan_tables(spec)
+    # (a symbol's set, the sets of the symbols after it) for each column, and
+    # (a symbol's set, what the symbol adds to a candidate's index).
+    clashes = [(held, sum(sets[c + 1:])) for sets in index for c, held in enumerate(sets[:-1])]
+    symbols = [(held, c * q ** (n - 1 - j)) for j, sets in enumerate(index) for c, held in enumerate(sets)]
     num_constraints = len(max_row_for)
     full = (1 << num_constraints) - 1
     # For q = 2 the column-pair masks are (i >> 1) & ~i and ~(i ^ (i >> 1)).
@@ -241,7 +255,21 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
             covers = covers_of[first]
             lo = bisect_left(covers, last)
             stop = min(len(covers), lo + limit - nodes)
-            for k in range(lo, stop):
+            scan = range(lo, stop)
+            # A row holds every symbol the uncovered constraints require: none
+            # does when they require two at one column, and only one when they
+            # require one at every column.
+            for held, later in clashes:
+                if uncovered & held and uncovered & later:
+                    scan = ()
+                    break
+            else:
+                forced = [value for held, value in symbols if uncovered & held]
+                if len(forced) == n:
+                    # Only its cover, where the scan from lo to stop reaches it.
+                    k = bisect_left(covers, sum(forced))
+                    scan = range(max(k, lo), min(k + 1, stop))
+            for k in scan:
                 i = covers[k]
                 if uncovered & ~cover[i] == 0 and not tied & (ties[i] if ties else (i >> 1) & ~i):
                     nodes += k + 1 - lo

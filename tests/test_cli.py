@@ -137,16 +137,17 @@ class TestConstructCff:
         assert "error" in err
 
 
-# Runs one CLI command under a 1 GiB address-space limit and reports on its
-# last stderr line how long run_cli took. A too-big run that starts building
+# Runs one CLI command under an address-space limit, 1 GiB unless given, and
+# reports on its last stderr line how long run_cli took. A too-big run that starts building
 # then fails its test by MemoryError or by the timeout, instead of taking the
 # memory of the process that runs the tests.
 _LIMITED_CHILD = """
 import resource, sys, time
-resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 from coverkit.cli import run_cli
 started = time.perf_counter()
-status = run_cli(sys.argv[1:])
+status = run_cli(sys.argv[2:])
 print(f"elapsed={time.perf_counter() - started}", file=sys.stderr)
 sys.exit(status)
 """
@@ -160,10 +161,10 @@ def child_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
-def run_limited(argv):
+def run_limited(argv, limit=1 << 30):
     """(exit status, stdout, stderr without the timing line, seconds in run_cli)."""
     result = subprocess.run(
-        [sys.executable, "-c", _LIMITED_CHILD, *argv],
+        [sys.executable, "-c", _LIMITED_CHILD, str(limit), *argv],
         capture_output=True,
         text=True,
         env=child_env(),
@@ -180,8 +181,8 @@ class TestTooBigIsRefused:
     stderr line, minimal with a budget_exceeded outcome of nodes 0. Each runs
     in a child process with bounded memory."""
 
-    def refused(self, argv):
-        rc, out, err, elapsed = run_limited(argv)
+    def refused(self, argv, limit=1 << 30):
+        rc, out, err, elapsed = run_limited(argv, limit)
         assert rc == 3
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -255,10 +256,12 @@ class TestTooBigIsRefused:
         assert err == f"error: estimated work of at least 2**43 exceeds the budget of {BUDGET}\n"
 
     def test_running_out_of_memory(self, tmp_path):
-        # The first witness alone holds 5 * 10**8 column indices, about 4 GB.
+        # The first witness alone holds 1.6 * 10**7 column indices, about
+        # 640 MB, which the work budget admits at 2**11 a column but 256 MiB
+        # of address space does not hold.
         f = tmp_path / "empty.txt"
-        f.write_text("kind=cff n=1000000000 q=2 rows=0 r=500000000 s=1\n")
-        err = self.refused(["verify", str(f)])
+        f.write_text("kind=cff n=1000000000 q=2 rows=0 r=16000000 s=1\n")
+        err = self.refused(["verify", str(f)], limit=1 << 28)
         assert err == "error: out of memory\n"
 
     def test_printable_count_keeps_its_message(self):
@@ -272,6 +275,14 @@ class TestTooBigIsRefused:
         f.write_text("kind=universal n=16000000 q=3 rows=0 d=16000000\n")
         err = self.refused(["verify", str(f)])
         assert err == f"error: estimated work of at least 2**16000011 exceeds the budget of {BUDGET}\n"
+
+    def test_verify_charges_an_empty_matrix_its_first_witness(self, tmp_path):
+        # The first witness's R alone would hold 999,999,999 columns, some
+        # 8 GB: 2**11 for each of its 10**9 columns is past the budget.
+        f = tmp_path / "empty.txt"
+        f.write_text("kind=cff n=1000000000 q=2 rows=0 r=999999999 s=1\n")
+        err = self.refused(["verify", str(f)])
+        assert err == f"error: estimated work of at least 2**40 exceeds the budget of {BUDGET}\n"
 
     def test_minimal_over_the_constraint_cap(self):
         # 2**20 candidate rows of C(20, 10) * 2**10 = 189,190,144 constraints

@@ -1,6 +1,8 @@
 import hashlib
 import time
 import tracemalloc
+from bisect import bisect_left
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from coverkit import (
     CffSpec,
     ParameterError,
+    ResourceLimitError,
     SearchBudget,
+    SymbolMatrix,
     UniversalSpec,
     construct_cff_derandomized,
     construct_universal_greedy,
@@ -20,7 +24,9 @@ from coverkit import (
     verify_cff,
     verify_universal,
 )
-from coverkit.oracle import _scan_tables, _tie_table
+from coverkit import oracle
+from coverkit.core import _check_work
+from coverkit.oracle import SearchOutcome, _OutOfNodes, _scan_tables, _tie_table
 from coverkit.verify import _constraint_index
 
 
@@ -196,7 +202,7 @@ def table_specs(draw):
 @settings(deadline=None)
 def test_the_scan_tables_match_the_per_candidate_loops(spec):
     cover, suffix_or, suffix_max, last = reference_tables(spec)
-    assert _scan_tables(spec) == (cover, suffix_or, suffix_max, last)
+    assert _scan_tables(spec)[1:] == (cover, suffix_or, suffix_max, last)
     for c, i in enumerate(last):
         assert cover[i] >> c & 1 and not suffix_or[i + 1] >> c & 1, c
 
@@ -242,6 +248,11 @@ SEARCHES = {
     # Many cover masks and a final row drawn from one constraint's covers.
     UniversalSpec(16, 1, 2): ("found", 2, 163841, "67e47f8d3b8f5a8cd225b3000f6a7cd7d88c66d298c60ffbbcab2707f6ec3707"),
     CffSpec(14, 0, 3): ("found", 1, 32770, "2e6e15a38c6fe8b624fca13be00a737947a8096fd5620795696b5b63cd7feea4"),
+    # The search-heavy cases of the benchmark's oracle workload.
+    UniversalSpec(7, 2, 2): ("found", 6, 228113, "d16b2c164978c2c3c9f3ddccf9965d605a399348caac42198d7d59689bc1a7a0"),
+    CffSpec(8, 1, 1): ("found", 5, 213441, "03d1e883f581767d48e6d3dc5a046058bbad19de3acecc95d914b8468adcd95f"),
+    CffSpec(14, 2, 0): ("found", 1, 36865, "79f7928f3deb7436d6e110dfae37e8f80ea9c65f55ea84eb449895b63bc5909e"),
+    UniversalSpec(8, 2, 2): ("found", 6, 1676843, "f22c7499603f1297113fc895a65dacfe87a6fc7d42c6f6e46cb3dfd64744ee12"),
 }
 
 
@@ -249,6 +260,173 @@ def search(spec, budget=SearchBudget()):
     if isinstance(spec, UniversalSpec):
         return minimal_universal_size(spec, budget)
     return minimal_cff_size(spec, budget)
+
+
+def reference_search(spec, budget):
+    """``_search_minimal`` as it was before the final row was read from the
+    symbols its uncovered constraints force: every final row is found by a
+    scan of the covers of the first uncovered constraint, one node per
+    candidate scanned. Verbatim but for its tables, which come from
+    ``reference_tables``."""
+    n, q, limit = spec.n, spec.q, budget.node_limit
+    try:
+        _check_work(spec, "search")
+    except ResourceLimitError:
+        return SearchOutcome("budget_exceeded", nodes=0)
+    count = nodes = q**n
+    if nodes > limit:
+        return SearchOutcome("budget_exceeded", nodes=limit + 1)
+    cover, suffix_or, suffix_max, max_row_for = reference_tables(spec)
+    num_constraints = len(max_row_for)
+    full = (1 << num_constraints) - 1
+    # For q = 2 the column-pair masks are (i >> 1) & ~i and ~(i ^ (i >> 1)).
+    ties = _tie_table(n, q) if q > 2 else None
+
+    # covers_of[c]: the candidates covering constraint c, in order, built
+    # when the final-row loop first needs them.
+    covers_of: dict[int, list[int]] = {}
+
+    lower = -(-num_constraints // suffix_max[0])  # the coverage bound
+
+    chosen: list[int] = []
+
+    def dfs(last: int, uncovered: int, rows_left: int, tied: int) -> bool:
+        """Whether rows_left more rows from ``last`` on, none decreasing a
+        ``tied`` column pair, cover ``uncovered``; each candidate scanned
+        costs a node."""
+        # ``uncovered`` is never empty: a row leaving nothing uncovered with
+        # rows to spare would end a shorter solution on this path, which the
+        # previous deepening level, with the same order, ties and sound
+        # prunes, would have found.
+        nonlocal nodes
+        nodes += 1
+        if nodes > limit:
+            raise _OutOfNodes
+        if uncovered & ~suffix_or[last]:
+            return False
+        first = (uncovered & -uncovered).bit_length() - 1
+        if rows_left == 1:
+            if first not in covers_of:
+                nodes += count
+                if nodes > limit:
+                    raise _OutOfNodes
+                bit = 1 << first
+                covers_of[first] = [i for i, mask in enumerate(cover) if mask & bit]
+            # A step per cover from ``last`` on, as far as the budget reaches.
+            covers = covers_of[first]
+            lo = bisect_left(covers, last)
+            stop = min(len(covers), lo + limit - nodes)
+            for k in range(lo, stop):
+                i = covers[k]
+                if uncovered & ~cover[i] == 0 and not tied & (ties[i] if ties else (i >> 1) & ~i):
+                    nodes += k + 1 - lo
+                    chosen.append(i)
+                    return True
+            nodes += stop - lo
+            if stop < len(covers):
+                raise _OutOfNodes
+            return False
+        hi, need = max_row_for[first], uncovered.bit_count()
+        # Scanning candidate i brings nodes to base + i + 1.
+        base = nodes - last
+        for i in range(last, hi + 1):
+            if tied & (ties[i] if ties else (i >> 1) & ~i):
+                continue
+            newly = cover[i] & uncovered
+            if not newly:
+                continue
+            if need - newly.bit_count() > (rows_left - 1) * suffix_max[i]:
+                continue
+            nodes = base + i + 1
+            if nodes > limit:
+                raise _OutOfNodes
+            chosen.append(i)
+            if dfs(i, uncovered & ~cover[i], rows_left - 1,
+                   tied & (ties[i] >> n - 1 if ties else ~(i ^ (i >> 1)))):
+                return True
+            chosen.pop()
+            base = nodes - i - 1
+        nodes = base + hi + 1
+        if nodes > limit:
+            raise _OutOfNodes
+        return False
+
+    # Universal sets start from the all-zero row, candidate 0.
+    start = [0] if isinstance(spec, UniversalSpec) else []
+    uncovered = full & ~cover[0] if start else full
+    try:
+        for size in range(lower, budget.max_rows + 1):
+            chosen[:] = start
+            if dfs(0, uncovered, size - len(start), (1 << (n - 1)) - 1):
+                # Candidate i's symbols are the n base-q digits of i.
+                rows = tuple(tuple(i // q**k % q for k in reversed(range(n))) for i in chosen)
+                certificate = SymbolMatrix(n=n, q=q, rows=rows)
+                return SearchOutcome("found", size=size, certificate=certificate, nodes=nodes)
+    except _OutOfNodes:
+        return SearchOutcome("budget_exceeded", nodes=limit + 1)
+    finally:
+        del dfs  # a self-referencing closure: free its masks now, not at the next gc
+    return SearchOutcome("infeasible", nodes=nodes)
+
+
+@st.composite
+def search_cases(draw):
+    """A small spec (universal at q = 2 to 4, cover-free with r = 0 and
+    s = 0 included) and a node limit, from a handful of nodes to enough for
+    most of them."""
+    q = draw(st.sampled_from((2, 3, 4)))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, {2: 6, 3: 4, 4: 3}[q]))
+        spec = UniversalSpec(n, draw(st.integers(1, n)), q)
+    else:
+        n = draw(st.integers(1, 7))
+        r = draw(st.integers(0, n))
+        spec = CffSpec(n, r, draw(st.integers(1 if r == 0 else 0, n - r)))
+    return spec, SearchBudget(max_rows=draw(st.integers(1, 9)), node_limit=draw(st.integers(1, 30_000)))
+
+
+@given(search_cases())
+@settings(deadline=None)
+def test_the_search_matches_the_scanning_reference(case):
+    spec, budget = case
+    outcome, expected = search(spec, budget), reference_search(spec, budget)
+    assert (outcome.status, outcome.size, outcome.nodes) == (expected.status, expected.size, expected.nodes)
+    assert outcome.certificate == expected.certificate
+
+
+@st.composite
+def constraint_cases(draw):
+    """A spec standing for n columns over q symbols, an index of random
+    constraints on them in place of its own, and a node limit. Two of the
+    constraints need different symbols at column 0, so no row covers every
+    constraint and the all-zero start of a universal set leaves some
+    uncovered. Such constraints break the column symmetry the search
+    relies on, so a final row decreasing a tied column pair is common."""
+    q = draw(st.sampled_from((2, 3, 4)))
+    n = draw(st.integers(2, {2: 7, 3: 4, 4: 3}[q]))
+    requirement = st.dictionaries(st.integers(0, n - 1), st.integers(0, q - 1), min_size=1)
+    constraints = draw(st.permutations([{0: 0}, {0: 1}, *draw(st.lists(requirement, max_size=12))]))
+    index = [[0] * q for _ in range(n)]
+    for i, requires in enumerate(constraints):
+        for j, c in requires.items():
+            index[j][c] |= 1 << i
+    spec = UniversalSpec(n, 1, q) if q > 2 or draw(st.booleans()) else CffSpec(n, 1, 0)
+    budget = SearchBudget(max_rows=9, node_limit=draw(st.integers(1, 30_000)))
+    return spec, (index, len(constraints)), budget
+
+
+@given(constraint_cases())
+@settings(deadline=None)
+def test_the_search_matches_the_scanning_reference_on_any_constraints(case):
+    spec, index, budget = case
+
+    def fake(_):
+        return index
+
+    with patch.object(oracle, "_constraint_index", fake), patch.dict(globals(), _constraint_index=fake):
+        outcome, expected = search(spec, budget), reference_search(spec, budget)
+    assert (outcome.status, outcome.size, outcome.nodes) == (expected.status, expected.size, expected.nodes)
+    assert outcome.certificate == expected.certificate
 
 
 class TestPinnedSearch:
@@ -281,11 +459,12 @@ class TestPinnedSearch:
         )
 
     # Between them these run out of nodes at each place the search counts
-    # them: a search node, a scanned candidate, a final row's cover list and
-    # a final row's scan of it.
+    # them: a search node, a scanned candidate, a final row's cover list, a
+    # final row's scan of it and a final row forced at every column.
     @pytest.mark.parametrize(
         "spec",
-        [UniversalSpec(4, 2, 2), CffSpec(5, 1, 1), UniversalSpec(3, 2, 3), CffSpec(5, 1, 2)],
+        [UniversalSpec(4, 2, 2), CffSpec(5, 1, 1), UniversalSpec(3, 2, 3), CffSpec(5, 1, 2),
+         CffSpec(4, 2, 0), UniversalSpec(2, 1, 3)],
         ids=repr,
     )
     def test_every_node_limit_finishes_or_refuses(self, spec):
