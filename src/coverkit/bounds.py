@@ -12,6 +12,7 @@ double precision.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, fields
 from functools import wraps
 from math import comb, inf, log, log2
@@ -73,21 +74,26 @@ def nrs(r: int, s: int) -> float:
     """The base rate d * C(d, r) / log2 C(d, r) with d = r + s.
 
     Undefined when C(d, r) < 2 (r = 0 or s = 0), where the log vanishes, and
-    a DomainError past the double range.
+    a DomainError past the double range, found without C(d, r) once
+    min(r, s) alone puts it there.
     """
     if r < 0 or s < 0:
         raise DomainError(f"r and s must be non-negative, got ({r}, {s})")
     d = r + s
-    binom = comb(d, r)
-    if binom < 2:
-        raise DomainError(
-            f"rate undefined for (r, s) = ({r}, {s}): log2 C({d}, {r}) = "
-            f"log2 {binom} is not positive"
-        )
-    try:
-        rate = d * float(binom) / log2(binom)
-    except OverflowError:
-        rate = inf
+    # Each of the min(r, s) factors (max(r, s) + i) / i of C(d, r) is at
+    # least 2, so from 2**max_exp on the rate overflows without building it.
+    rate = inf
+    if min(r, s) < sys.float_info.max_exp:
+        binom = comb(d, r)
+        if binom < 2:
+            raise DomainError(
+                f"rate undefined for (r, s) = ({r}, {s}): log2 C({d}, {r}) = "
+                f"log2 {binom} is not positive"
+            )
+        try:
+            rate = d * float(binom) / log2(binom)
+        except OverflowError:
+            pass
     if rate == inf:
         raise DomainError(f"a bound at (r, s) = ({r}, {s}) exceeds the double range")
     return rate

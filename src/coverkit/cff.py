@@ -19,16 +19,18 @@ reads "1 on R, 0 on S", and undecided symbols are drawn with probabilities
 proportional to integer weights: (s, r) here, (1,) * q for universal sets.
 The engine is bit-sliced: Python ints serve as bitsets over the constraints,
 one per (column, symbol) for the constraints requiring that symbol there,
-and one per distinct coverage numerator for the constraints holding it. The
-first kind come from ``verify._constraint_index``, which joins each
-column's sets from whole-byte palette entries a block of constraints at a
-time. Deciding a column costs one AND and popcount per (numerator, symbol)
-pair and a few ANDs per numerator, all with nonnegative masks, to move the
-chosen symbol's constraints to their new numerator. The count of
-operations does not grow with the number of constraints; each is one pass
-in C over a bitset's words, and the width of the bitsets follows the count
-of constraints still unmet: once it falls to half the width, the met ones
-are squeezed out of every bitset.
+from ``verify._constraint_index``, which joins each column's sets from
+whole-byte palette entries a block of constraints at a time. While a
+constraint agrees with a row's decided symbols, its coverage numerator at a
+column does not depend on the row, so the constraints requiring each
+symbol at each column are split once into classes by that numerator, and a
+row keeps one bitset: the constraints it can still meet. Deciding a column
+costs one AND and popcount per class and one AND and XOR per other symbol,
+all with nonnegative masks. The count of operations does not grow with the
+number of constraints; each is one pass in C over a bitset's words, and the
+width of the bitsets follows the count of constraints still unmet: once it
+falls to a third of the width, the met ones are squeezed out of every
+bitset and the classes are split again.
 
 Every constructor verifies its own output before returning it.
 """
@@ -87,6 +89,50 @@ def _checked(m: SymbolMatrix, verdict: Verdict) -> SymbolMatrix:
     return m
 
 
+def _fold(
+    groups: dict[int, int], sets: list[int], num: Sequence[int], den: Sequence[int]
+) -> tuple[dict[int, int], list[list[tuple[int, int]]]]:
+    """(moved, classes) for one column ``sets`` of the engine's index, where
+    ``groups`` maps each numerator v to the set of constraints holding it.
+
+    The members of ``sets[c]`` holding v move to v // den[c] * num[c], and
+    the constraints with no requirement at the column keep v. ``classes[c]``
+    holds (multiplier, set) pairs whose sum of multiplier * popcount(x & set)
+    is the sum of v // den[c] over the members of ``sets[c]`` in x:
+    ``sets[c]`` itself at the first such value, and the members at each
+    other value at the difference from it. So a column's sets are not held
+    twice.
+    """
+    moved: dict[int, int] = {}
+    classes: list[list[tuple[int, int]]] = [[] for _ in sets]
+    for v, held in groups.items():
+        for c, s in enumerate(sets):
+            part = held & s
+            if part:
+                held ^= part
+                u, pairs = v // den[c], classes[c]
+                pairs.append((u - pairs[0][0], part) if pairs else (u, s))
+                to = u * num[c]
+                moved[to] = moved.get(to, 0) | part
+        if held:
+            moved[v] = moved.get(v, 0) | held
+    return moved, classes
+
+
+def _classes(
+    need: list[list[int]], start: dict[int, int], weights: Sequence[int]
+) -> list[list[list[tuple[int, int]]]]:
+    """``_fold``'s classes for each column of ``need``, carrying ``start``
+    through the columns: a member of ``need[j][c]`` with numerator v gains
+    v // weights[c] at column j and then holds v // weights[c] * W."""
+    spread = (sum(weights),) * len(weights)
+    classes = []
+    for sets in need:
+        start, column = _fold(start, sets, spread, weights)
+        classes.append(column)
+    return classes
+
+
 def _greedy_cover(
     need: list[list[int]], size: int, weights: Sequence[int]
 ) -> tuple[SymbolMatrix, GreedyTrace]:
@@ -103,85 +149,74 @@ def _greedy_cover(
     exact, since each of those numerators still has the factor weights[c].
 
     The state is bit-sliced: each set of constraints is a Python int with
-    bit i for constraint i, as ``need[j][c]`` is; ``live`` is the set no
-    earlier row has met, ``untouched[j]`` the set with no requirement at
-    column j, and ``groups`` maps each nonzero numerator to the set of
-    constraints holding it. Every set is nonnegative, ``untouched[j]`` too
-    (the all-ones mask XOR the sum of ``need[j]``): an AND with a negative
-    int converts it to two's complement on every call, several times the
-    cost of the AND itself. The groups a row starts from are folded once
-    from ``need``, moving the members of ``need[j][c]`` from v to
-    v * weights[c] for each column in turn. Column j tallies each symbol in
-    one loop over the groups, by AND and popcount; fixing it to c moves the
-    members of ``need[j][c]`` from numerator v to v // weights[c] * W,
-    drops the members requiring another symbol and leaves the rest. Once
-    every column is decided, the union of the groups is what the row met.
-    Equal weights keep at most k + 1 numerators, so a column costs a few
-    dozen big-int operations, not a Python step per constraint.
+    bit i for constraint i, as ``need[j][c]`` is, and every set is
+    nonnegative (an AND with a negative int converts it to two's complement
+    on every call, several times the cost of the AND itself). While a
+    constraint agrees with every symbol decided so far, its numerator at
+    column j is fixed: its weights at columns j and after, times W for each
+    requirement before j. So the numerators are folded through the columns
+    once, not per row: ``start`` maps each numerator at the start of a row
+    to its constraints, and ``_classes`` carries it through the columns,
+    giving ``classes[j][c]``, (multiplier, set) pairs whose sum of
+    multiplier * popcount(x & set) is the gain for c at j of the constraints
+    x. A row keeps one mask, ``consistent``, which starts as the live set:
+    column j's gain for c is that sum at x = ``consistent``, and fixing the
+    column to c drops the members of the other ``need[j]`` sets. Once every
+    column is decided, ``consistent`` is what the row met. Equal weights
+    leave at most k classes per column and symbol for k requirements, so a
+    column costs a few dozen big-int operations, not a Python step per
+    constraint. The chosen symbol never lowers the sum of the numerators,
+    so a row meets a live constraint unless one requires two symbols at a
+    column; a row that meets none would repeat forever, so it raises
+    AssertionError.
 
     Each of those operations costs in proportion to the sets' width, and
-    the width follows the live count: once no more than half the width is
-    live, ``_squeezer`` drops the met constraints from ``need`` and the
-    start sets, and ``untouched`` is built again, so bit i is then the i-th
-    live constraint. The order of the constraints is kept, so every tally,
-    tie and row is the same as at full width.
+    the width follows the live count: once no more than a third of the
+    width is live, ``_squeezer`` drops the met constraints from ``need``
+    and ``start``, and the classes are folded again, so bit i is then the
+    i-th live constraint. The order of the constraints is kept, so every
+    tally, tie and row is the same as at full width.
     """
-    q, total = len(weights), sum(weights)
-    full = (1 << size) - 1
-    # untouched[j]: the constraints with no requirement at column j.
-    untouched = [full ^ sum(sets) for sets in need]
-    # start_sets[v]: the constraints whose numerator at the start of a row is v.
-    start_sets = {1: full}
-    for sets, rest in zip(need, untouched):
-        folded: dict[int, int] = {}
-        for v, held in start_sets.items():
-            parts = [(v, held & rest)] + [(v * w, held & s) for w, s in zip(weights, sets)]
-            for u, part in parts:
-                if part:
-                    folded[u] = folded.get(u, 0) | part
-        start_sets = folded
+    q = len(weights)
+    start = {1: (1 << size) - 1}
+    for sets in need:
+        start = _fold(start, sets, weights, (1,) * q)[0]
 
     width = remaining = size
     live = (1 << width) - 1  # constraints no earlier row has met
+    classes = _classes(need, start, weights)
     trace_rows: list[GreedyTraceRow] = []
     while live:
-        groups = {v: members & live for v, members in start_sets.items()}
+        consistent = live
         row = []
-        for sets, rest in zip(need, untouched):
+        for sets, column in zip(need, classes):
             best, best_gain = 0, -1
-            for c, members in enumerate(sets):
-                tally = 0
-                for v, s in groups.items():
-                    tally += v * (s & members).bit_count()
-                gain = tally // weights[c]
+            for c, pairs in enumerate(column):
+                gain = 0
+                for v, s in pairs:
+                    gain += v * (consistent & s).bit_count()
                 if gain > best_gain:
                     best, best_gain = c, gain
             row.append(best)
-            kept, w = sets[best], weights[best]
-            moved: dict[int, int] = {}
-            for v, s in groups.items():
-                stay, met = s & rest, s & kept
-                if stay:
-                    moved[v] = moved.get(v, 0) | stay
-                if met:
-                    u = v // w * total
-                    moved[u] = moved.get(u, 0) | met
-            groups = moved
-        # Every column is decided: a constraint still in a group is met by the
-        # row. No constraint is in two groups, so their sum is their union.
-        covered = sum(groups.values())
-        live ^= covered
-        count = covered.bit_count()
+            for c, s in enumerate(sets):
+                if c != best:
+                    consistent ^= consistent & s
+        count = consistent.bit_count()
+        if not count:
+            raise AssertionError(f"row {row} meets none of the {remaining} constraints left")
+        live ^= consistent
         remaining -= count
         trace_rows.append(GreedyTraceRow(tuple(row), count, remaining))
-        if remaining and remaining * 2 <= width:
-            # Drop the met constraints from every set, keeping their order.
+        if remaining and remaining * 3 <= width:
+            # Drop the met constraints from every set, keeping their order,
+            # and fold the classes again, the old ones freed first.
+            del classes
             squeeze = _squeezer(live)
             need = [[squeeze(s) for s in sets] for sets in need]
-            start_sets = {v: squeeze(s) for v, s in start_sets.items()}
+            start = {v: squeeze(s) for v, s in start.items()}
             width = remaining
             live = (1 << width) - 1
-            untouched = [live ^ sum(sets) for sets in need]
+            classes = _classes(need, start, weights)
     rows = tuple(rec.row for rec in trace_rows)
     return SymbolMatrix(n=len(need), q=q, rows=rows), GreedyTrace(tuple(trace_rows))
 

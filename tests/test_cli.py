@@ -447,6 +447,17 @@ class TestBounds:
         assert captured.out == ""
         assert captured.err.startswith("error: a bound at ") and captured.err.count("\n") == 1
 
+    def test_a_huge_rate_is_refused_before_its_binomial(self):
+        # C(2 * 10**6, 10**6) would take about 40 s to build; min(r, s) alone
+        # puts the rate past the double range.
+        rc, out, err, elapsed = run_limited(
+            ["bounds", "--n", "2000005", "--r", "1000000", "--s", "1000000"]
+        )
+        assert rc == 2
+        assert out == ""
+        assert err == "error: a bound at (r, s) = (1000000, 1000000) exceeds the double range\n"
+        assert elapsed < 1.0
+
     def test_construct_notes_an_overflowing_bound(self, capsys):
         # Every spec whose bounds overflow is far past the constraint cap, so
         # construct's reporting step is driven directly.

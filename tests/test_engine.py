@@ -136,43 +136,51 @@ class TestWideAlphabets:
 
 def compactions(trace, size):
     """How often ``_greedy_cover`` squeezes its sets on the way to
-    ``trace``: whenever a row leaves at most half the width unmet, which
-    then becomes the width."""
+    ``trace``: whenever a row leaves at most a third of the width unmet,
+    which then becomes the width."""
     width, count = size, 0
     for rec in trace.rows:
-        if rec.remaining and rec.remaining * 2 <= width:
+        if rec.remaining and rec.remaining * 3 <= width:
             width, count = rec.remaining, count + 1
     return count
 
 
 @st.composite
 def compacting_inputs(draw):
-    """100-400 distinct constraints of 2-4 requirements on 12-16 column
+    """144-400 distinct constraints of 2-4 requirements on 12-16 column
     sets, in any order, and symbol weights not all equal.
 
     A row meets at most one constraint per column set, so at most m <= 16
-    constraints, and there are at least 9 * m. The first row to leave at
-    most half of them unmet therefore leaves more than 2 * m: it compacts,
-    and so does the first row to leave at most half of those, which leaves
-    at least one.
+    constraints, and there are at least 12 * m, for a column set has at
+    least 12 patterns: 3 columns at q = 3, 2 at q = 4. The first row to
+    leave at most a third of them unmet therefore leaves more than 3 * m:
+    it compacts, and so does the first row to leave at most a third of
+    those, which leaves at least one.
     """
-    n = draw(st.integers(5, 8))
+    n = draw(st.integers(6, 8))
     q = draw(st.integers(3, 4))
     weights = tuple(
         draw(st.lists(st.integers(1, 5), min_size=q, max_size=q).filter(lambda w: len(set(w)) > 1))
     )
     column_sets = draw(
         st.lists(
-            st.lists(st.integers(0, n - 1), min_size=2, max_size=4, unique=True),
+            st.lists(st.integers(0, n - 1), min_size=6 - q, max_size=4, unique=True),
             min_size=12, max_size=16, unique_by=frozenset,
         )
     )
     requirements = []
     for columns in column_sets:
         tuples = list(product(range(q), repeat=len(columns)))
-        for t in draw(st.sets(st.integers(0, len(tuples) - 1), min_size=9, max_size=25)):
+        for t in draw(st.sets(st.integers(0, len(tuples) - 1), min_size=12, max_size=25)):
             requirements.append(list(zip(columns, tuples[t])))
     return n, draw(st.permutations(requirements)), weights
+
+
+class TestProgress:
+    def test_a_row_that_meets_nothing_raises(self):
+        # One constraint requiring both symbols at column 0: no row meets it.
+        with pytest.raises(AssertionError, match="meets none"):
+            _greedy_cover([[1, 1]], 1, (1, 1))
 
 
 class TestCompaction:
