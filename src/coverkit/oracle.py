@@ -42,10 +42,12 @@ nodes plus scanned candidates, so ``node_limit`` bounds the search's time.
 
 The tables these prunes read come from ``_scan_tables``, which takes a
 Python step per constraint or per run of equal entries, and one
-comprehension over the candidates (for q > 2, ``_tie_table`` adds one per
-column for the column pairs); a non-final row's scan counts its nodes from
-the candidate index, and a final row read from the symbols it must hold is
-charged what its scan would have cost. None of these changes a count.
+comprehension over the candidates. The lists a scan walks are built in C:
+a final row's covers, and for the other rows the candidates that decrease
+no tied column pair (``_tie_list``), so a candidate skipped for a tie is
+counted from its index but never visited. A final row read from the
+symbols it must hold is charged what its scan would have cost. None of
+these changes a count.
 
 A search either returns the exact minimum with a certificate, proves the
 minimum exceeds ``max_rows``, or aborts cleanly when the node budget runs
@@ -54,7 +56,7 @@ out or the work budget refuses its masks. It never returns a wrong answer.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress
 from typing import Literal
@@ -173,29 +175,44 @@ def _scan_tables(
     return index, cover, suffix_or, suffix_max, last
 
 
-def _tie_table(n: int, q: int) -> list[int]:
-    """The column-pair masks of the q**n candidates, in ``product`` order:
-    bit n-2-j of ties[i] is set when candidate i decreases columns (j, j+1),
-    and bit 2n-3-j when it keeps them equal. Each column's comprehension
-    sets the bits of its pair with the column before."""
-    ties = [0] * q
-    for _ in range(n - 1):
-        ties = [t << 1 | (i % q > c) | (i % q == c) << n - 1
-                for i, t in enumerate(ties) for c in range(q)]
-    return ties
+# The most candidates the tie lists and the q > 2 column-pair memo of one
+# search hold between them. A list entry takes about 40 bytes and a memo
+# entry about 200, but the memo holds only rows the search takes, a few
+# hundred at most in the searches measured. A tie list holds at most the
+# q**n <= 2**20 candidates the work budget admits, so one always fits.
+_TIE_CAP = 2**20
+
+
+def _tie_list(n: int, q: int, tied: int) -> list[int]:
+    """The candidates, in ``product`` order, that decrease no column pair
+    (j, j+1) whose bit n-2-j is set in ``tied``. One byte per candidate,
+    1 where it fits, is joined a column at a time from the last: block[a]
+    holds the bytes of the columns after the current one when it holds a,
+    zero where a tied pair decreases."""
+    block = [b"\1"] * q
+    for j in reversed(range(n - 1)):
+        if tied >> n - 2 - j & 1:
+            zero = bytes(len(block[0]))
+            block = [zero * a + b"".join(block[a:]) for a in range(q)]
+        else:
+            block = [b"".join(block)] * q
+    return list(compress(range(q**n), b"".join(block)))
 
 
 def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> SearchOutcome:
     """Search the q**n candidate rows, in ``product`` order, for the fewest
     meeting every constraint of ``spec``. Bit i of a cover mask is the i-th
     constraint the verifier scans; bit n-2-j of a column-pair mask stands
-    for columns (j, j+1); for q > 2 they come from ``_tie_table``.
+    for columns (j, j+1); a q > 2 candidate's pair masks are read from its
+    digits on first use.
 
-    A non-final row's scan counts its nodes from the candidate index, which
-    saves an add and a test on each candidate, most of them skipped at once.
-    It tests the budget before each child and at the scan's end: a budget
-    that runs out mid-scan is caught at the end, no more than q**n <=
-    node_limit candidates late, with the same outcome.
+    A non-final row's scan walks the slice from ``last`` to its bound of
+    ``_tie_list``'s candidates for its ``tied`` mask, and counts its nodes
+    from the candidate index. It tests the budget before each child and at
+    the scan's end: a budget that runs out mid-scan is caught at the end, no
+    more than q**n <= node_limit candidates late, with the same outcome. The
+    tie lists and the q > 2 pair masks are dropped together before they
+    would hold more than ``_TIE_CAP`` candidates.
 
     A final row whose uncovered constraints require two symbols at one
     column, or one at every column, is decided without a scan, by two passes
@@ -218,12 +235,35 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
     symbols = [(held, c * q ** (n - 1 - j)) for j, sets in enumerate(index) for c, held in enumerate(sets)]
     num_constraints = len(max_row_for)
     full = (1 << num_constraints) - 1
-    # For q = 2 the column-pair masks are (i >> 1) & ~i and ~(i ^ (i >> 1)).
-    ties = _tie_table(n, q) if q > 2 else None
 
     # covers_of[c]: the candidates covering constraint c, in order, built
     # when the final-row loop first needs them.
     covers_of: dict[int, list[int]] = {}
+    # fits[tied] is ``_tie_list(n, q, tied)``; memo[i] is q > 2 candidate
+    # i's column pairs (decreasing, equal).
+    fits: dict[int, list[int]] = {}
+    memo: dict[int, tuple[int, int]] = {}
+    cached = 0
+
+    def room(size: int) -> None:
+        nonlocal cached
+        if cached + size > _TIE_CAP:
+            fits.clear()
+            memo.clear()
+            cached = 0
+        cached += size
+
+    def pairs(i: int) -> tuple[int, int]:
+        """Candidate i's column-pair masks, read from its base-q digits; for
+        q = 2 they are (i >> 1) & ~i and ~(i ^ (i >> 1))."""
+        if i not in memo:
+            room(1)
+            digits = [i // q**k % q for k in reversed(range(n))]
+            dec = eq = 0
+            for a, b in zip(digits, digits[1:]):
+                dec, eq = dec << 1 | (a > b), eq << 1 | (a == b)
+            memo[i] = dec, eq
+        return memo[i]
 
     lower = -(-num_constraints // suffix_max[0])  # the coverage bound
 
@@ -249,8 +289,16 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
                 nodes += count
                 if nodes > limit:
                     raise _OutOfNodes
-                bit = 1 << first
-                covers_of[first] = [i for i, mask in enumerate(cover) if mask & bit]
+                # One byte per candidate, 1 where it holds every symbol the
+                # constraint requires, joined a column at a time from the last.
+                bit, block = 1 << first, b"\1"
+                for sets in reversed(index):
+                    if sum(sets) & bit:
+                        zero = bytes(len(block))
+                        block = b"".join(block if held & bit else zero for held in sets)
+                    else:
+                        block *= q
+                covers_of[first] = list(compress(range(count), block))
             # A step per cover from ``last`` on, as far as the budget reaches.
             covers = covers_of[first]
             lo = bisect_left(covers, last)
@@ -271,7 +319,7 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
                     scan = range(max(k, lo), min(k + 1, stop))
             for k in scan:
                 i = covers[k]
-                if uncovered & ~cover[i] == 0 and not tied & (ties[i] if ties else (i >> 1) & ~i):
+                if uncovered & ~cover[i] == 0 and not tied & ((i >> 1) & ~i if q == 2 else pairs(i)[0]):
                     nodes += k + 1 - lo
                     chosen.append(i)
                     return True
@@ -280,11 +328,15 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
                 raise _OutOfNodes
             return False
         hi, need = max_row_for[first], uncovered.bit_count()
-        # Scanning candidate i brings nodes to base + i + 1.
+        fit = fits.get(tied)
+        if fit is None:
+            fit = _tie_list(n, q, tied)
+            room(len(fit))
+            fits[tied] = fit
+        # Scanning candidate i, or skipping it for a tie, brings nodes to
+        # base + i + 1.
         base = nodes - last
-        for i in range(last, hi + 1):
-            if tied & (ties[i] if ties else (i >> 1) & ~i):
-                continue
+        for i in fit[bisect_left(fit, last):bisect_right(fit, hi)]:
             newly = cover[i] & uncovered
             if not newly:
                 continue
@@ -295,7 +347,7 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
                 raise _OutOfNodes
             chosen.append(i)
             if dfs(i, uncovered & ~cover[i], rows_left - 1,
-                   tied & (ties[i] >> n - 1 if ties else ~(i ^ (i >> 1)))):
+                   tied & (~(i ^ (i >> 1)) if q == 2 else pairs(i)[1])):
                 return True
             chosen.pop()
             base = nodes - i - 1

@@ -26,7 +26,7 @@ from coverkit import (
 )
 from coverkit import oracle
 from coverkit.core import _check_work
-from coverkit.oracle import SearchOutcome, _OutOfNodes, _scan_tables, _tie_table
+from coverkit.oracle import SearchOutcome, _OutOfNodes, _scan_tables, _tie_list
 from coverkit.verify import _constraint_index
 
 
@@ -218,13 +218,13 @@ def reference_pairs(n, q):
     return dec, eq
 
 
-@given(st.integers(1, 7), st.integers(3, 5))
+@given(st.sampled_from((2, 3, 4, 5)), st.data())
 @settings(deadline=None)
-def test_the_tie_table_matches_the_per_column_loops(n, q):
-    dec, eq = reference_pairs(n, q)
-    ties = _tie_table(n, q)
-    assert [t & (1 << n - 1) - 1 for t in ties] == dec
-    assert [t >> n - 1 for t in ties] == eq
+def test_each_tie_list_holds_the_candidates_decreasing_no_tied_pair(q, data):
+    n = data.draw(st.integers(1, {2: 10, 3: 7, 4: 5, 5: 5}[q]))
+    tied = data.draw(st.integers(0, (1 << n - 1) - 1))
+    dec, _ = reference_pairs(n, q)
+    assert _tie_list(n, q, tied) == [i for i in range(q**n) if not tied & dec[i]]
 
 
 def certificate_sha(m):
@@ -253,6 +253,10 @@ SEARCHES = {
     CffSpec(8, 1, 1): ("found", 5, 213441, "03d1e883f581767d48e6d3dc5a046058bbad19de3acecc95d914b8468adcd95f"),
     CffSpec(14, 2, 0): ("found", 1, 36865, "79f7928f3deb7436d6e110dfae37e8f80ea9c65f55ea84eb449895b63bc5909e"),
     UniversalSpec(8, 2, 2): ("found", 6, 1676843, "f22c7499603f1297113fc895a65dacfe87a6fc7d42c6f6e46cb3dfd64744ee12"),
+    # A ternary search, whose column pairs are read from the digits, and the
+    # longest non-final scans.
+    UniversalSpec(12, 1, 3): ("found", 3, 1505752, "f8d9fc942d056b8465c796f127c444df1532843c7ad10a88ea19497ceab80709"),
+    CffSpec(8, 1, 2): ("found", 8, 3012067, "e226c58e87d753baad42cbe74e91b7baf0ae31e58c04721d25c21a54859ea232"),
 }
 
 
@@ -266,8 +270,9 @@ def reference_search(spec, budget):
     """``_search_minimal`` as it was before the final row was read from the
     symbols its uncovered constraints force: every final row is found by a
     scan of the covers of the first uncovered constraint, one node per
-    candidate scanned. Verbatim but for its tables, which come from
-    ``reference_tables``."""
+    candidate scanned, each tested against the tied column pairs. Verbatim
+    but for its tables, which come from ``reference_tables``, and its
+    column-pair masks, from ``reference_pairs``."""
     n, q, limit = spec.n, spec.q, budget.node_limit
     try:
         _check_work(spec, "search")
@@ -279,8 +284,7 @@ def reference_search(spec, budget):
     cover, suffix_or, suffix_max, max_row_for = reference_tables(spec)
     num_constraints = len(max_row_for)
     full = (1 << num_constraints) - 1
-    # For q = 2 the column-pair masks are (i >> 1) & ~i and ~(i ^ (i >> 1)).
-    ties = _tie_table(n, q) if q > 2 else None
+    dec, eq = reference_pairs(n, q)
 
     # covers_of[c]: the candidates covering constraint c, in order, built
     # when the final-row loop first needs them.
@@ -318,7 +322,7 @@ def reference_search(spec, budget):
             stop = min(len(covers), lo + limit - nodes)
             for k in range(lo, stop):
                 i = covers[k]
-                if uncovered & ~cover[i] == 0 and not tied & (ties[i] if ties else (i >> 1) & ~i):
+                if uncovered & ~cover[i] == 0 and not tied & dec[i]:
                     nodes += k + 1 - lo
                     chosen.append(i)
                     return True
@@ -330,7 +334,7 @@ def reference_search(spec, budget):
         # Scanning candidate i brings nodes to base + i + 1.
         base = nodes - last
         for i in range(last, hi + 1):
-            if tied & (ties[i] if ties else (i >> 1) & ~i):
+            if tied & dec[i]:
                 continue
             newly = cover[i] & uncovered
             if not newly:
@@ -341,8 +345,7 @@ def reference_search(spec, budget):
             if nodes > limit:
                 raise _OutOfNodes
             chosen.append(i)
-            if dfs(i, uncovered & ~cover[i], rows_left - 1,
-                   tied & (ties[i] >> n - 1 if ties else ~(i ^ (i >> 1)))):
+            if dfs(i, uncovered & ~cover[i], rows_left - 1, tied & eq[i]):
                 return True
             chosen.pop()
             base = nodes - i - 1
@@ -432,6 +435,19 @@ def test_the_search_matches_the_scanning_reference_on_any_constraints(case):
 class TestPinnedSearch:
     @pytest.mark.parametrize("spec", list(SEARCHES), ids=repr)
     def test_outcome(self, spec):
+        outcome = search(spec)
+        assert (
+            outcome.status,
+            outcome.size,
+            outcome.nodes,
+            certificate_sha(outcome.certificate),
+        ) == SEARCHES[spec]
+
+    @pytest.mark.parametrize("spec", list(SEARCHES), ids=repr)
+    def test_outcome_with_the_tie_cache_cleared_every_few_candidates(self, spec, monkeypatch):
+        # With room for 4 candidates, nearly every tie list, and every few
+        # q > 2 candidates' column pairs, clear the cache.
+        monkeypatch.setattr(oracle, "_TIE_CAP", 4)
         outcome = search(spec)
         assert (
             outcome.status,
