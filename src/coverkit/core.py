@@ -175,15 +175,18 @@ def _work(spec: UniversalSpec | CffSpec, op: str, rows: int) -> int:
       max(R, ``rows``) rows; a Las Vegas run takes at least its batch, and
       about R, and draws and records each of its ``rows`` at 2**11 a
       column and 15 * 2**11 a row. The self-verify is checked apart.
-    * "verify" of ``rows`` rows: 2**14 and 2**8 a row for each d-subset
-      (its ``to_bytes``, ``translate`` and yield take about 1 us even at
-      one row), and 2**11 for each of the q**d patterns; or 2**11 and 1 a
-      row for each (R, S) pair, the per-pair loop's cost. That charge
-      still bounds the cover-free scan: its packed form runs only where
-      its own cost estimate is below the loop's, and only within a memory
-      cap. An empty matrix is not scanned. Either family adds 2**11 for each
-      of the d columns of the first witness, which a verdict on an empty
-      matrix builds without a scan.
+    * "verify" of ``rows`` rows: 2**14 and 2**8 a row for each d-subset,
+      the cost of a window of one subset (its add, ``to_bytes``,
+      ``translate`` and yield take about 1 us even at one row), and 2**11
+      for each of the q**d patterns; or 2**11 and 1 a row for each (R, S)
+      pair, the per-pair loop's cost. Both charges still bound the scans:
+      a longer window shares its calls among up to 256 // q**d subsets but
+      scans as many bytes a subset, and the packed cover-free form runs
+      only where its own cost estimate is below the loop's, and only within
+      a memory cap. An empty matrix is not scanned. Either family adds 2**12
+      for each of the d columns of the first witness, which a verdict on an
+      empty matrix builds and the CLI prints without a scan, at about
+      0.2 us a column.
     * "search": q**n cover masks, kept and rescanned, at 2**9 a bit and
       2**14 a candidate.
     * "count": the constraint count built whole, C(n, d) q**d or C(n, r)
@@ -197,9 +200,9 @@ def _work(spec: UniversalSpec | CffSpec, op: str, rows: int) -> int:
         bits = _binomial_exponent(spec) * n.bit_length() + (d * spec.q.bit_length() if universal else 0)
         return bits**2 >> 9
     if op == "verify" and universal:
-        return ((comb(n, d) * (rows + 2**6) if rows else 0) + 8 * spec.q**d + 8 * d) << 8
+        return ((comb(n, d) * (rows + 2**6) if rows else 0) + 8 * spec.q**d + 16 * d) << 8
     if op == "verify":
-        return (_num_constraints(spec) * (rows + 2**11) if rows else 0) + (d << 11)
+        return (_num_constraints(spec) * (rows + 2**11) if rows else 0) + (d << 12)
     q, m = spec.q, _num_constraints(spec)
     if op == "search":
         return q**n * (m + 2**5) << 9

@@ -5,8 +5,10 @@ Both verifiers enumerate every constraint:
 
 * universal: every d-subset S of columns must show all q**d patterns. The
   indices S shows on all rows are one sum of packed columns; where they fit
-  a byte (q**d <= 256), one ``bytes.translate`` deletes them from the q**d
-  indices and leaves the missing ones, and wider indices go into a ``set``;
+  a byte (q**d <= 256), a window of up to 256 // q**d subsets holds each
+  subset's indices in its own range of byte values, and one
+  ``bytes.translate`` deletes them all from the window's indices and
+  leaves the missing ones. Wider indices go into a ``set`` per subset;
 * cover-free: every disjoint pair (R, S) with |R| = r, |S| = s must have a
   row that is all-1 on R and all-0 on S. Where a cost estimate on (n, r,
   s, rows) favours it and its memory fits a cap, every S of one R is
@@ -39,11 +41,12 @@ from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations, product, repeat
+from functools import cache
+from itertools import combinations, filterfalse, product, repeat
 from math import comb
-from typing import Callable, Container, Iterable, Iterator, Literal, Union
+from typing import Callable, Iterable, Iterator, Literal, Union
 
 from .core import MAX_ALPHABET, CffSpec, SymbolMatrix, UniversalSpec, _check_work, _num_constraints
 from .errors import AlphabetError, ParameterError
@@ -89,9 +92,11 @@ class Verdict:
 _VALID = Verdict("valid")
 
 
-def _missing_universal(m: SymbolMatrix, spec: UniversalSpec) -> Iterator[Missed]:
+def _missing_universal(m: SymbolMatrix, spec: UniversalSpec,
+                       length: int | None = None) -> Iterator[Missed]:
     """Every (columns, pattern) pair ``m`` misses, in (subset, then pattern)
-    order, grouped by subset: each subset that misses any, with how many.
+    order, grouped by window: each window of up to ``length`` subsets
+    (``_window_length``'s by default) that misses any, with how many.
 
     Each column is packed into one Python int with a fixed-width field per
     row, holding that row's symbol at the column: 1, 2 or 4 bytes, the
@@ -100,15 +105,31 @@ def _missing_universal(m: SymbolMatrix, spec: UniversalSpec) -> Iterator[Missed]
     q**(d-1-k)), is then one big-int sum of scaled columns, since no field
     can carry into the next; its fields are the indices S shows, and S
     misses the patterns whose rank in ``product`` order is not among them.
-    With 1-byte fields (q**d <= 256), deleting the sum's bytes from
-    ``bytes(range(q**d))`` with one ``translate`` leaves exactly those
-    ranks. Wider fields are read back through ``memoryview.cast`` into a
-    ``set``, and S misses q**d less its size. A count builds no witness;
-    ``_unshown`` lists S's from the bytes or the set. The sums over each
-    head S[:d-1] are shared across ``combinations`` order, so most subsets
-    cost one add. A subset holds O(rows) bytes, whatever q**d is.
-    The widest field holds indices below 2**32: ``_missing`` runs this only
-    within WORK_BUDGET, which charges 2**11 a pattern, so q**d <= 2**24.
+
+    S is a head and a tail of t columns, t = 2 for windows of more than one
+    subset at d >= 3 and 1 otherwise. The tails, in ``combinations`` order,
+    are cut into windows of ``length`` aligned to the last, so the tails
+    after a head's last column are the end of one window and the whole
+    windows after it. Slot i of a window holds its i-th tail's sum plus
+    i * q**d in every field; adding the head's sum, repeated into every
+    slot, gives the indices of ``length`` subsets, each slot's in its own
+    range of values. With 1-byte fields (q**d <= 256, so length <= 256 //
+    q**d), deleting them from ``bytes(range(length * q**d))`` with one
+    ``translate`` leaves the missing (slot, rank) pairs in order, and a
+    table that starts at the head's first slot leaves out the tails before
+    it: one add, ``to_bytes`` and ``translate`` a window. A count builds no
+    witness; ``_window_witnesses`` lists a window's from its bytes. Windows
+    are built as a head first needs them and kept within ``_WINDOW_CAP``
+    bytes, the last ones, which the most heads share, first.
+
+    A window of one subset is one column, and the sums over each head are
+    shared across ``combinations`` order, so most subsets cost one add
+    besides the window's calls. Wider fields take windows of one, read
+    back through ``memoryview.cast`` into a ``set``: S misses q**d less
+    its size, and the ranks not in it. A window holds O(length * rows)
+    bytes, whatever q**d is. The widest field holds indices below 2**32:
+    ``_missing`` runs this only within WORK_BUDGET, which charges 2**11 a
+    pattern, so q**d <= 2**24.
     """
     q, n, rows, d = m.q, m.n, m.rows, spec.d
     total = q**d
@@ -116,38 +137,151 @@ def _missing_universal(m: SymbolMatrix, spec: UniversalSpec) -> Iterator[Missed]
     # The same native byte order on both sides, so wider fields read back whole.
     order = sys.byteorder
     size = len(rows) * array(code).itemsize
-    columns = [int.from_bytes(array(code, col).tobytes(), order) for col in zip(*rows)]
+    packed = [array(code, col).tobytes() for col in zip(*rows)]
+    columns = [int.from_bytes(fields, order) for fields in packed]
+    if code != "B":
+        length = 1
+    elif length is None:
+        length = _window_length(n, d, q, len(rows))
+    t = 2 if length > 1 and d >= 3 else 1
+    h, width = d - t, length * size
     powers = [q**k for k in reversed(range(d))]
-    every = bytes(range(total)) if code == "B" else None
+    # first[c]: the position of the first tail after column c - 1. Window u
+    # holds the tails from u * length - pad on; the first pad slots are empty.
+    tails = comb(n, t)
+    first = [tails - comb(n - c, t) for c in range(n + 1)]
+    count = -(-tails // length)
+    pad = count * length - tails
+    every = bytes(range(length * total)) if code == "B" else b""
+    # begins[c]: the first window of the tails after column c - 1, and the
+    # table that leaves out its slots before them
+    tables = [every[skip * total:] for skip in range(length)]
+    begins = [(u, tables[skip]) for u, skip in (divmod(p + pad, length) for p in first)]
+    # The head sums are taken over columns repeated into every slot, each
+    # repeated when a head first takes it; windows are built likewise.
+    spread = columns.__getitem__
+    if length > 1:
+        spread = cache(lambda j: int.from_bytes(packed[j] * length, order))
+    windows = columns if length == 1 else {}
+    # kept: the first window kept, in the room the spread columns leave
+    kept = count - (_WINDOW_CAP - n * width) // width
+    stacked = b"".join(packed) if length > 1 else b""
+    # lift: slot i's i * q**d in every field
+    lift = int.from_bytes(b"".join(bytes([i * total]) * size for i in range(length)), order)
+
+    def tail(position: int) -> tuple[int, ...]:
+        a = bisect_right(first, position) - 1
+        return (a,) if t == 1 else (a, a + 1 + position - first[a])
+
+    def build(u: int) -> int:
+        """Window u, joined from slices of the stacked columns: a run of
+        tails (a, b) that share a is a run of columns b, plus column a
+        repeated and scaled by q."""
+        start = u * length - pad
+        end, position = start + length, max(start, 0)
+        zeros = bytes((position - start) * size)
+        if t == 1:
+            window = int.from_bytes(zeros + stacked[position * size:end * size], order)
+        else:
+            lows, highs = [zeros], [zeros]
+            a, b = tail(position)
+            while position < end:
+                run = min(end - position, n - b)
+                lows.append(stacked[b * size:(b + run) * size])
+                highs.append(packed[a] * run)
+                position += run
+                a, b = a + 1, a + 2
+            window = int.from_bytes(b"".join(lows), order) + q * int.from_bytes(b"".join(highs), order)
+        window += lift
+        if u >= kept:
+            windows[u] = window
+        return window
+
     # partial[k]: the sum over the current head's first k columns; a head
     # keeps those of the last head up to the first column where they differ.
-    partial = [0] * d
-    last_head = (-1,) * (d - 1)
-    for head in combinations(range(n - 1), d - 1):
+    partial = [0] * (h + 1)
+    last_head = (-1,) * h
+    for head in combinations(range(n - t), h):
         k = 0
-        while k < d - 2 and head[k] == last_head[k]:
+        while k < h - 1 and head[k] == last_head[k]:
             k += 1
-        for k in range(k, d - 1):
-            partial[k + 1] = partial[k] + columns[head[k]] * powers[k]
-        last_head, base = head, partial[-1]
-        # The last column of S has weight q**0.
-        for j in range(head[-1] + 1 if head else 0, n):
-            fields = (base + columns[j]).to_bytes(size, order)
+        for k in range(k, h):
+            partial[k + 1] = partial[k] + spread(head[k]) * powers[k]
+        last_head, base = head, partial[h]
+        u, table = begins[head[-1] + 1 if head else 0]
+        for u in range(u, count):
+            try:
+                window = windows[u]
+            except KeyError:
+                window = build(u)
+            fields = (base + window).to_bytes(width, order)
             if every:
-                missing = every.translate(None, fields)
+                missing = table.translate(None, fields)
+                table = every
                 if missing:
-                    yield len(missing), _unshown(head + (j,), q, fields)
+                    yield len(missing), _window_witnesses(
+                        head, tail, u * length - pad, q, d, missing)
                 continue
             shown = set(memoryview(fields).cast(code))
             if len(shown) < total:
-                yield total - len(shown), _unshown(head + (j,), q, shown)
+                unshown = filterfalse(shown.__contains__, range(total))
+                yield total - len(shown), _window_witnesses(head, tail, u, q, d, unshown)
 
 
-def _unshown(S: tuple[int, ...], q: int, shown: Container[int]) -> Iterator[UniversalWitness]:
-    """The witnesses of the patterns on ``S`` whose rank is not in ``shown``."""
-    for idx, pattern in enumerate(product(range(q), repeat=len(S))):
-        if idx not in shown:
-            yield UniversalWitness(S, pattern)
+def _window_witnesses(head: tuple[int, ...], tail: Callable[[int], tuple[int, ...]], start: int,
+                      q: int, d: int, missing: Iterable[int]) -> Iterator[UniversalWitness]:
+    """The witnesses of a window's ``missing`` values, in order, each
+    slot * q**d plus a pattern's rank, where slot i is the subset of
+    ``head`` and the tail at position start + i."""
+    for value in missing:
+        slot, rank = divmod(value, q**d)
+        pattern = [0] * d
+        for k in reversed(range(d)):
+            rank, pattern[k] = divmod(rank, q)
+        yield UniversalWitness(head + tail(start + slot), tuple(pattern))
+
+
+# The repeated columns and the windows of ``_missing_universal`` longer
+# than one subset are kept within _WINDOW_CAP bytes; past it, windows are
+# built again each time a head needs them.
+_WINDOW_CAP = 2**22
+
+
+def _window_length(n: int, d: int, q: int, rows: int) -> int:
+    """The window length, a power of two up to 256 // q**d, at which
+    ``_missing_universal`` is estimated to scan (n, d, q) on ``rows`` rows
+    fastest, among those whose repeated columns fit ``_WINDOW_CAP``.
+
+    The estimates are in units of 1/100 ns: per window scanned, a fixed
+    cost and one per byte; per head, a fixed cost and, past one subset, its
+    repeated sum's bytes; per window built, likewise; and the repeated
+    columns. Windows the cap does not keep are built on each use. The
+    terms were fitted on random matrices of 14 to 7,000 rows and specs from
+    (7, 3, 5) to (100, 2, 2) (CPython 3.11, 2 vCPUs); on those, the length
+    picked took at most 1.15x the time of the best length measured, and no
+    more than a window of one.
+    """
+    best = comb(n, d) * (20000 + 200 * rows) + comb(n - 1, d - 1) * 85000
+    length, window, top = 1, 2, 256 // q**d
+    t = 2 if d >= 3 else 1
+    h = d - t
+    # (heads, tails): how many heads end at column c - 1, and the tails after it
+    ends = [(1, comb(n, t))]
+    if h:
+        ends = [(comb(c - 1, h - 1), comb(n - c, t)) for c in range(h, n - t + 1)]
+    while window <= top and n * window * rows <= _WINDOW_CAP:
+        width = window * rows
+        room = (_WINDOW_CAP - n * width) // width  # the windows kept
+        used = sum([k * -(-tails // window) for k, tails in ends])
+        built = -(-ends[0][1] // window)
+        if built > room:
+            built = room + sum([k * max(-(-tails // window) - room, 0) for k, tails in ends])
+        cost = (used * (20000 + 200 * width) + comb(n - t, h) * (85000 + 40 * width)
+                + built * (120000 + 300 * width) + n * 140 * width)
+        if cost < best:
+            best, length = cost, window
+        window *= 2
+    return length
 
 
 # _ONE_AT[c] maps byte c to the digit "1" and every other byte to "0".

@@ -256,13 +256,22 @@ class TestTooBigIsRefused:
         assert err == f"error: estimated work of at least 2**43 exceeds the budget of {BUDGET}\n"
 
     def test_running_out_of_memory(self, tmp_path):
-        # The first witness alone holds 1.6 * 10**7 column indices, about
-        # 640 MB, which the work budget admits at 2**11 a column but 256 MiB
+        # The first witness alone holds 8 * 10**6 column indices, about
+        # 320 MB, which the work budget admits at 2**12 a column but 256 MiB
         # of address space does not hold.
         f = tmp_path / "empty.txt"
-        f.write_text("kind=cff n=1000000000 q=2 rows=0 r=16000000 s=1\n")
+        f.write_text("kind=cff n=1000000000 q=2 rows=0 r=8000000 s=1\n")
         err = self.refused(["verify", str(f)], limit=1 << 28)
         assert err == "error: out of memory\n"
+
+    def test_verify_charges_building_and_printing_the_first_witness(self, tmp_path):
+        # 1.6 * 10**7 witness columns, about 640 MB to build and more to
+        # print, which 1 GiB does not hold: at 2**12 a column, about what
+        # building and printing one costs, they are refused up front.
+        f = tmp_path / "empty.txt"
+        f.write_text("kind=cff n=1000000000 q=2 rows=0 r=16000000 s=1\n")
+        err = self.refused(["verify", str(f)])
+        assert err == f"error: estimated work of at least 2**35 exceeds the budget of {BUDGET}\n"
 
     def test_printable_count_keeps_its_message(self):
         err = self.refused(
@@ -278,11 +287,11 @@ class TestTooBigIsRefused:
 
     def test_verify_charges_an_empty_matrix_its_first_witness(self, tmp_path):
         # The first witness's R alone would hold 999,999,999 columns, some
-        # 8 GB: 2**11 for each of its 10**9 columns is past the budget.
+        # 8 GB: 2**12 for each of its 10**9 columns is past the budget.
         f = tmp_path / "empty.txt"
         f.write_text("kind=cff n=1000000000 q=2 rows=0 r=999999999 s=1\n")
         err = self.refused(["verify", str(f)])
-        assert err == f"error: estimated work of at least 2**40 exceeds the budget of {BUDGET}\n"
+        assert err == f"error: estimated work of at least 2**41 exceeds the budget of {BUDGET}\n"
 
     def test_minimal_over_the_constraint_cap(self):
         # 2**20 candidate rows of C(20, 10) * 2**10 = 189,190,144 constraints

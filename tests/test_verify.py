@@ -28,7 +28,16 @@ from coverkit import (
 )
 from coverkit import verify
 from coverkit.core import WORK_BUDGET
-from coverkit.verify import _PACKED_CAP, _missing_universal, _packed_cff, _packs, _pairwise_cff, _row_index
+from coverkit.verify import (
+    _PACKED_CAP,
+    _missing_universal,
+    _packed_cff,
+    _packs,
+    _pairwise_cff,
+    _row_index,
+    _verdict,
+    _window_length,
+)
 
 from test_cli import child_env
 from test_core import matrices
@@ -234,15 +243,16 @@ def reference_missing_universal(m, spec):
 
 
 @st.composite
-def kernel_cases(draw, q=None, d=None):
+def kernel_cases(draw, q=None, d=None, max_n=None):
     """(matrix, spec) with 1 to 40 rows, drawn with repeats from a pool of
     distinct-or-not rows, so duplicate rows are common. Without a fixed
-    (q, d), q is 2..6 and q**d falls on both sides of 256."""
+    (q, d), q is 2..6 and q**d falls on both sides of 256; with one, n is
+    d to ``max_n``, by default d + 2."""
     if d is None:
         q, n = draw(st.integers(2, 6)), draw(st.integers(1, 6))
         d = draw(st.integers(1, n))
     else:
-        n = draw(st.integers(d, d + 2))
+        n = draw(st.integers(d, max_n or d + 2))
     row = st.tuples(*[st.integers(0, q - 1)] * n)
     pool = draw(st.lists(row, min_size=1, max_size=40))
     if draw(st.booleans()):
@@ -268,6 +278,80 @@ class TestKernelAgainstReference:
         # q**d is 256, the last 1-byte field, or just past it (729, 289).
         m, spec = data.draw(kernel_cases(q, d))
         assert witnesses(_missing_universal(m, spec)) == list(reference_missing_universal(m, spec))
+
+
+class TestWindows:
+    """Each window length of the 1-byte path, called directly, lists the
+    reference's witnesses in groups whose counts are right, whether its
+    windows are kept or built again; ``_window_length`` picks among them
+    only on cost."""
+
+    # n runs past a window of tails and past the tails of one first column
+    # (tails of two columns from d = 3 on), and the slot offsets fill the byte.
+    @pytest.mark.parametrize("q,d,max_n", [
+        (2, 1, 9), (2, 2, 12), (3, 2, 9), (2, 3, 14), (2, 4, 12), (3, 3, 9), (4, 3, 7), (2, 5, 9),
+    ])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_every_length_matches_the_reference(self, q, d, max_n, data):
+        m, spec = data.draw(kernel_cases(q, d, max_n))
+        expected = list(reference_missing_universal(m, spec))
+        for length in range(1, 256 // q**d + 1):
+            groups = list(_missing_universal(m, spec, length))
+            assert sum(count for count, _ in groups) == len(expected)
+            assert witnesses(groups) == expected
+            first = _verdict(_missing_universal(m, spec, length)).witness
+            assert first == (expected[0] if expected else None)
+
+    @pytest.mark.parametrize("room", [-1, 0, 3])
+    def test_windows_past_the_cap_are_built_again(self, room, monkeypatch):
+        # At length 8 on 12 rows a window takes 96 bytes and the repeated
+        # columns 14 of them; the cap leaves room for ``room`` windows more.
+        m = random_matrix(14, 2, 12, seed=14)
+        expected = unmet_universal(m, 3)
+        monkeypatch.setattr(verify, "_WINDOW_CAP", (14 + room) * 96)
+        assert witnesses(_missing_universal(m, UniversalSpec(14, 3, 2), 8)) == expected
+
+    def test_a_verdict_that_fails_at_once_builds_one_window(self):
+        # Column 0 is all 0, so the first subset misses (1, 0, 0). All the
+        # windows of the C(2000, 2) tails on 40 rows would take some 80 MB.
+        rng = random.Random(2000)
+        rows = tuple((0,) + tuple(rng.randrange(2) for _ in range(1999)) for _ in range(40))
+        m, spec = SymbolMatrix(n=2000, q=2, rows=rows), UniversalSpec(2000, 3, 2)
+        assert _window_length(2000, 3, 2, 40) == 32
+        for length in (None, 1, 2, 32):
+            tracemalloc.start()
+            try:
+                verdict = _verdict(_missing_universal(m, spec, length))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert verdict.witness == UniversalWitness((0, 1, 2), (1, 0, 0))
+            assert peak < 2 * 2**20
+
+    def test_a_full_scan_keeps_its_windows_within_the_cap(self, monkeypatch):
+        # (120, 3, 2) on 40 rows at length 32: 224 windows of 1,280 bytes and
+        # 150 KB of repeated columns, more than a cap of 256 KB holds.
+        m, spec = random_matrix(120, 2, 40, seed=120), UniversalSpec(120, 3, 2)
+        peaks = []
+        for cap in (2**18, 2**30):
+            monkeypatch.setattr(verify, "_WINDOW_CAP", cap)
+            tracemalloc.start()
+            try:
+                count = sum(count for count, _ in _missing_universal(m, spec, 32))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert count == 12877
+        assert peaks[0] <= 2**18 + 2**17 < peaks[1]
+
+    @pytest.mark.parametrize("n,d,q,rows", [
+        (30, 4, 2, 81), (16, 3, 3, 84), (14, 5, 2, 720), (7, 3, 5, 253), (3, 2, 17, 5), (5, 1, 2, 9),
+    ])
+    def test_the_length_picked_is_a_power_of_two_that_fits(self, n, d, q, rows):
+        length = _window_length(n, d, q, rows)
+        assert length & (length - 1) == 0
+        assert length == 1 or length * q**d <= 256 and n * length * rows <= verify._WINDOW_CAP
 
 
 @st.composite
