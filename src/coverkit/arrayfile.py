@@ -14,7 +14,6 @@ the document carries a trailing newline; there is no other whitespace.
 ``read_array`` is strict: it accepts a header line only if it is the line
 ``write_array`` emits for the header it names, validates every invariant
 before building a matrix, and names the offending line in each diagnostic.
-Reading and writing are mutually inverse on all valid documents.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ from .errors import ConsistencyError, FormatError, ParameterError
 
 KINDS = ("universal", "cff", "raw")
 
-# Header keys in their emitted order: the fixed four, then the optional ones
-# alphabetically; and the keys each kind must carry beyond the fixed four.
 _FIXED_KEYS = ("kind", "n", "q", "rows")
 OPTIONAL_KEYS = ("d", "method", "r", "s", "seed")
 _REQUIRED_BY_KIND = {"universal": ("d",), "cff": ("r", "s"), "raw": ()}

@@ -21,7 +21,6 @@ from typing import ClassVar
 from .core import CffSpec, UniversalSpec
 from .errors import DomainError
 
-# Fields whose source formulas are asymptotic; populated ones get flagged.
 _ASYMPTOTIC_FIELDS = frozenset(
     {"kleitman_reference", "dyachkov", "entropy_form", "theorem1_target"}
 )
@@ -31,9 +30,7 @@ _ASYMPTOTIC_FIELDS = frozenset(
 class BoundsReport:
     """All closed-form size bounds evaluated at one parameter point.
 
-    Unpopulated fields are None: universal reports fill the universal side,
-    cover-free reports the (r, s) side, and the q = 2 references are
-    omitted for larger alphabets. ``asymptotic_caveat`` is derived, not
+    Unpopulated fields are None. ``asymptotic_caveat`` is derived, not
     passed: it names every populated field whose source formula hides an
     asymptotic term.
     """

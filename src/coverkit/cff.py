@@ -1,36 +1,11 @@
-"""Constructors for (n, (r, s))-cover-free families at desk scale.
+"""Constructors for (n, (r, s))-cover-free families at desk scale: by
+conditional expectations (``construct_cff_derandomized``), its Las Vegas
+version (``construct_cff_randomized``), and for (1, 1) an antichain of
+half-size subsets (``construct_cff_sperner``).
 
-Three routes:
-
-* ``construct_cff_derandomized`` derandomizes the probabilistic existence
-  argument by the method of conditional expectations, fixing one bit at a
-  time. Undecided bits are modeled as independent Bernoulli(p) with
-  p = r/(r+s), the density that maximizes the per-constraint coverage
-  probability c = p**r * (1-p)**s.
-* ``construct_cff_randomized`` is the Las Vegas version: sample rows at
-  density p in batches until nothing is uncovered.
-* ``construct_cff_sperner`` solves the (1, 1) case exactly with an
-  antichain of half-size subsets.
-
-Its conditional-expectations engine, ``_greedy_cover``, is shared with
+The conditional-expectations engine, ``_greedy_cover``, is shared with
 ``construct_universal_greedy``: the density scheme of Bryce & Colbourn
-(2009). A constraint requires a symbol at each of some columns, so (R, S)
-reads "1 on R, 0 on S", and undecided symbols are drawn with probabilities
-proportional to integer weights: (s, r) here, (1,) * q for universal sets.
-The engine is bit-sliced: Python ints serve as bitsets over the constraints,
-one per (column, symbol) for the constraints requiring that symbol there,
-from ``verify._constraint_index``, which joins each column's sets from
-whole-byte palette entries a block of constraints at a time. While a
-constraint agrees with a row's decided symbols, its coverage numerator at a
-column does not depend on the row, so the constraints requiring each
-symbol at each column are split once into classes by that numerator, and a
-row keeps one bitset: the constraints it can still meet. Deciding a column
-costs one AND and popcount per class and one AND and XOR per other symbol,
-all with nonnegative masks. The count of operations does not grow with the
-number of constraints; each is one pass in C over a bitset's words, and the
-width of the bitsets follows the count of constraints still unmet: once it
-falls to a third of the width, the met ones are squeezed out of every
-bitset and the classes are split again.
+(2009), with symbol weights (s, r) here and (1,) * q for universal sets.
 
 Every constructor verifies its own output before returning it.
 """
@@ -149,26 +124,20 @@ def _greedy_cover(
     exact, since each of those numerators still has the factor weights[c].
 
     The state is bit-sliced: each set of constraints is a Python int with
-    bit i for constraint i, as ``need[j][c]`` is, and every set is
-    nonnegative (an AND with a negative int converts it to two's complement
-    on every call, several times the cost of the AND itself). While a
-    constraint agrees with every symbol decided so far, its numerator at
-    column j is fixed: its weights at columns j and after, times W for each
-    requirement before j. So the numerators are folded through the columns
-    once, not per row: ``start`` maps each numerator at the start of a row
-    to its constraints, and ``_classes`` carries it through the columns,
-    giving ``classes[j][c]``, (multiplier, set) pairs whose sum of
-    multiplier * popcount(x & set) is the gain for c at j of the constraints
-    x. A row keeps one mask, ``consistent``, which starts as the live set:
-    column j's gain for c is that sum at x = ``consistent``, and fixing the
-    column to c drops the members of the other ``need[j]`` sets. Once every
-    column is decided, ``consistent`` is what the row met. Equal weights
-    leave at most k classes per column and symbol for k requirements, so a
-    column costs a few dozen big-int operations, not a Python step per
-    constraint. The chosen symbol never lowers the sum of the numerators,
-    so a row meets a live constraint unless one requires two symbols at a
-    column; a row that meets none would repeat forever, so it raises
-    AssertionError.
+    bit i for constraint i, as ``need[j][c]`` is, and never negative, as an
+    AND with a negative int costs several times more. While a constraint
+    agrees with every symbol decided so far, its numerator at column j is
+    fixed: its weights at columns j and after, times W for each requirement
+    before j. So the numerators are folded through the columns once, not
+    per row: ``start`` maps each numerator at the start of a row to its
+    constraints, and ``_classes`` carries it through the columns. A row
+    keeps one mask, ``consistent``, which starts as the live set: column
+    j's gain for c is the sum of ``classes[j][c]`` at x = ``consistent``,
+    and fixing the column to c drops the members of the other ``need[j]``
+    sets. Once every column is decided, ``consistent`` is what the row met.
+    The chosen symbol never lowers the sum of the numerators, so a row
+    meets a live constraint unless one requires two symbols at a column; a
+    row that meets none would repeat forever, so it raises AssertionError.
 
     Each of those operations costs in proportion to the sets' width, and
     the width follows the live count: once no more than a third of the
@@ -208,8 +177,7 @@ def _greedy_cover(
         remaining -= count
         trace_rows.append(GreedyTraceRow(tuple(row), count, remaining))
         if remaining and remaining * 3 <= width:
-            # Drop the met constraints from every set, keeping their order,
-            # and fold the classes again, the old ones freed first.
+            # The old classes are freed before the new ones are folded.
             del classes
             squeeze = _squeezer(live)
             need = [[squeeze(s) for s in sets] for sets in need]
@@ -233,15 +201,17 @@ def _constant_row_family(spec: CffSpec) -> tuple[SymbolMatrix, GreedyTrace]:
 def construct_cff_derandomized(spec: CffSpec) -> tuple[SymbolMatrix, GreedyTrace]:
     """Build an (n, (r, s))-cover-free family by conditional expectations.
 
-    Rows are emitted one at a time by ``_greedy_cover`` with symbol weights
-    (s, r): within a row, bit j is fixed to the value that maximizes the
-    conditional expected number of still-uncovered constraints the row will
-    cover, ties broken toward 0. The comparison is exact: both candidate
-    expectations are integer numerators over the common denominator d**d,
-    so bit decisions are platform-independent.
+    Rows are emitted one at a time by ``_greedy_cover``, undecided bits
+    independent Bernoulli(p) for p = r/(r+s), the density that maximizes
+    the per-constraint coverage probability c = p**r (1-p)**s (symbol
+    weights (s, r)): within a row, bit j is fixed to the value that
+    maximizes the conditional expected number of still-uncovered
+    constraints the row will cover, ties broken toward 0. The comparison is
+    exact: both candidate expectations are integer numerators over the
+    common denominator d**d, so bit decisions are platform-independent.
 
     The row count satisfies floor(ln M / -ln(1-c)) + 1 with
-    M = C(n,r) * C(n-r,s) and c = p**r (1-p)**s.
+    M = C(n,r) * C(n-r,s).
     """
     _check_work(spec, "construct")
     if spec.r == 0 or spec.s == 0:

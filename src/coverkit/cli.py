@@ -8,7 +8,6 @@ budget exceeded, or memory exhausted.
 
 Constructed matrices are always self-verified before a file is written,
 and the file header records the method and seed needed to reproduce it.
-A construction's report is printed only once its file is written.
 """
 
 from __future__ import annotations

@@ -3,11 +3,11 @@ and the elementary row transforms (complement, dedup).
 
 A ``SymbolMatrix`` is an N x n array over the alphabet {0, ..., q-1}. Rows
 are test vectors (ground-set elements in the cover-free reading); column j
-is the block B_j, so for q = 2 the matrix is an incidence matrix. Its
-constructor is the one way to build one, and it checks every row. All types
-here are immutable; transforms return new values. This module alone owns
-the alphabet: ``CffSpec.q`` is always 2, and only ``decode_row`` and
-``encode_row`` read and write the base-36 digits that stand for symbols.
+is the block B_j, so for q = 2 the matrix is an incidence matrix. All
+types here are immutable; transforms return new values. This module
+alone owns the alphabet: ``CffSpec.q`` is always 2, only ``decode_row``
+and ``encode_row`` read and write the base-36 digits that stand for
+symbols, and only ``_digits`` reads a row from its rank.
 """
 
 from __future__ import annotations
@@ -175,32 +175,25 @@ def _work(spec: UniversalSpec | CffSpec, op: str, rows: int) -> int:
       max(R, ``rows``) rows; a Las Vegas run takes at least its batch, and
       about R, and draws and records each of its ``rows`` at 2**11 a
       column and 15 * 2**11 a row. The self-verify is checked apart.
-    * "verify" of ``rows`` rows: 2**14 and 2**8 a row for each d-subset,
-      the cost of a window of one subset (its add, ``to_bytes``,
-      ``translate`` and yield take about 1 us even at one row), and 2**11
-      for each of the q**d patterns; or 2**11 and 1 a row for each (R, S)
-      pair, the per-pair loop's cost. Both charges still bound the scans:
-      a longer window shares its calls among up to 256 // q**d subsets but
-      scans as many bytes a subset, and the packed cover-free form runs
-      only where its own cost estimate is below the loop's, and only within
-      a memory cap. An empty matrix is not scanned. Either family adds 2**12
-      for each of the d columns of the first witness, which a verdict on an
-      empty matrix builds and the CLI prints without a scan, at about
-      0.2 us a column.
+    * "verify" of ``rows`` rows: if there are any, 2**14 and 2**8 a row
+      for each d-subset and 2**11 for each of the q**d patterns, or 2**11
+      and 1 a row for each (R, S) pair; an empty matrix is not scanned.
+      Either family adds 2**12 for each of the d columns of the first
+      witness, which a verdict on an empty matrix builds and the CLI
+      prints without a scan.
     * "search": q**n cover masks, kept and rescanned, at 2**9 a bit and
       2**14 a candidate.
     * "count": the constraint count built whole, C(n, d) q**d or C(n, r)
       C(n - r, s), of b <= k n.bit_length() + d q.bit_length() bits for the
       k of ``_binomial_exponent`` (no q**d for a cover-free family), at
-      b**2 / 2**9: 2.2 s on 2 vCPUs for C(4 * 10**5, 2 * 10**5), 0.82 of
-      the budget.
+      b**2 / 2**9.
     """
     n, d, universal = spec.n, spec.d, isinstance(spec, UniversalSpec)
     if op == "count":
         bits = _binomial_exponent(spec) * n.bit_length() + (d * spec.q.bit_length() if universal else 0)
         return bits**2 >> 9
     if op == "verify" and universal:
-        return ((comb(n, d) * (rows + 2**6) if rows else 0) + 8 * spec.q**d + 16 * d) << 8
+        return ((comb(n, d) * (rows + 2**6) + 8 * spec.q**d if rows else 0) + 16 * d) << 8
     if op == "verify":
         return (_num_constraints(spec) * (rows + 2**11) if rows else 0) + (d << 12)
     q, m = spec.q, _num_constraints(spec)
@@ -220,7 +213,7 @@ def _check_work(spec: UniversalSpec | CffSpec, op: str, rows: int = 0) -> None:
     log_q = spec.q.bit_length() - 1
     steps = _binomial_exponent(spec)
     patterns = d * log_q if universal else 0
-    e = {"verify": 11 + max(steps if rows else 0, patterns),
+    e = {"verify": 11 + (max(steps, patterns) if rows else 0),
          "search": n * log_q + max(steps + patterns, 5) + 9,
          "construct": n.bit_length() - 1 + log_q + steps + patterns,
          "count": 0}[op]
@@ -316,6 +309,15 @@ def decode_row(text: str, q: int, *, where: str, error=AlphabetError) -> bytes:
 def encode_row(row: Sequence[int]) -> str:
     """The base-36 digit string of a row of symbols, encoded in C."""
     return bytes(row).translate(_ENCODE).decode()
+
+
+def _digits(rank: int, q: int, n: int) -> tuple[int, ...]:
+    """The n base-q digits of ``rank``, most significant first: the row of
+    that rank in ``product(range(q), repeat=n)`` order."""
+    digits = [0] * n
+    for k in reversed(range(n)):
+        rank, digits[k] = divmod(rank, q)
+    return tuple(digits)
 
 
 # _FLIP maps each binary symbol's byte to the other's.

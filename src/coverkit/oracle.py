@@ -39,29 +39,17 @@ The prunes above hold for every minimum solution, so for these ones too.
 Each candidate scanned costs a node, as does each search node, each of the
 q**n cover masks and each later scan of them: ``SearchOutcome.nodes`` counts
 nodes plus scanned candidates, so ``node_limit`` bounds the search's time.
-
-The tables these prunes read come from ``_scan_tables``, which takes a
-Python step per constraint or per run of equal entries, and one
-comprehension over the candidates. The lists a scan walks are built in C:
-a final row's covers, and for the other rows the candidates that decrease
-no tied column pair (``_tie_list``), so a candidate skipped for a tie is
-counted from its index but never visited. A final row read from the
-symbols it must hold is charged what its scan would have cost. None of
-these changes a count.
-
-A search either returns the exact minimum with a certificate, proves the
-minimum exceeds ``max_rows``, or aborts cleanly when the node budget runs
-out or the work budget refuses its masks. It never returns a wrong answer.
+A search never returns a wrong answer; see ``SearchOutcome``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, pairwise
 from typing import Literal
 
-from .core import CffSpec, SymbolMatrix, UniversalSpec, _check_work
+from .core import CffSpec, SymbolMatrix, UniversalSpec, _check_work, _digits
 from .errors import ParameterError, ResourceLimitError
 from .verify import _constraint_index
 
@@ -116,15 +104,11 @@ def _scan_tables(
     of cover[i:] (both 0 at i = q**n), and last[c] is the last candidate
     meeting constraint c.
 
-    No step is taken per candidate in Python but for one comprehension. A
+    No step is taken per candidate in Python but for one comprehension: a
     cover mask is the AND of a mask of the first n // 2 columns and one of
-    the rest, so the comprehension pairs two lists of about q**(n/2) masks.
-    last[c] holds the symbol c requires at each column it constrains and
-    q - 1 at every other, so it costs a step per requirement. suffix_or
-    changes only at a last cover, and suffix_max only where a candidate's
-    bit count beats every later one (found by ``dict.fromkeys`` and
-    ``list.index`` on the counts, taken from the end), so both are filled
-    a run at a time, with one int shared per run.
+    the rest, so it pairs two lists of about q**(n/2) masks. last[c] holds
+    the symbol c requires at each column it constrains and q - 1 at every
+    other.
     """
     n, q = spec.n, spec.q
     index, size = _constraint_index(spec)
@@ -201,18 +185,13 @@ def _tie_list(n: int, q: int, tied: int) -> list[int]:
 
 def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> SearchOutcome:
     """Search the q**n candidate rows, in ``product`` order, for the fewest
-    meeting every constraint of ``spec``. Bit i of a cover mask is the i-th
-    constraint the verifier scans; bit n-2-j of a column-pair mask stands
-    for columns (j, j+1); a q > 2 candidate's pair masks are read from its
-    digits on first use.
+    meeting every constraint of ``spec``.
 
     A non-final row's scan walks the slice from ``last`` to its bound of
     ``_tie_list``'s candidates for its ``tied`` mask, and counts its nodes
     from the candidate index. It tests the budget before each child and at
     the scan's end: a budget that runs out mid-scan is caught at the end, no
-    more than q**n <= node_limit candidates late, with the same outcome. The
-    tie lists and the q > 2 pair masks are dropped together before they
-    would hold more than ``_TIE_CAP`` candidates.
+    more than q**n <= node_limit candidates late, with the same outcome.
 
     A final row whose uncovered constraints require two symbols at one
     column, or one at every column, is decided without a scan, by two passes
@@ -258,9 +237,8 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
         q = 2 they are (i >> 1) & ~i and ~(i ^ (i >> 1))."""
         if i not in memo:
             room(1)
-            digits = [i // q**k % q for k in reversed(range(n))]
             dec = eq = 0
-            for a, b in zip(digits, digits[1:]):
+            for a, b in pairwise(_digits(i, q, n)):
                 dec, eq = dec << 1 | (a > b), eq << 1 | (a == b)
             memo[i] = dec, eq
         return memo[i]
@@ -271,8 +249,7 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
 
     def dfs(last: int, uncovered: int, rows_left: int, tied: int) -> bool:
         """Whether rows_left more rows from ``last`` on, none decreasing a
-        ``tied`` column pair, cover ``uncovered``; each candidate scanned
-        costs a node."""
+        ``tied`` column pair, cover ``uncovered``."""
         # ``uncovered`` is never empty: a row leaving nothing uncovered with
         # rows to spare would end a shorter solution on this path, which the
         # previous deepening level, with the same order, ties and sound
@@ -304,9 +281,6 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
             lo = bisect_left(covers, last)
             stop = min(len(covers), lo + limit - nodes)
             scan = range(lo, stop)
-            # A row holds every symbol the uncovered constraints require: none
-            # does when they require two at one column, and only one when they
-            # require one at every column.
             for held, later in clashes:
                 if uncovered & held and uncovered & later:
                     scan = ()
@@ -363,9 +337,7 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
         for size in range(lower, budget.max_rows + 1):
             chosen[:] = start
             if dfs(0, uncovered, size - len(start), (1 << (n - 1)) - 1):
-                # Candidate i's symbols are the n base-q digits of i.
-                rows = tuple(tuple(i // q**k % q for k in reversed(range(n))) for i in chosen)
-                certificate = SymbolMatrix(n=n, q=q, rows=rows)
+                certificate = SymbolMatrix(n=n, q=q, rows=[_digits(i, q, n) for i in chosen])
                 return SearchOutcome("found", size=size, certificate=certificate, nodes=nodes)
     except _OutOfNodes:
         return SearchOutcome("budget_exceeded", nodes=limit + 1)
@@ -380,8 +352,7 @@ def minimal_universal_size(
     """Exact smallest size of an (n, d)-universal set over q symbols.
 
     Deepening starts at q**d, the coverage lower bound (a row realizes one
-    pattern per column subset). A spec whose q**n cover masks are estimated
-    past the work budget is budget_exceeded with nodes 0.
+    pattern per column subset).
     """
     if not isinstance(spec, UniversalSpec):
         raise ParameterError(f"expected a UniversalSpec, got {type(spec).__name__}")
@@ -389,11 +360,7 @@ def minimal_universal_size(
 
 
 def minimal_cff_size(spec: CffSpec, budget: SearchBudget = SearchBudget()) -> SearchOutcome:
-    """Exact smallest size of an (n, (r, s))-cover-free family.
-
-    A spec whose 2**n cover masks are estimated past the work budget is
-    budget_exceeded with nodes 0.
-    """
+    """Exact smallest size of an (n, (r, s))-cover-free family."""
     if not isinstance(spec, CffSpec):
         raise ParameterError(f"expected a CffSpec, got {type(spec).__name__}")
     return _search_minimal(spec, budget)

@@ -1,15 +1,7 @@
-"""Constructors for (n, d)-universal sets.
-
-``build_universal_lemma1`` takes the cover-free route (binary alphabet
-only): a binary matrix shows every weight-i pattern on every d columns
-exactly when it is an (n, (i, d-i))-cover-free family, so the union of
-such families over i = 0..d is universal. Components with i > d/2 are
-obtained by complementing the mirror component, which halves the work.
-
-``construct_universal_greedy`` is a direct conditional-expectations build
-over the (columns, pattern) constraints and works for any alphabet size.
-It runs the engine of ``construct_cff_derandomized`` with symbol weights
-(1,) * q, for which the cover-free constructor passes (s, r).
+"""Constructors for (n, d)-universal sets: the union of cover-free
+families (``build_universal_lemma1``, binary alphabet only) and the direct
+conditional-expectations build (``construct_universal_greedy``, any
+alphabet).
 """
 
 from __future__ import annotations
@@ -28,16 +20,15 @@ def build_universal_lemma1(
     batch: int = 16,
 ) -> SymbolMatrix:
     """Union-of-cover-free-families construction of an (n, d)-universal set
-    over the binary alphabet.
+    over the binary alphabet: a binary matrix shows every weight-i pattern
+    on every d columns exactly when it is an (n, (i, d-i))-cover-free
+    family, so the union over all of i = 0..d is universal.
 
     Builds F(n, (i, d-i)) for i = floor(d/2) down to 0 with the requested
     method, then each i > floor(d/2) as the complement of its mirror
     F(n, (d-i, i)), and returns their rows in component order i = 0..d,
-    deduplicated and verified as a whole.
-
-    The union ranges over all of i = 0..d: every weight class of patterns,
-    including the all-ones one, needs its component. ``seed``/``batch``
-    only matter for the randomized method (component i uses seed + i).
+    deduplicated and verified as a whole. ``seed``/``batch`` only matter
+    for the randomized method (component i uses seed + i).
     """
     spec = UniversalSpec(n, d)
     # The middle component costs the most, so it is built, or refused, first.

@@ -1,40 +1,17 @@
 """Exhaustive, definitional verification of the universal-set and
 cover-free properties, with concrete violation witnesses.
 
-Both verifiers enumerate every constraint:
-
-* universal: every d-subset S of columns must show all q**d patterns. The
-  indices S shows on all rows are one sum of packed columns; where they fit
-  a byte (q**d <= 256), a window of up to 256 // q**d subsets holds each
-  subset's indices in its own range of byte values, and one
-  ``bytes.translate`` deletes them all from the window's indices and
-  leaves the missing ones. Wider indices go into a ``set`` per subset;
-* cover-free: every disjoint pair (R, S) with |R| = r, |S| = s must have a
-  row that is all-1 on R and all-0 on S. Where a cost estimate on (n, r,
-  s, rows) favours it and its memory fits a cap, every S of one R is
-  counted in a few big-int operations over one packed field per s-subset;
-  otherwise, on wide rows or where C(n, s) far outnumbers the C(n - r, s)
-  pairs of one R, by one AND of row bitsets per pair. Either form lists a
-  failing R's witnesses pair by pair, by that AND.
-
-A count sums how many constraints each subset or R misses; only a verdict
-builds a witness.
-
-The scan order fixes the bit of each constraint in the (column, symbol)
-bitsets the constructors' engine reads: ``_constraint_index`` builds them
-here, next to the scans, a block of constraints (one R or one subset) at a
-time from whole-byte palette entries. ``_row_index`` builds the same
-bitsets over a matrix's rows, from one byte per row and column, for the
-cover-free scan.
+Both verifiers enumerate every constraint: every d-subset S of columns
+must show all q**d patterns (``_missing_universal``), and every disjoint
+pair (R, S) with |R| = r, |S| = s must have a row that is all-1 on R and
+all-0 on S (``_missing_cff``). A count sums how many constraints each
+block misses; only a verdict builds a witness.
 
 Edge conventions for the cover-free check: r = 0 reads the empty
 intersection as the full ground set, so the requirement becomes "some row
 is all-0 on S"; s = 0 symmetrically requires "some row is all-1 on R".
 These conventions are exactly what makes the universal/cover-free bridge
 hold for the all-zero and all-one patterns.
-
-Violated verdicts always carry the lexicographically first failing
-constraint so they are deterministic and testable.
 """
 
 from __future__ import annotations
@@ -48,7 +25,7 @@ from itertools import combinations, filterfalse, product, repeat
 from math import comb
 from typing import Callable, Iterable, Iterator, Literal, Union
 
-from .core import MAX_ALPHABET, CffSpec, SymbolMatrix, UniversalSpec, _check_work, _num_constraints
+from .core import MAX_ALPHABET, CffSpec, SymbolMatrix, UniversalSpec, _check_work, _digits, _num_constraints
 from .errors import AlphabetError, ParameterError
 
 
@@ -98,38 +75,29 @@ def _missing_universal(m: SymbolMatrix, spec: UniversalSpec,
     order, grouped by window: each window of up to ``length`` subsets
     (``_window_length``'s by default) that misses any, with how many.
 
-    Each column is packed into one Python int with a fixed-width field per
-    row, holding that row's symbol at the column: 1, 2 or 4 bytes, the
-    fewest that hold q**d - 1, laid out as a native array of unsigned ints.
-    The pattern index of subset S on every row, sum(symbol at S[k] *
-    q**(d-1-k)), is then one big-int sum of scaled columns, since no field
-    can carry into the next; its fields are the indices S shows, and S
-    misses the patterns whose rank in ``product`` order is not among them.
+    Each column is packed into one Python int with a field per row holding
+    that row's symbol: 1, 2 or 4 bytes, the fewest that hold q**d - 1, laid
+    out as a native array of unsigned ints. The pattern index of subset S
+    on every row, sum(symbol at S[k] * q**(d-1-k)), is then one big-int sum
+    of scaled columns, as no field can carry into the next; S misses the
+    patterns whose rank in ``product`` order is not among its fields.
 
     S is a head and a tail of t columns, t = 2 for windows of more than one
     subset at d >= 3 and 1 otherwise. The tails, in ``combinations`` order,
-    are cut into windows of ``length`` aligned to the last, so the tails
-    after a head's last column are the end of one window and the whole
-    windows after it. Slot i of a window holds its i-th tail's sum plus
-    i * q**d in every field; adding the head's sum, repeated into every
-    slot, gives the indices of ``length`` subsets, each slot's in its own
-    range of values. With 1-byte fields (q**d <= 256, so length <= 256 //
-    q**d), deleting them from ``bytes(range(length * q**d))`` with one
-    ``translate`` leaves the missing (slot, rank) pairs in order, and a
-    table that starts at the head's first slot leaves out the tails before
-    it: one add, ``to_bytes`` and ``translate`` a window. A count builds no
-    witness; ``_window_witnesses`` lists a window's from its bytes. Windows
-    are built as a head first needs them and kept within ``_WINDOW_CAP``
-    bytes, the last ones, which the most heads share, first.
+    are cut into windows of ``length`` aligned to the last. Slot i of a
+    window holds its i-th tail's sum plus i * q**d in every field; adding
+    the head's sum, repeated into every slot, gives the indices of
+    ``length`` subsets, each slot's in its own range of values. With 1-byte
+    fields (q**d <= 256, so length <= 256 // q**d), one ``translate``
+    deletes them from ``bytes(range(length * q**d))`` and leaves the
+    missing (slot, rank) pairs in order. Windows are built as a head
+    first needs them and kept within ``_WINDOW_CAP`` bytes, the last ones,
+    which the most heads share, first. Wider fields take windows of one
+    subset, read back through ``memoryview.cast`` into a ``set``.
 
-    A window of one subset is one column, and the sums over each head are
-    shared across ``combinations`` order, so most subsets cost one add
-    besides the window's calls. Wider fields take windows of one, read
-    back through ``memoryview.cast`` into a ``set``: S misses q**d less
-    its size, and the ranks not in it. A window holds O(length * rows)
-    bytes, whatever q**d is. The widest field holds indices below 2**32:
-    ``_missing`` runs this only within WORK_BUDGET, which charges 2**11 a
-    pattern, so q**d <= 2**24.
+    A window holds O(length * rows) bytes, whatever q**d is. The widest
+    field holds indices below 2**32: ``_missing`` runs this only within
+    WORK_BUDGET, which charges a scan 2**11 a pattern, so q**d <= 2**24.
     """
     q, n, rows, d = m.q, m.n, m.rows, spec.d
     total = q**d
@@ -235,32 +203,19 @@ def _window_witnesses(head: tuple[int, ...], tail: Callable[[int], tuple[int, ..
     ``head`` and the tail at position start + i."""
     for value in missing:
         slot, rank = divmod(value, q**d)
-        pattern = [0] * d
-        for k in reversed(range(d)):
-            rank, pattern[k] = divmod(rank, q)
-        yield UniversalWitness(head + tail(start + slot), tuple(pattern))
+        yield UniversalWitness(head + tail(start + slot), _digits(rank, q, d))
 
 
-# The repeated columns and the windows of ``_missing_universal`` longer
-# than one subset are kept within _WINDOW_CAP bytes; past it, windows are
-# built again each time a head needs them.
+# The bytes of repeated columns and windows ``_missing_universal`` keeps.
 _WINDOW_CAP = 2**22
 
 
 def _window_length(n: int, d: int, q: int, rows: int) -> int:
     """The window length, a power of two up to 256 // q**d, at which
     ``_missing_universal`` is estimated to scan (n, d, q) on ``rows`` rows
-    fastest, among those whose repeated columns fit ``_WINDOW_CAP``.
-
-    The estimates are in units of 1/100 ns: per window scanned, a fixed
-    cost and one per byte; per head, a fixed cost and, past one subset, its
-    repeated sum's bytes; per window built, likewise; and the repeated
-    columns. Windows the cap does not keep are built on each use. The
-    terms were fitted on random matrices of 14 to 7,000 rows and specs from
-    (7, 3, 5) to (100, 2, 2) (CPython 3.11, 2 vCPUs); on those, the length
-    picked took at most 1.15x the time of the best length measured, and no
-    more than a window of one.
-    """
+    fastest, among those whose repeated columns fit ``_WINDOW_CAP``. The
+    estimates are in units of 1/100 ns; windows the cap does not keep are
+    built on each use."""
     best = comb(n, d) * (20000 + 200 * rows) + comb(n - 1, d - 1) * 85000
     length, window, top = 1, 2, 256 // q**d
     t = 2 if d >= 3 else 1
@@ -293,12 +248,10 @@ def _column_index(q: int, columns: Iterable[bytes]) -> tuple[list[list[int]], in
     ``index[j][c]`` is set when byte i of the j-th of ``columns`` is c.
 
     A column holds one byte per item: the symbol the item holds there, or q
-    for none. An item is a row for ``_row_index``, and a constraint of one
-    block for the palettes of ``_constraint_index``. The sets of one column
-    are disjoint, so their sum is their union. Each set is one
-    ``translate`` and one ``int(..., 2)`` in C, and the columns are taken
-    one at a time, so a lazy ``columns`` keeps O(size) bytes alive besides
-    the index.
+    for none. The sets of one column are disjoint, so their sum is their
+    union. Each set is one ``translate`` and one ``int(..., 2)`` in C, and
+    the columns are taken one at a time, so a lazy ``columns`` keeps
+    O(size) bytes alive besides the index.
     """
     index, size = [], 0
     for column in columns:
@@ -351,15 +304,12 @@ def _constraint_index(spec: UniversalSpec | CffSpec) -> tuple[list[list[int]], i
     requires symbol c at column j.
 
     The constraints come in blocks of one width: the C(n - r, s) pairs of
-    one R, or the q**d patterns of one d-subset S. Within a block a column
-    is one of a few kinds: in R or the t-th column outside R; at position k
-    of S or not in S. Each symbol's palette holds every kind's set over one
-    block, from ``_column_index``, padded to whole bytes, so a column's set
-    is one join of its kinds' entries, block by block, and one
-    ``int.from_bytes``. One ``_squeezer`` drops the padding; where a block
-    is whole bytes it has no stage and only masks. The columns are built
-    one at a time, so besides the index only one column's kinds and bytes
-    are alive.
+    one R, or the q**d patterns of one d-subset S, and within a block each
+    column is of one kind. A column's set is one join of its kinds'
+    palette entries, block by block, and one ``int.from_bytes``; one
+    ``_squeezer`` drops the padding, and where a block is whole bytes it
+    has no stage and only masks. The columns are built one at a time, so
+    besides the index only one column's kinds and bytes are alive.
     """
     n, q = spec.n, spec.q
     if isinstance(spec, UniversalSpec):
@@ -397,14 +347,9 @@ def _row_index(m: SymbolMatrix) -> tuple[list[list[int]], int]:
 
 
 def _missing_cff(m: SymbolMatrix, spec: CffSpec) -> Iterator[Missed]:
-    """Every (R, S) pair no row of ``m`` separates, in (R, then S) order.
-
-    ``_row_index`` is built once; the rows all-1 on R are the AND of its
-    sets over R, and those all-0 on S the AND over S. ``_packs`` then picks
-    ``_packed_cff``, which answers every S of one R in a few big-int
-    operations, or ``_pairwise_cff``, one AND per pair; both give the same
-    groups, so the choice moves only time and memory.
-    """
+    """Every (R, S) pair no row of ``m`` separates, in (R, then S) order,
+    by ``_packed_cff`` or ``_pairwise_cff`` as ``_packs`` picks: both give
+    the same groups, so the choice moves only time and memory."""
     index, size = _row_index(m)
     n, r, s = spec.n, spec.r, spec.s
     form = _packed_cff if _packs(n, r, s, size) else _pairwise_cff
@@ -420,15 +365,9 @@ _PACKED_CAP = 2**24
 
 def _packs(n: int, r: int, s: int, rows: int) -> bool:
     """Whether ``_packed_cff`` should scan the (n, (r, s)) pairs of ``rows``
-    rows: it fits the cap and is estimated to cost less than the per-pair
-    loop. It loses on wide rows, and where C(n, s) is much more than the
-    C(n - r, s) pairs of one R.
-
-    Both estimates are in units of 1/100 ns, with terms fitted on random
-    matrices of 4 to 6,000 rows and specs from (10, (7, 3)) to (200,
-    (1, 1)) (CPython 3.11, 2 vCPUs); on those, the form picked took at most
-    1.1x the time of the other.
-    """
+    rows: it fits ``_PACKED_CAP`` and is estimated, in units of 1/100 ns,
+    to cost less than the per-pair loop. It loses on wide rows, and where
+    C(n, s) is much more than the C(n - r, s) pairs of one R."""
     width, fields, heads = rows // 8 + 1, comb(n, s), comb(n, r)
     # Per R, the loop lists the columns outside R; per pair, it takes an
     # interpreter step and an AND per column of S.
@@ -473,8 +412,7 @@ def _packed_cff(index: list[list[int]], size: int, n: int, r: int, s: int) -> It
     field carries into the spare bit exactly where one is left, and no field
     carries into the next. A field whose S meets R is always empty, so R
     misses C(n - r, s) less the spare bits set; its witnesses are listed by
-    ``_unseparated`` once they are read. At most n + 6 ints of the block's
-    size are alive at once.
+    ``_unseparated`` once they are read.
     """
     width = size // 8 + 1
     full = (1 << size) - 1

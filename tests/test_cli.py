@@ -280,10 +280,11 @@ class TestTooBigIsRefused:
         assert err == f"error: estimated work of at least 2**47 exceeds the budget of {BUDGET}\n"
 
     def test_verify_refuses_a_huge_strength_before_computing_q_to_the_d(self, tmp_path):
+        # An empty matrix pays only for its first witness's 16 * 10**6 columns.
         f = tmp_path / "huge.txt"
         f.write_text("kind=universal n=16000000 q=3 rows=0 d=16000000\n")
         err = self.refused(["verify", str(f)])
-        assert err == f"error: estimated work of at least 2**16000011 exceeds the budget of {BUDGET}\n"
+        assert err == f"error: estimated work of at least 2**35 exceeds the budget of {BUDGET}\n"
 
     def test_verify_charges_an_empty_matrix_its_first_witness(self, tmp_path):
         # The first witness's R alone would hold 999,999,999 columns, some
@@ -349,6 +350,8 @@ class TestVerify:
     @pytest.mark.parametrize("header, witness", [
         ("kind=cff n=1000000000 q=2 rows=0 r=1 s=1", "R=1 S=2"),
         ("kind=universal n=1000000000 q=2 rows=0 d=1", "S=1 sigma=0"),
+        # 2**25 patterns: a scan's pattern charge would refuse it.
+        ("kind=universal n=30 q=2 rows=0 d=25", f"S={','.join(map(str, range(1, 26)))} sigma={'0' * 25}"),
     ])
     def test_an_empty_matrix_fails_at_once_whatever_its_n(self, tmp_path, header, witness):
         f = tmp_path / "empty.txt"

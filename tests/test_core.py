@@ -381,24 +381,25 @@ class TestWork:
     @given(specs())
     def test_refuses_every_spec_the_count_caps_refused(self, spec):
         # The caps this budget replaced: 2**26 constraints for a
-        # construction, 2**24 patterns for a verifier, and for the oracle
-        # 2**20 candidate rows or 2**26 cover-mask bits. A construction's
-        # self-verify of at least one row counts as part of it.
+        # construction, 2**24 patterns for a verifier's scan of at least one
+        # row, and for the oracle 2**20 candidate rows or 2**26 cover-mask
+        # bits. A construction's self-verify of at least one row counts as
+        # part of it.
         m, q = _num_constraints(spec), spec.q
         if m > 2**26:
             assert not admitted(spec, "construct") or not admitted(spec, "verify", 1)
         if isinstance(spec, UniversalSpec) and q**spec.d > 2**24:
-            assert not admitted(spec, "verify")
+            assert not admitted(spec, "verify", 1)
         if q**spec.n > 2**20 or q**spec.n * m > 2**26:
             assert not admitted(spec, "search")
 
     def test_the_last_pattern_space_kept(self):
         # 2**24 patterns stay admitted with a few rows; the next larger
-        # pattern space, 28**5, is refused even on an empty matrix.
+        # pattern space, 28**5, is refused on one row.
         assert admitted(UniversalSpec(25, 24, 2), "verify", 50)
         larger = min(q**d for q in range(2, 37) for d in range(1, 25) if q**d > 2**24)
         assert larger == 28**5
-        assert not admitted(UniversalSpec(5, 5, 28), "verify", 0)
+        assert not admitted(UniversalSpec(5, 5, 28), "verify", 1)
 
     # (spec, the rows a construct route is given: its Las Vegas batch or 0,
     # the rows of its output or an upper bound on them)

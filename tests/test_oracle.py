@@ -257,6 +257,10 @@ SEARCHES = {
     # longest non-final scans.
     UniversalSpec(12, 1, 3): ("found", 3, 1505752, "f8d9fc942d056b8465c796f127c444df1532843c7ad10a88ea19497ceab80709"),
     CffSpec(8, 1, 2): ("found", 8, 3012067, "e226c58e87d753baad42cbe74e91b7baf0ae31e58c04721d25c21a54859ea232"),
+    # Wider alphabets, whose column pairs and certificate rows are read from
+    # base-4 and base-5 digits.
+    UniversalSpec(8, 1, 4): ("found", 4, 191151, "10997ec7711c1293d750ae51c53410654153869023353440a2e5df21946e1624"),
+    UniversalSpec(6, 1, 5): ("found", 5, 46100, "26c817ad286995572b6891e6b552b254ea1fc38b14ddc3524c4997e7562108ae"),
 }
 
 

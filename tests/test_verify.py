@@ -3,8 +3,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from array import array
-from itertools import combinations, product
+from itertools import combinations, product, starmap
 from math import comb
 
 import pytest
@@ -39,6 +38,7 @@ from coverkit.verify import (
     _window_length,
 )
 
+from reference import cff_uncovered, universal_uncovered
 from test_cli import child_env
 from test_core import matrices
 
@@ -47,15 +47,13 @@ def full_enumeration(n, q):
     return SymbolMatrix(n=n, q=q, rows=tuple(product(range(q), repeat=n)))
 
 
-def unmet_universal(m, d):
-    """Definitional list of the (columns, pattern) constraints no row meets,
-    in (subset, then pattern) order."""
-    return [
-        UniversalWitness(S, pattern)
-        for S in combinations(range(m.n), d)
-        for pattern in product(range(m.q), repeat=d)
-        if not any(all(row[j] == p for j, p in zip(S, pattern)) for row in m.rows)
-    ]
+def uncovered(m, spec):
+    """The constraints of ``spec`` that ``m`` leaves uncovered, from the
+    benchmark's definitional reference, lazily and in the verifiers' order,
+    as the witnesses the verifiers return."""
+    if isinstance(spec, UniversalSpec):
+        return starmap(UniversalWitness, universal_uncovered(m.rows, m.n, spec.d, m.q))
+    return starmap(CffWitness, cff_uncovered(m.rows, m.n, spec.r, spec.s))
 
 
 def witnesses(groups):
@@ -67,17 +65,6 @@ def witnesses(groups):
         assert count == len(group) > 0
         found += group
     return found
-
-
-def unmet_cff(m, r, s):
-    """Definitional list of the (R, S) pairs no row separates, in (R, then S)
-    order."""
-    return [
-        CffWitness(R, S)
-        for R in combinations(range(m.n), r)
-        for S in combinations([j for j in range(m.n) if j not in R], s)
-        if not any(all(row[j] == 1 for j in R) and all(row[j] == 0 for j in S) for row in m.rows)
-    ]
 
 
 class TestVerdict:
@@ -107,9 +94,7 @@ class TestVerifyUniversal:
         m = SymbolMatrix.from_strings(["0000", "0111", "1011", "1101", "1110"])
         assert verify_universal(m, 2).valid
         # independent definitional check of the same matrix
-        for S in combinations(range(4), 2):
-            seen = {tuple(row[j] for j in S) for row in m.rows}
-            assert len(seen) == 4
+        assert next(universal_uncovered(m.rows, 4, 2, 2), None) is None
 
     def test_witness_is_lexicographically_first(self):
         # single row: first subset (0, 1), first missing pattern (0, 1)
@@ -127,26 +112,19 @@ class TestVerifyUniversal:
         with pytest.raises(ResourceLimitError):
             verify_universal(m, 25)
 
+    def test_an_empty_verdict_is_not_charged_for_the_patterns(self):
+        # 2**25 patterns: a scan is refused, but an empty matrix builds only
+        # its first witness.
+        started = time.perf_counter()
+        verdict = verify_universal(SymbolMatrix(n=30, q=2), 25)
+        assert time.perf_counter() - started < 1.0
+        assert verdict.witness == UniversalWitness(tuple(range(25)), (0,) * 25)
+
 
 def random_matrix(n, q, rows, seed):
     rng = random.Random(seed)
     return SymbolMatrix(
         n=n, q=q, rows=tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(rows))
-    )
-
-
-def first_missing(m, S):
-    """The first pattern, in product order, that no row shows on columns S."""
-    shown = {tuple(row[j] for j in S) for row in m.rows}
-    return next(p for p in product(range(m.q), repeat=len(S)) if p not in shown)
-
-
-def unmet_by_projections(m, d):
-    """Closed-form count of unmet constraints: q**d minus the number of
-    distinct projections, summed over the d-subsets."""
-    return sum(
-        m.q**d - len({tuple(row[j] for j in S) for row in m.rows})
-        for S in combinations(range(m.n), d)
     )
 
 
@@ -159,7 +137,7 @@ class TestPackedFields:
     def test_two_byte_fields_match_definition(self, n, d, q, rows):
         m = random_matrix(n, q, rows, seed=rows)
         assert 2**8 < q**d <= 2**16
-        unmet = unmet_universal(m, d)
+        unmet = list(uncovered(m, UniversalSpec(n, d, q)))
         assert count_uncovered(m, UniversalSpec(n, d, q)) == len(unmet)
         assert verify_universal(m, d).witness == (unmet[0] if unmet else None)
 
@@ -169,9 +147,11 @@ class TestPackedFields:
         m = random_matrix(n, q, 6, seed=n)
         m = SymbolMatrix(n=n, q=q, rows=m.rows + m.rows[:2])  # with duplicate rows
         assert q**d > 2**16
-        assert count_uncovered(m, UniversalSpec(n, d, q)) == unmet_by_projections(m, d)
-        S = tuple(range(d))
-        assert verify_universal(m, d).witness == UniversalWitness(S, first_missing(m, S))
+        unmet = uncovered(m, UniversalSpec(n, d, q))
+        first = next(unmet)
+        assert first.columns == tuple(range(d))
+        assert verify_universal(m, d).witness == first
+        assert count_uncovered(m, UniversalSpec(n, d, q)) == 1 + sum(1 for _ in unmet)
 
     @pytest.mark.parametrize("n,d,q", [(9, 8, 2), (3, 2, 16), (16, 16, 2), (4, 4, 16)])
     def test_largest_index_of_each_width(self, n, d, q):
@@ -179,9 +159,11 @@ class TestPackedFields:
         assert q**d in (2**8, 2**16)
         m = random_matrix(n, q, 30, seed=d)
         m = SymbolMatrix(n=n, q=q, rows=m.rows + ((q - 1,) * n,))
-        assert count_uncovered(m, UniversalSpec(n, d, q)) == unmet_by_projections(m, d)
-        S = tuple(range(d))
-        assert verify_universal(m, d).witness == UniversalWitness(S, first_missing(m, S))
+        unmet = uncovered(m, UniversalSpec(n, d, q))
+        first = next(unmet)
+        assert first.columns == tuple(range(d))
+        assert verify_universal(m, d).witness == first
+        assert count_uncovered(m, UniversalSpec(n, d, q)) == 1 + sum(1 for _ in unmet)
 
     @pytest.mark.parametrize("n,d,q", [(3, 2, 2), (3, 2, 17), (17, 17, 2)])
     def test_zero_rows_miss_everything(self, n, d, q):
@@ -193,53 +175,24 @@ class TestPackedFields:
     def test_duplicate_rows_count_once(self, q, d):
         m = random_matrix(5, q, 12, seed=q)
         doubled = SymbolMatrix(n=5, q=q, rows=m.rows * 2 + m.rows[:3])
-        unmet = unmet_universal(m, d)
-        assert unmet_universal(doubled, d) == unmet
+        unmet = list(uncovered(m, UniversalSpec(5, d, q)))
+        assert list(uncovered(doubled, UniversalSpec(5, d, q))) == unmet
         assert count_uncovered(doubled, UniversalSpec(5, d, q)) == len(unmet)
         assert verify_universal(doubled, d).witness == (unmet[0] if unmet else None)
 
     def test_pattern_cap_needs_memory_of_the_rows_not_the_patterns(self):
         # q**d == 2**24: a per-subset pattern bitmap would take 16 MB.
         m = random_matrix(25, 2, 50, seed=24)
-        S = tuple(range(24))
+        first = next(uncovered(m, UniversalSpec(25, 24, 2)))
+        assert first.columns == tuple(range(24))
         tracemalloc.start()
         try:
             verdict = verify_universal(m, 24)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert verdict.witness == UniversalWitness(S, first_missing(m, S))
+        assert verdict.witness == first
         assert peak < 2 * 2**20
-
-
-def reference_missing_universal(m, spec):
-    """The packed-column kernel as it was before byte fields took the
-    ``translate`` path: every field width reads a subset's indices back
-    through ``memoryview.cast`` into a ``set``, and the patterns whose rank
-    is not in it are missing. Kept as the reference the kernel must match."""
-    q, n, rows, d = m.q, m.n, m.rows, spec.d
-    total = q**d
-    code = "B" if total <= 1 << 8 else "H" if total <= 1 << 16 else "I"
-    order = sys.byteorder
-    size = len(rows) * array(code).itemsize
-    columns = [int.from_bytes(array(code, col).tobytes(), order) for col in zip(*rows)]
-    powers = [q**k for k in reversed(range(d))]
-    partial = [0] * d
-    last_head = (-1,) * (d - 1)
-    for head in combinations(range(n - 1), d - 1):
-        k = 0
-        while k < d - 2 and head[k] == last_head[k]:
-            k += 1
-        for k in range(k, d - 1):
-            partial[k + 1] = partial[k] + columns[head[k]] * powers[k]
-        last_head, base = head, partial[-1]
-        for j in range(head[-1] + 1 if head else 0, n):
-            shown = set(memoryview((base + columns[j]).to_bytes(size, order)).cast(code))
-            if len(shown) < total:
-                S = head + (j,)
-                for idx, pattern in enumerate(product(range(q), repeat=d)):
-                    if idx not in shown:
-                        yield UniversalWitness(S, pattern)
 
 
 @st.composite
@@ -262,14 +215,14 @@ def kernel_cases(draw, q=None, d=None, max_n=None):
 
 
 class TestKernelAgainstReference:
-    """The whole witness list of ``_missing_universal`` equals the set-based
+    """The whole witness list of ``_missing_universal`` equals the
     reference's, on the 1-byte ``translate`` path and the wider ``set`` path."""
 
     @given(kernel_cases())
     @settings(max_examples=200, deadline=None)
     def test_small_alphabets(self, case):
         m, spec = case
-        assert witnesses(_missing_universal(m, spec)) == list(reference_missing_universal(m, spec))
+        assert witnesses(_missing_universal(m, spec)) == list(uncovered(m, spec))
 
     @pytest.mark.parametrize("q,d", [(2, 8), (4, 4), (16, 2), (3, 6), (17, 2)])
     @given(data=st.data())
@@ -277,7 +230,7 @@ class TestKernelAgainstReference:
     def test_at_and_past_the_byte_boundary(self, q, d, data):
         # q**d is 256, the last 1-byte field, or just past it (729, 289).
         m, spec = data.draw(kernel_cases(q, d))
-        assert witnesses(_missing_universal(m, spec)) == list(reference_missing_universal(m, spec))
+        assert witnesses(_missing_universal(m, spec)) == list(uncovered(m, spec))
 
 
 class TestWindows:
@@ -295,7 +248,7 @@ class TestWindows:
     @settings(max_examples=15, deadline=None)
     def test_every_length_matches_the_reference(self, q, d, max_n, data):
         m, spec = data.draw(kernel_cases(q, d, max_n))
-        expected = list(reference_missing_universal(m, spec))
+        expected = list(uncovered(m, spec))
         for length in range(1, 256 // q**d + 1):
             groups = list(_missing_universal(m, spec, length))
             assert sum(count for count, _ in groups) == len(expected)
@@ -308,7 +261,7 @@ class TestWindows:
         # At length 8 on 12 rows a window takes 96 bytes and the repeated
         # columns 14 of them; the cap leaves room for ``room`` windows more.
         m = random_matrix(14, 2, 12, seed=14)
-        expected = unmet_universal(m, 3)
+        expected = list(uncovered(m, UniversalSpec(14, 3, 2)))
         monkeypatch.setattr(verify, "_WINDOW_CAP", (14 + room) * 96)
         assert witnesses(_missing_universal(m, UniversalSpec(14, 3, 2), 8)) == expected
 
@@ -386,7 +339,7 @@ class TestCffForms:
         index, size = _row_index(m)
         packed = witnesses(_packed_cff(index, size, m.n, r, s))
         assert packed == witnesses(_pairwise_cff(index, size, m.n, r, s))
-        assert packed == unmet_cff(m, r, s)
+        assert packed == list(uncovered(m, CffSpec(m.n, r, s)))
 
     def test_both_forms_list_alike_where_the_packed_form_runs(self):
         # (20, (1, 5)) at 288 rows: 15,504 fields of 37 bytes, which _packs
@@ -430,10 +383,8 @@ class TestCountBuildsNoWitness:
         (random_matrix(10, 2, 40, seed=4), CffSpec(10, 7, 3)),  # per pair
     ])
     def test_counts_without_witnesses(self, m, spec, monkeypatch):
-        if isinstance(spec, UniversalSpec):
-            expected = unmet_universal(m, spec.d)
-        else:
-            expected = unmet_cff(m, spec.r, spec.s)
+        expected = list(uncovered(m, spec))
+        if isinstance(spec, CffSpec):
             assert _packs(spec.n, spec.r, spec.s, m.num_rows) == (spec.r == 2)
         assert expected
 
@@ -464,10 +415,7 @@ class TestVerifyCff:
         m = SymbolMatrix(n=6, q=2, rows=rows)
         assert verify_cff(m, 1, 1).valid
         # independent check over all 30 ordered pairs
-        for i, j in product(range(6), repeat=2):
-            if i == j:
-                continue
-            assert any(row[i] == 1 and row[j] == 0 for row in rows)
+        assert next(cff_uncovered(rows, 6, 1, 1), None) is None
 
     def test_r_zero_means_all_zero_on_s(self):
         m = SymbolMatrix.from_strings(["000"])
@@ -544,13 +492,13 @@ class TestCountUncovered:
 
     @pytest.mark.parametrize("n, d, q", [(30, 25, 2), (5, 5, 28)])
     def test_an_empty_count_is_charged_by_its_own_estimate(self, n, d, q):
-        # C(30, 25) 2**25 and 28**5 are a few dozen bits. A verdict's charge
-        # of 2**11 a pattern refuses both; a count pays only for its bits.
+        # C(30, 25) 2**25 and 28**5 are a few dozen bits. A scan's charge of
+        # 2**11 a pattern refuses both on one row; a count pays only for its bits.
         started = time.perf_counter()
         assert count_uncovered(SymbolMatrix(n=n, q=q), UniversalSpec(n, d, q)) == comb(n, d) * q**d
         assert time.perf_counter() - started < 1.0
         with pytest.raises(ResourceLimitError):
-            verify_universal(SymbolMatrix(n=n, q=q), d)
+            verify_universal(SymbolMatrix(n=n, q=q, rows=((0,) * n,)), d)
 
     def test_an_empty_count_charges_the_bits_of_its_patterns(self):
         # 3**(16 * 10**6) has about 2.5 * 10**7 bits; its charge, their
@@ -635,7 +583,7 @@ class TestCountUncovered:
     @settings(max_examples=80)
     def test_matches_definition_universal(self, m, d):
         d = min(d, m.n)
-        unmet = unmet_universal(m, d)
+        unmet = list(uncovered(m, UniversalSpec(m.n, d, m.q)))
         assert count_uncovered(m, UniversalSpec(m.n, d, m.q)) == len(unmet)
         assert verify_universal(m, d).witness == (unmet[0] if unmet else None)
 
@@ -644,7 +592,7 @@ class TestCountUncovered:
     def test_matches_definition_cff(self, m, r, s):
         if not 1 <= r + s <= m.n:
             return
-        unmet = unmet_cff(m, r, s)
+        unmet = list(uncovered(m, CffSpec(m.n, r, s)))
         assert count_uncovered(m, CffSpec(m.n, r, s)) == len(unmet)
         assert verify_cff(m, r, s).witness == (unmet[0] if unmet else None)
 
