@@ -243,10 +243,10 @@ def construct_cff_randomized(spec: CffSpec, seed: int, batch: int = 16) -> Symbo
     # of its columns: the union of need[j][1 - bit] over them.
     pending = (1 << size) - 1  # constraints no row has met
 
-    rows: list[tuple[int, ...]] = []
+    rows: list[bytes] = []
     for _ in range(MAX_BATCHES):
         for _ in range(batch):
-            bits = tuple(1 if rng.random() < p else 0 for _ in range(n))
+            bits = bytes(rng.random() < p for _ in range(n))
             rows.append(bits)
             missed = 0
             for sets, bit in zip(need, bits):
@@ -283,10 +283,7 @@ def construct_cff_sperner(n: int) -> SymbolMatrix:
     _check_work(CffSpec(n, 1, 1), "verify", n.bit_length())
     rows = sperner_row_count(n)
     chosen = [set(subset) for subset in islice(combinations(range(rows), rows // 2), n)]
-    matrix_rows = tuple(
-        tuple(1 if i in block else 0 for block in chosen) for i in range(rows)
-    )
-    m = SymbolMatrix(n=n, q=CffSpec.q, rows=matrix_rows)
+    m = SymbolMatrix(n=n, q=CffSpec.q, rows=[bytes(i in block for block in chosen) for i in range(rows)])
     return _checked(m, verify_cff(m, 1, 1))
 
 

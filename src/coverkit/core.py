@@ -1,13 +1,13 @@
 """Domain types shared by every module: parameter specs, symbol matrices,
 and the elementary row transforms (complement, dedup).
 
-A ``SymbolMatrix`` is an N x n array over the alphabet {0, ..., q-1}. Rows
-are test vectors (ground-set elements in the cover-free reading); column j
-is the block B_j, so for q = 2 the matrix is an incidence matrix. All
-types here are immutable; transforms return new values. This module
-alone owns the alphabet: ``CffSpec.q`` is always 2, only ``decode_row``
-and ``encode_row`` read and write the base-36 digits that stand for
-symbols, and only ``_digits`` reads a row from its rank.
+A ``SymbolMatrix`` is an N x n array over the alphabet {0, ..., q-1}: each
+row, a test vector (a ground-set element in the cover-free reading), is
+``bytes``, a byte a symbol, and column j is the block B_j, so for q = 2
+it is an incidence matrix. All types are immutable; transforms return
+new values. This module alone owns the alphabet: ``CffSpec.q`` is always
+2, only ``decode_row`` and ``encode_row`` read and write the base-36
+digits that stand for symbols, and only ``_digits`` turns a rank into a row.
 """
 
 from __future__ import annotations
@@ -225,23 +225,23 @@ def _check_work(spec: UniversalSpec | CffSpec, op: str, rows: int = 0) -> None:
     raise ResourceLimitError(f"estimated work of at least 2**{e} exceeds the budget of {WORK_BUDGET}")
 
 
-def _check_row(row: Sequence[int], n: int, q: int, index: int) -> tuple[int, ...]:
-    """The row as a tuple of n symbols, each an int but not a bool, in 0..q-1.
+def _check_row(row: Sequence[int], n: int, q: int, index: int) -> bytes:
+    """The row as n bytes, a symbol each: an int but not a bool, in 0..q-1.
     A ``bytes`` row, or one of exact ints, passes by one ``translate``; any
     other row is scanned symbol by symbol, naming the first bad one."""
-    t = tuple(row)
+    t = row if type(row) is bytes else tuple(row)
     if len(t) != n:
         raise ParameterError(f"row {index} has {len(t)} entries, expected {n}")
     try:
-        if type(row) is bytes or {int}.issuperset(map(type, t)):
-            if not (row if type(row) is bytes else bytes(t)).translate(None, _SYMBOLS[:q]):
-                return t
+        if type(t) is bytes or {int}.issuperset(map(type, t)):
+            if not bytes(t).translate(None, _SYMBOLS[:q]):
+                return bytes(t)  # the row itself if it is bytes
     except ValueError:  # an int outside 0..255
         pass
     for sym in t:
         if not isinstance(sym, int) or isinstance(sym, bool) or not 0 <= sym < q:
             raise AlphabetError(f"row {index} contains symbol {sym!r} outside 0..{q - 1}")
-    return t
+    return bytes(t)
 
 
 @dataclass(frozen=True)
@@ -250,13 +250,13 @@ class SymbolMatrix:
 
     Rows are a sequence, so duplicates are representable; the covering
     properties are defined on the row set and dedup is always explicit.
-    The constructor checks every row, whatever built it, and stores it as a
-    tuple of ints; nothing is checked later.
+    The constructor checks every row, whatever built it, and stores it as
+    ``bytes``, one byte a symbol; nothing is checked later.
     """
 
     n: int
     q: int
-    rows: tuple[tuple[int, ...], ...] = field(default=())
+    rows: tuple[bytes, ...] = field(default=())
 
     def __post_init__(self) -> None:
         _check_shape(self.n, self.q)
@@ -333,7 +333,7 @@ def complement(m: SymbolMatrix) -> SymbolMatrix:
     """
     if m.q != CffSpec.q:
         raise AlphabetError(f"complement needs a binary matrix, got q = {m.q}")
-    rows = tuple(bytes(row).translate(_FLIP) for row in m.rows)
+    rows = tuple(row.translate(_FLIP) for row in m.rows)
     return SymbolMatrix(n=m.n, q=CffSpec.q, rows=rows)
 
 

@@ -69,6 +69,12 @@ class Verdict:
 _VALID = Verdict("valid")
 
 
+def _columns(m: SymbolMatrix) -> list[bytes]:
+    """The columns of ``m``, one byte a row, each one strided slice in C."""
+    joined = b"".join(m.rows)
+    return [joined[j::m.n] for j in range(m.n)]
+
+
 def _missing_universal(m: SymbolMatrix, spec: UniversalSpec,
                        length: int | None = None) -> Iterator[Missed]:
     """Every (columns, pattern) pair ``m`` misses, in (subset, then pattern)
@@ -105,12 +111,13 @@ def _missing_universal(m: SymbolMatrix, spec: UniversalSpec,
     # The same native byte order on both sides, so wider fields read back whole.
     order = sys.byteorder
     size = len(rows) * array(code).itemsize
-    packed = [array(code, col).tobytes() for col in zip(*rows)]
-    columns = [int.from_bytes(fields, order) for fields in packed]
-    if code != "B":
+    packed = _columns(m)  # 1-byte fields are the columns as they are
+    if code != "B":  # fed ints, as ``array`` reads ``bytes`` as machine words
+        packed = [array(code, iter(col)).tobytes() for col in packed]
         length = 1
     elif length is None:
         length = _window_length(n, d, q, len(rows))
+    columns = [int.from_bytes(fields, order) for fields in packed]
     t = 2 if length > 1 and d >= 3 else 1
     h, width = d - t, length * size
     powers = [q**k for k in reversed(range(d))]
@@ -341,16 +348,11 @@ def _constraint_index(spec: UniversalSpec | CffSpec) -> tuple[list[list[int]], i
     return index, block * len(heads)
 
 
-def _row_index(m: SymbolMatrix) -> tuple[list[list[int]], int]:
-    """``_column_index`` over the rows of ``m``: bit i is row i."""
-    return _column_index(m.q, map(bytes, zip(*m.rows)) if m.rows else [b""] * m.n)
-
-
 def _missing_cff(m: SymbolMatrix, spec: CffSpec) -> Iterator[Missed]:
     """Every (R, S) pair no row of ``m`` separates, in (R, then S) order,
     by ``_packed_cff`` or ``_pairwise_cff`` as ``_packs`` picks: both give
     the same groups, so the choice moves only time and memory."""
-    index, size = _row_index(m)
+    index, size = _column_index(m.q, _columns(m))
     n, r, s = spec.n, spec.r, spec.s
     form = _packed_cff if _packs(n, r, s, size) else _pairwise_cff
     return form(index, size, n, r, s)

@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -102,12 +105,28 @@ class TestWrite:
 class TestRead:
     def test_minimal_document(self):
         m, header = read_array("kind=raw n=2 q=2 rows=1\n01\n")
-        assert m.rows == ((0, 1),)
+        assert m.rows == (b"\x00\x01",)
         assert header == ArrayFileHeader(kind="raw", n=2, q=2, rows=1)
 
     def test_zero_row_document(self):
         m, header = read_array("kind=raw n=3 q=2 rows=0\n")
         assert m.num_rows == 0
+
+    def test_a_binary_document_is_held_in_about_its_text_size(self):
+        # 100 x 10**5 random bits, built in C. One byte a symbol holds the
+        # matrix in the size of its text; a tuple of ints would take eight.
+        n, rows = 10**5, 100
+        bits = random.Random(5).randbytes(n * rows).translate(bytes(48 + (b & 1) for b in range(256)))
+        body = b"\n".join(bits[i:i + n] for i in range(0, n * rows, n)).decode()
+        text = f"kind=raw n={n} q=2 rows={rows}\n{body}\n"
+        tracemalloc.start()
+        try:
+            m, _ = read_array(text)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.num_rows == rows and m.row_strings()[-1] == body[-n:]
+        assert peak < 2.5 * len(text) and held < 1.5 * len(text)
 
     def test_row_count_shortfall_names_end_of_input(self):
         with pytest.raises(FormatError, match="end of input"):

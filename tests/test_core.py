@@ -18,9 +18,13 @@ from coverkit import (
     UniversalSpec,
     build_universal_lemma1,
     complement,
+    construct_cff_derandomized,
+    construct_cff_randomized,
     construct_cff_sperner,
+    construct_universal_greedy,
     count_uncovered,
     dedup_rows,
+    minimal_universal_size,
     read_array,
     verify_cff,
     verify_universal,
@@ -31,15 +35,15 @@ from test_cli import child_env
 
 
 def reference_check_row(row, n, q, index):
-    """The per-symbol rule the constructor keeps: the row as a tuple, or the
-    first error, with its message."""
+    """The per-symbol rule the constructor keeps: the row as bytes, one byte
+    a symbol, or the first error, with its message."""
     t = tuple(row)
     if len(t) != n:
         raise ParameterError(f"row {index} has {len(t)} entries, expected {n}")
     for sym in t:
         if not isinstance(sym, int) or isinstance(sym, bool) or not 0 <= sym < q:
             raise AlphabetError(f"row {index} contains symbol {sym!r} outside 0..{q - 1}")
-    return t
+    return bytes(t)
 
 
 def reference_decode_row(text, q, where):
@@ -149,7 +153,7 @@ class TestSymbolMatrix:
 
     def test_from_strings_round_trip(self):
         m = SymbolMatrix.from_strings(["01a", "9zz"], q=36)
-        assert m.rows == ((0, 1, 10), (9, 35, 35))
+        assert m.rows == (b"\x00\x01\x0a", b"\x09\x23\x23")
         assert m.row_strings() == ["01a", "9zz"]
 
     def test_immutable(self):
@@ -186,25 +190,34 @@ class TestSymbolMatrix:
         else:
             m = SymbolMatrix(n=n, q=q, rows=rows)
             assert m.rows == expected
-            assert [list(map(type, row)) for row in m.rows] == [
-                list(map(type, row)) for row in expected]
+            assert all(type(row) is bytes for row in m.rows)
 
     def test_a_row_of_int_subclasses_is_checked_symbol_by_symbol(self):
         # Not exact ints, so the row skips the one translate and passes the
         # symbol-by-symbol scan.
         m = SymbolMatrix(n=2, q=2, rows=((Colour.RED, Colour.GREEN),))
-        assert m.rows == ((0, 1),)
+        assert m.rows == (b"\x00\x01",)
 
-    def test_every_path_stores_tuples_of_exact_ints(self):
-        expected = SymbolMatrix(n=3, q=3, rows=((0, 1, 2), (2, 2, 0)))
-        for m in (SymbolMatrix.from_strings(["012", "220"], q=3),
+    def test_every_path_stores_bytes(self):
+        expected = SymbolMatrix(n=3, q=3, rows=(b"\x00\x01\x02", b"\x02\x02\x00"))
+        for m in (SymbolMatrix(n=3, q=3, rows=((0, 1, 2), [2, 2, 0])),
+                  SymbolMatrix(n=3, q=3, rows=(bytearray(b"\x00\x01\x02"), b"\x02\x02\x00")),
+                  SymbolMatrix(n=3, q=3, rows=((Colour.RED, Colour.GREEN, 2), (2, 2, Colour.RED))),
+                  SymbolMatrix.from_strings(["012", "220"], q=3),
                   read_array("kind=raw n=3 q=3 rows=2\n012\n220\n")[0],
-                  SymbolMatrix(n=3, q=3, rows=(b"\x00\x01\x02", b"\x02\x02\x00")),
-                  SymbolMatrix(n=3, q=3, rows=(bytearray(b"\x00\x01\x02"), [2, 2, 0]))):
-            assert type(m.rows) is tuple
-            assert {type(row) for row in m.rows} == {tuple}
-            assert {type(sym) for row in m.rows for sym in row} == {int}
+                  dedup_rows(SymbolMatrix(n=3, q=3, rows=expected.rows * 2))):
+            assert type(m.rows) is tuple and [type(row) for row in m.rows] == [bytes, bytes]
             assert (m, hash(m), m.rows) == (expected, hash(expected), expected.rows)
+        built = [complement(SymbolMatrix(n=2, q=2, rows=((0, 1),))),
+                 construct_cff_sperner(5),
+                 construct_cff_derandomized(CffSpec(5, 1, 2))[0],
+                 construct_cff_derandomized(CffSpec(5, 0, 2))[0],  # the constant row
+                 construct_cff_randomized(CffSpec(5, 1, 2), seed=1),
+                 build_universal_lemma1(5, 2),
+                 construct_universal_greedy(UniversalSpec(4, 2, 3))[0],
+                 minimal_universal_size(UniversalSpec(3, 2)).certificate]
+        for m in built:
+            assert m.rows and {type(row) for row in m.rows} == {bytes}
 
     @given(st.integers(2, 36), st.text(
         st.sampled_from("0123456789abcdefghijklmnopqrstuvwxyzA!/:`{é\udc80\x00\xff"), max_size=8))

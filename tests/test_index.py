@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coverkit import CffSpec, SymbolMatrix, UniversalSpec
-from coverkit.verify import _constraint_index, _row_index
+from coverkit.core import MAX_ALPHABET
+from coverkit.verify import _column_index, _columns, _constraint_index
 
 
 def reference_column_index(n, q, items):
@@ -80,10 +81,10 @@ class TestAgainstReference:
     @settings(deadline=None)
     def test_rows(self, data):
         n = data.draw(st.integers(1, 6))
-        q = data.draw(st.integers(2, 5))
+        q = data.draw(st.integers(2, MAX_ALPHABET))
         rows = data.draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * n), max_size=20))
         m = SymbolMatrix(n=n, q=q, rows=tuple(rows))
-        assert _row_index(m) == reference_column_index(n, q, map(enumerate, rows))
+        assert _column_index(q, _columns(m)) == reference_column_index(n, q, map(enumerate, rows))
 
 
 def test_an_index_is_built_one_column_at_a_time():

@@ -588,6 +588,6 @@ def test_symmetry_breaks_keep_every_small_minimum(spec, size):
     assert is_double_lex(rows)
     if isinstance(spec, UniversalSpec):
         assert verify_universal(outcome.certificate, spec.d).valid
-        assert rows[0] == (0,) * spec.n
+        assert rows[0] == bytes(spec.n)
     else:
         assert verify_cff(outcome.certificate, spec.r, spec.s).valid

@@ -29,11 +29,12 @@ from coverkit import verify
 from coverkit.core import WORK_BUDGET
 from coverkit.verify import (
     _PACKED_CAP,
+    _column_index,
+    _columns,
     _missing_universal,
     _packed_cff,
     _packs,
     _pairwise_cff,
-    _row_index,
     _verdict,
     _window_length,
 )
@@ -336,7 +337,7 @@ class TestCffForms:
     @settings(max_examples=200, deadline=None)
     def test_both_forms_match_the_definition(self, case):
         m, r, s = case
-        index, size = _row_index(m)
+        index, size = _column_index(m.q, _columns(m))
         packed = witnesses(_packed_cff(index, size, m.n, r, s))
         assert packed == witnesses(_pairwise_cff(index, size, m.n, r, s))
         assert packed == list(uncovered(m, CffSpec(m.n, r, s)))
@@ -346,7 +347,7 @@ class TestCffForms:
         # picks, and 2,201 pairs no row separates.
         m = random_matrix(20, 2, 288, seed=288)
         assert _packs(20, 1, 5, 288)
-        index, size = _row_index(m)
+        index, size = _column_index(m.q, _columns(m))
         pairwise = witnesses(_pairwise_cff(index, size, 20, 1, 5))
         assert witnesses(_packed_cff(index, size, 20, 1, 5)) == pairwise
         assert len(pairwise) == count_uncovered(m, CffSpec(20, 1, 5)) == 2201
