@@ -96,7 +96,8 @@ def write_array(m: SymbolMatrix, header: ArrayFileHeader) -> str:
         )
     lines = [_header_line(header)]
     lines.extend(m.row_strings())
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the trailing newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def _parse_header_line(line: str) -> ArrayFileHeader:
@@ -125,19 +126,20 @@ def read_array(text: str) -> tuple[SymbolMatrix, ArrayFileHeader]:
     """Parse a document; inverse of write_array on valid input."""
     if not text.endswith("\n"):
         raise FormatError("end of input: missing trailing newline")
-    first, *body = text[:-1].split("\n")
-    header = _parse_header_line(first)
-    if len(body) < header.rows:
+    lines = text.split("\n")[-2::-1]  # reversed, less the final "": a popped line is freed once decoded
+    header = _parse_header_line(lines.pop())
+    if len(lines) < header.rows:
         raise FormatError(
-            f"end of input: header declares rows={header.rows} but found {len(body)} row lines"
+            f"end of input: header declares rows={header.rows} but found {len(lines)} row lines"
         )
-    if len(body) > header.rows:
+    if len(lines) > header.rows:
         raise FormatError(
             f"line {header.rows + 2}: header declares rows={header.rows} "
             f"but extra content follows"
         )
     rows = []
-    for i, line in enumerate(body, 2):
+    for i in range(2, header.rows + 2):
+        line = lines.pop()
         if len(line) != header.n:
             raise FormatError(f"line {i}: row has {len(line)} symbols, expected n={header.n}")
         rows.append(decode_row(line, header.q, where=f"line {i}", error=FormatError))

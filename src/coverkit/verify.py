@@ -96,10 +96,10 @@ def _missing_universal(m: SymbolMatrix, spec: UniversalSpec,
     ``length`` subsets, each slot's in its own range of values. With 1-byte
     fields (q**d <= 256, so length <= 256 // q**d), one ``translate``
     deletes them from ``bytes(range(length * q**d))`` and leaves the
-    missing (slot, rank) pairs in order. Windows are built as a head
-    first needs them and kept within ``_WINDOW_CAP`` bytes, the last ones,
-    which the most heads share, first. Wider fields take windows of one
-    subset, read back through ``memoryview.cast`` into a ``set``.
+    missing (slot, rank) pairs in order. Every window is joined from the
+    packed columns as a head first needs it and kept within ``_WINDOW_CAP``
+    bytes, the last ones, which the most heads share, first. Wider fields
+    take windows of one subset, read back as a ``set``.
 
     A window holds O(length * rows) bytes, whatever q**d is. The widest
     field holds indices below 2**32: ``_missing`` runs this only within
@@ -117,7 +117,6 @@ def _missing_universal(m: SymbolMatrix, spec: UniversalSpec,
         length = 1
     elif length is None:
         length = _window_length(n, d, q, len(rows))
-    columns = [int.from_bytes(fields, order) for fields in packed]
     t = 2 if length > 1 and d >= 3 else 1
     h, width = d - t, length * size
     powers = [q**k for k in reversed(range(d))]
@@ -134,13 +133,10 @@ def _missing_universal(m: SymbolMatrix, spec: UniversalSpec,
     begins = [(u, tables[skip]) for u, skip in (divmod(p + pad, length) for p in first)]
     # The head sums are taken over columns repeated into every slot, each
     # repeated when a head first takes it; windows are built likewise.
-    spread = columns.__getitem__
-    if length > 1:
-        spread = cache(lambda j: int.from_bytes(packed[j] * length, order))
-    windows = columns if length == 1 else {}
+    spread = cache(lambda j: int.from_bytes(packed[j] * length, order))
+    windows: dict[int, int] = {}
     # kept: the first window kept, in the room the spread columns leave
     kept = count - (_WINDOW_CAP - n * width) // width
-    stacked = b"".join(packed) if length > 1 else b""
     # lift: slot i's i * q**d in every field
     lift = int.from_bytes(b"".join(bytes([i * total]) * size for i in range(length)), order)
 
@@ -149,20 +145,20 @@ def _missing_universal(m: SymbolMatrix, spec: UniversalSpec,
         return (a,) if t == 1 else (a, a + 1 + position - first[a])
 
     def build(u: int) -> int:
-        """Window u, joined from slices of the stacked columns: a run of
+        """Window u, joined from runs of the packed columns: a run of
         tails (a, b) that share a is a run of columns b, plus column a
         repeated and scaled by q."""
         start = u * length - pad
         end, position = start + length, max(start, 0)
         zeros = bytes((position - start) * size)
         if t == 1:
-            window = int.from_bytes(zeros + stacked[position * size:end * size], order)
+            window = int.from_bytes(zeros + b"".join(packed[position:end]), order)
         else:
             lows, highs = [zeros], [zeros]
             a, b = tail(position)
             while position < end:
                 run = min(end - position, n - b)
-                lows.append(stacked[b * size:(b + run) * size])
+                lows += packed[b:b + run]
                 highs.append(packed[a] * run)
                 position += run
                 a, b = a + 1, a + 2
@@ -192,15 +188,12 @@ def _missing_universal(m: SymbolMatrix, spec: UniversalSpec,
             fields = (base + window).to_bytes(width, order)
             if every:
                 missing = table.translate(None, fields)
-                table = every
-                if missing:
-                    yield len(missing), _window_witnesses(
-                        head, tail, u * length - pad, q, d, missing)
-                continue
-            shown = set(memoryview(fields).cast(code))
-            if len(shown) < total:
-                unshown = filterfalse(shown.__contains__, range(total))
-                yield total - len(shown), _window_witnesses(head, tail, u, q, d, unshown)
+                table, missed = every, len(missing)
+            else:
+                shown = set(memoryview(fields).cast(code))
+                missed, missing = total - len(shown), filterfalse(shown.__contains__, range(total))
+            if missed:
+                yield missed, _window_witnesses(head, tail, u * length - pad, q, d, missing)
 
 
 def _window_witnesses(head: tuple[int, ...], tail: Callable[[int], tuple[int, ...]], start: int,
@@ -349,9 +342,9 @@ def _constraint_index(spec: UniversalSpec | CffSpec) -> tuple[list[list[int]], i
 
 
 def _missing_cff(m: SymbolMatrix, spec: CffSpec) -> Iterator[Missed]:
-    """Every (R, S) pair no row of ``m`` separates, in (R, then S) order,
-    by ``_packed_cff`` or ``_pairwise_cff`` as ``_packs`` picks: both give
-    the same groups, so the choice moves only time and memory."""
+    """Every (R, S) pair no row of ``m`` separates, in (R, then S) order, by
+    ``_packed_cff`` (a group per R) or ``_pairwise_cff`` (one per pair) as
+    ``_packs`` picks: the same witnesses in order and the same total count."""
     index, size = _column_index(m.q, _columns(m))
     n, r, s = spec.n, spec.r, spec.s
     form = _packed_cff if _packs(n, r, s, size) else _pairwise_cff

@@ -235,10 +235,10 @@ class TestKernelAgainstReference:
 
 
 class TestWindows:
-    """Each window length of the 1-byte path, called directly, lists the
-    reference's witnesses in groups whose counts are right, whether its
-    windows are kept or built again; ``_window_length`` picks among them
-    only on cost."""
+    """Each window length of the 1-byte path, and the windows of one that
+    wider fields take, called directly, lists the reference's witnesses in
+    groups whose counts are right, whether its windows are kept or built
+    again; ``_window_length`` picks among them only on cost."""
 
     # n runs past a window of tails and past the tails of one first column
     # (tails of two columns from d = 3 on), and the slot offsets fill the byte.
@@ -258,13 +258,15 @@ class TestWindows:
             assert first == (expected[0] if expected else None)
 
     @pytest.mark.parametrize("room", [-1, 0, 3])
-    def test_windows_past_the_cap_are_built_again(self, room, monkeypatch):
-        # At length 8 on 12 rows a window takes 96 bytes and the repeated
-        # columns 14 of them; the cap leaves room for ``room`` windows more.
-        m = random_matrix(14, 2, 12, seed=14)
-        expected = list(uncovered(m, UniversalSpec(14, 3, 2)))
-        monkeypatch.setattr(verify, "_WINDOW_CAP", (14 + room) * 96)
-        assert witnesses(_missing_universal(m, UniversalSpec(14, 3, 2), 8)) == expected
+    @pytest.mark.parametrize("n,d,q,length,width", [(14, 3, 2, 8, 96), (9, 6, 3, 1, 24)])
+    def test_windows_past_the_cap_are_built_again(self, n, d, q, length, width, room, monkeypatch):
+        # On 12 rows a window of 1-byte fields at length 8 takes 96 bytes, and
+        # one of 2-byte fields, at their forced length of one, 24. The n
+        # repeated columns take n windows' bytes; the cap leaves room for
+        # ``room`` windows more.
+        m, spec = random_matrix(n, q, 12, seed=n), UniversalSpec(n, d, q)
+        monkeypatch.setattr(verify, "_WINDOW_CAP", (n + room) * width)
+        assert witnesses(_missing_universal(m, spec, length)) == list(uncovered(m, spec))
 
     def test_a_verdict_that_fails_at_once_builds_one_window(self):
         # Column 0 is all 0, so the first subset misses (1, 0, 0). All the
