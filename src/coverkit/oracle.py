@@ -39,7 +39,9 @@ The prunes above hold for every minimum solution, so for these ones too.
 Each candidate scanned costs a node, as does each search node, each of the
 q**n cover masks and each later scan of them: ``SearchOutcome.nodes`` counts
 nodes plus scanned candidates, so ``node_limit`` bounds the search's time.
-A search never returns a wrong answer; see ``SearchOutcome``.
+A search never returns a wrong answer; see ``SearchOutcome``. The cover
+masks and their bit counts are built before every search; the suffix tables
+that only non-final rows read, when the first level with one is reached.
 """
 
 from __future__ import annotations
@@ -93,24 +95,18 @@ class _OutOfNodes(Exception):
     pass
 
 
-def _scan_tables(
-    spec: UniversalSpec | CffSpec,
-) -> tuple[list[list[int]], list[int], list[int], list[int], list[int]]:
-    """(index, cover, suffix_or, suffix_max, last) over the q**n candidate
-    rows of ``spec``, in ``product`` order: index is ``_constraint_index``'s,
-    which the search reads again for final rows; bit c of cover[i] is set
-    when candidate i meets the c-th constraint the verifier scans,
-    suffix_or[i] and suffix_max[i] are the union and the largest bit count
-    of cover[i:] (both 0 at i = q**n), and last[c] is the last candidate
-    meeting constraint c.
+def _scan_tables(spec: UniversalSpec | CffSpec) -> tuple[list[list[int]], int, list[int], list[int]]:
+    """(index, size, cover, back) over the q**n candidate rows of ``spec``,
+    in ``product`` order, built before every search: index and size are
+    ``_constraint_index``'s, which the search reads again for final rows;
+    bit c of cover[i] is set when candidate i meets the c-th constraint the
+    verifier scans, and back holds the bit counts of cover, last first.
 
     No step is taken per candidate in Python but for one comprehension: a
     cover mask is the AND of a mask of the first n // 2 columns and one of
-    the rest, so it pairs two lists of about q**(n/2) masks. last[c] holds
-    the symbol c requires at each column it constrains and q - 1 at every
-    other.
+    the rest, so it pairs two lists of about q**(n/2) masks.
     """
-    n, q = spec.n, spec.q
+    n = spec.n
     index, size = _constraint_index(spec)
     full = (1 << size) - 1
 
@@ -124,8 +120,20 @@ def _scan_tables(
 
     tails = masks(index[n // 2:])
     cover = [head & tail for head in masks(index[: n // 2]) for tail in tails]
-    count = len(cover)
+    return index, size, cover, list(map(int.bit_count, reversed(cover)))
 
+
+def _suffix_tables(
+    index: list[list[int]], size: int, cover: list[int], back: list[int]
+) -> tuple[list[int], list[int], list[int]]:
+    """(suffix_or, suffix_max, last) from ``_scan_tables``' output, built
+    only for a search with a non-final level, whose scans alone read them:
+    suffix_or[i] and suffix_max[i] are the union and the largest bit count
+    of cover[i:] (both 0 at i = q**n), and last[c] is the last candidate
+    meeting constraint c. last[c] holds the symbol c requires at each
+    column it constrains and q - 1 at every other.
+    """
+    n, q, count = len(index), len(index[0]), len(cover)
     last = [count - 1] * size
     for j, sets in enumerate(index):
         for c, held in enumerate(sets[:-1]):
@@ -149,14 +157,13 @@ def _scan_tables(
         live |= cover[i]
         runs.append((i, live))
     suffix_or = filled(runs[::-1])
-    back = list(map(int.bit_count, reversed(cover)))
     runs, k = [], 0
     for bits in dict.fromkeys(back):
         if not runs or bits > runs[-1][1]:
             k = back.index(bits, k)
             runs.append((count - 1 - k, bits))
     suffix_max = filled(runs[::-1])
-    return index, cover, suffix_or, suffix_max, last
+    return suffix_or, suffix_max, last
 
 
 # The most candidates the tie lists and the q > 2 column-pair memo of one
@@ -192,6 +199,8 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
     from the candidate index. It tests the budget before each child and at
     the scan's end: a budget that runs out mid-scan is caught at the end, no
     more than q**n <= node_limit candidates late, with the same outcome.
+    The tables it reads come from ``_suffix_tables``, before the first
+    deepening level with more than one row to choose.
 
     A final row whose uncovered constraints require two symbols at one
     column, or one at every column, is decided without a scan, by two passes
@@ -207,13 +216,16 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
     count = nodes = q**n
     if nodes > limit:
         return SearchOutcome("budget_exceeded", nodes=limit + 1)
-    index, cover, suffix_or, suffix_max, max_row_for = _scan_tables(spec)
+    index, num_constraints, cover, back = _scan_tables(spec)
     # (a symbol's set, the sets of the symbols after it) for each column, and
     # (a symbol's set, what the symbol adds to a candidate's index).
     clashes = [(held, sum(sets[c + 1:])) for sets in index for c, held in enumerate(sets[:-1])]
     symbols = [(held, c * q ** (n - 1 - j)) for j, sets in enumerate(index) for c, held in enumerate(sets)]
-    num_constraints = len(max_row_for)
     full = (1 << num_constraints) - 1
+    lower = -(-num_constraints // max(back))  # the coverage bound
+    # Until the deepening loop builds the suffix tables, dfs runs only at
+    # last = 0, where the reachability test reads suffix_or[0] = full.
+    suffix_or, suffix_max, max_row_for = [full], [], []
 
     # covers_of[c]: the candidates covering constraint c, in order, built
     # when the final-row loop first needs them.
@@ -242,8 +254,6 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
                 dec, eq = dec << 1 | (a > b), eq << 1 | (a == b)
             memo[i] = dec, eq
         return memo[i]
-
-    lower = -(-num_constraints // suffix_max[0])  # the coverage bound
 
     chosen: list[int] = []
 
@@ -335,6 +345,9 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
     uncovered = full & ~cover[0] if start else full
     try:
         for size in range(lower, budget.max_rows + 1):
+            if size - len(start) > 1 and not max_row_for:
+                suffix_or, suffix_max, max_row_for = _suffix_tables(index, num_constraints, cover, back)
+                del back  # its counts are in suffix_max now
             chosen[:] = start
             if dfs(0, uncovered, size - len(start), (1 << (n - 1)) - 1):
                 certificate = SymbolMatrix(n=n, q=q, rows=[_digits(i, q, n) for i in chosen])

@@ -2,10 +2,11 @@ import hashlib
 import time
 import tracemalloc
 from bisect import bisect_left
+from math import comb
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coverkit import (
     CffSpec,
@@ -26,18 +27,28 @@ from coverkit import (
 )
 from coverkit import oracle
 from coverkit.core import _check_work
-from coverkit.oracle import SearchOutcome, _OutOfNodes, _scan_tables, _tie_list
+from coverkit.oracle import SearchOutcome, _OutOfNodes, _scan_tables, _suffix_tables, _tie_list
 from coverkit.verify import _constraint_index
 
 
+def kleitman_spencer(n):
+    """The fewest rows of a binary (n, 2)-universal set: the least k with
+    C(k - 1, ceil(k / 2)) >= n (Kleitman & Spencer, "Families of
+    k-independent sets", Discrete Math. 6, 1973)."""
+    k = 1
+    while comb(k - 1, -(-k // 2)) < n:
+        k += 1
+    return k
+
+
 class TestMinimalUniversal:
-    @pytest.mark.parametrize("n,d,q,expected", [(2, 2, 2, 4), (3, 2, 2, 4), (4, 2, 2, 5)])
-    def test_ground_truth(self, n, d, q, expected):
-        outcome = minimal_universal_size(UniversalSpec(n, d, q))
+    @pytest.mark.parametrize("n,expected", [(n, kleitman_spencer(n)) for n in range(2, 10)])
+    def test_ground_truth(self, n, expected):
+        outcome = minimal_universal_size(UniversalSpec(n, 2, 2))
         assert outcome.found
         assert outcome.size == expected
         assert outcome.certificate.num_rows == expected
-        assert verify_universal(outcome.certificate, d).valid
+        assert verify_universal(outcome.certificate, 2).valid
 
     def test_kleitman_direction(self):
         for n, d in ((2, 2), (3, 2), (4, 2), (3, 3)):
@@ -202,7 +213,9 @@ def table_specs(draw):
 @settings(deadline=None)
 def test_the_scan_tables_match_the_per_candidate_loops(spec):
     cover, suffix_or, suffix_max, last = reference_tables(spec)
-    assert _scan_tables(spec)[1:] == (cover, suffix_or, suffix_max, last)
+    index, size, scanned, back = _scan_tables(spec)
+    assert back == [mask.bit_count() for mask in reversed(cover)]
+    assert (scanned, *_suffix_tables(index, size, scanned, back)) == (cover, suffix_or, suffix_max, last)
     for c, i in enumerate(last):
         assert cover[i] >> c & 1 and not suffix_or[i + 1] >> c & 1, c
 
@@ -423,6 +436,10 @@ def constraint_cases(draw):
 
 
 @given(constraint_cases())
+# Four constraints, at most two met by a row, start the deepening at two
+# rows: the all-zero row and a lone final row, which would need both symbols
+# at column 1. The suffix tables are first built for three rows.
+@example((UniversalSpec(2, 1, 2), ([[0b0001, 0b1110], [0b0100, 0b1000]], 4), SearchBudget(max_rows=9, node_limit=30_000)))
 @settings(deadline=None)
 def test_the_search_matches_the_scanning_reference_on_any_constraints(case):
     spec, index, budget = case
@@ -459,6 +476,37 @@ class TestPinnedSearch:
             outcome.nodes,
             certificate_sha(outcome.certificate),
         ) == SEARCHES[spec]
+
+    @pytest.mark.parametrize(
+        "spec,builds",
+        [
+            # Each ends at its first level, a lone final row.
+            (UniversalSpec(16, 1, 2), 0),
+            (CffSpec(14, 0, 3), 0),
+            (CffSpec(14, 2, 0), 0),
+            # Its first level has three rows to choose after the all-zero row.
+            (UniversalSpec(7, 2, 2), 1),
+        ],
+        ids=repr,
+    )
+    def test_the_suffix_tables_are_built_once_and_only_for_a_non_final_row(self, spec, builds, monkeypatch):
+        calls = []
+
+        def counted(*tables):
+            calls.append(spec)
+            if not builds:
+                raise AssertionError("suffix tables built for a search with no non-final row")
+            return _suffix_tables(*tables)
+
+        monkeypatch.setattr(oracle, "_suffix_tables", counted)
+        outcome = search(spec)
+        assert (
+            outcome.status,
+            outcome.size,
+            outcome.nodes,
+            certificate_sha(outcome.certificate),
+        ) == SEARCHES[spec]
+        assert len(calls) == builds
 
     @pytest.mark.parametrize(
         "node_limit,nodes",
