@@ -39,9 +39,15 @@ The prunes above hold for every minimum solution, so for these ones too.
 Each candidate scanned costs a node, as does each search node, each of the
 q**n cover masks and each later scan of them: ``SearchOutcome.nodes`` counts
 nodes plus scanned candidates, so ``node_limit`` bounds the search's time.
-A search never returns a wrong answer; see ``SearchOutcome``. The cover
-masks and their bit counts are built before every search; the suffix tables
-that only non-final rows read, when the first level with one is reached.
+The masks are charged before the search starts, whether or not it builds
+them, so no count depends on when they are built. A search never returns a
+wrong answer; see ``SearchOutcome``.
+
+The coverage bound is a closed form (``_cover_bound``), so the cover masks
+are built only when something reads them: the suffix tables that only
+non-final rows read, built before the first level with one, or a final row
+that must scan its candidates. A search that ends at final rows decided
+without a scan builds neither.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress, pairwise
+from math import comb
 from typing import Literal
 
 from .core import CffSpec, SymbolMatrix, UniversalSpec, _check_work, _digits
@@ -78,7 +85,8 @@ class SearchOutcome:
     status "budget_exceeded": the node limit was hit first (then nodes is
     node_limit + 1), or the q**n cover masks were estimated past the work
     budget (then nodes is 0); nothing is claimed. nodes counts search nodes
-    plus scanned candidates.
+    plus scanned candidates, and the q**n cover masks, charged up front
+    whether or not the search builds them.
     """
 
     status: Literal["found", "infeasible", "budget_exceeded"]
@@ -95,19 +103,29 @@ class _OutOfNodes(Exception):
     pass
 
 
-def _scan_tables(spec: UniversalSpec | CffSpec) -> tuple[list[list[int]], int, list[int], list[int]]:
-    """(index, size, cover, back) over the q**n candidate rows of ``spec``,
-    in ``product`` order, built before every search: index and size are
-    ``_constraint_index``'s, which the search reads again for final rows;
-    bit c of cover[i] is set when candidate i meets the c-th constraint the
-    verifier scans, and back holds the bit counts of cover, last first.
+def _cover_bound(spec: UniversalSpec | CffSpec) -> int:
+    """The most constraints of ``spec`` one row meets, which sets the
+    coverage bound: C(n, d) for a universal set, whose rows meet one pattern
+    per d-subset, and for a cover-free family the most over w of
+    C(w, r) C(n - w, s), the (R, S) pairs a row with w ones meets."""
+    n = spec.n
+    if isinstance(spec, UniversalSpec):
+        return comb(n, spec.d)
+    return max(comb(w, spec.r) * comb(n - w, spec.s) for w in range(n + 1))
+
+
+def _scan_tables(index: list[list[int]], size: int) -> list[int]:
+    """The cover masks of the q**n candidate rows, in ``product`` order, for
+    the ``size`` constraints of ``_constraint_index``'s ``index``: bit c of
+    cover[i] is set when candidate i meets the c-th constraint the verifier
+    scans. Built only for a search that reads them: before its suffix
+    tables, or at a final row that neither clashes nor is forced.
 
     No step is taken per candidate in Python but for one comprehension: a
     cover mask is the AND of a mask of the first n // 2 columns and one of
     the rest, so it pairs two lists of about q**(n/2) masks.
     """
-    n = spec.n
-    index, size = _constraint_index(spec)
+    n = len(index)
     full = (1 << size) - 1
 
     def masks(columns: list[list[int]]) -> list[int]:
@@ -119,15 +137,14 @@ def _scan_tables(spec: UniversalSpec | CffSpec) -> tuple[list[list[int]], int, l
         return out
 
     tails = masks(index[n // 2:])
-    cover = [head & tail for head in masks(index[: n // 2]) for tail in tails]
-    return index, size, cover, list(map(int.bit_count, reversed(cover)))
+    return [head & tail for head in masks(index[: n // 2]) for tail in tails]
 
 
 def _suffix_tables(
-    index: list[list[int]], size: int, cover: list[int], back: list[int]
+    index: list[list[int]], size: int, cover: list[int]
 ) -> tuple[list[int], list[int], list[int]]:
-    """(suffix_or, suffix_max, last) from ``_scan_tables``' output, built
-    only for a search with a non-final level, whose scans alone read them:
+    """(suffix_or, suffix_max, last) for ``_scan_tables``' masks, built only
+    for a search with a non-final level, whose scans alone read them:
     suffix_or[i] and suffix_max[i] are the union and the largest bit count
     of cover[i:] (both 0 at i = q**n), and last[c] is the last candidate
     meeting constraint c. last[c] holds the symbol c requires at each
@@ -158,6 +175,7 @@ def _suffix_tables(
         runs.append((i, live))
     suffix_or = filled(runs[::-1])
     runs, k = [], 0
+    back = list(map(int.bit_count, reversed(cover)))
     for bits in dict.fromkeys(back):
         if not runs or bits > runs[-1][1]:
             k = back.index(bits, k)
@@ -199,14 +217,18 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
     from the candidate index. It tests the budget before each child and at
     the scan's end: a budget that runs out mid-scan is caught at the end, no
     more than q**n <= node_limit candidates late, with the same outcome.
-    The tables it reads come from ``_suffix_tables``, before the first
-    deepening level with more than one row to choose.
+    The tables it reads come from ``_scan_tables`` and ``_suffix_tables``,
+    before the first deepening level with more than one row to choose.
 
     A final row whose uncovered constraints require two symbols at one
     column, or one at every column, is decided without a scan, by two passes
-    over the columns' sets. Its nodes are those the scan would count: the
-    covers from ``last`` on when no row fits, those up to the forced row
-    when it fits, and out of nodes where the scan would run out first.
+    over the columns' sets, and reads no cover mask: the forced row meets
+    every uncovered constraint. Its nodes are those the scan would count:
+    the covers from ``last`` on when no row fits, those up to the forced row
+    when it fits, and out of nodes where the scan would run out first. Any
+    other final row scans, and builds the cover masks if none are built.
+    The first final row to read a constraint's covers counts them in one
+    byte a candidate; they are listed for a scan or a second read.
     """
     n, q, limit = spec.n, spec.q, budget.node_limit
     try:
@@ -216,20 +238,24 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
     count = nodes = q**n
     if nodes > limit:
         return SearchOutcome("budget_exceeded", nodes=limit + 1)
-    index, num_constraints, cover, back = _scan_tables(spec)
+    index, num_constraints = _constraint_index(spec)
     # (a symbol's set, the sets of the symbols after it) for each column, and
     # (a symbol's set, what the symbol adds to a candidate's index).
     clashes = [(held, sum(sets[c + 1:])) for sets in index for c, held in enumerate(sets[:-1])]
     symbols = [(held, c * q ** (n - 1 - j)) for j, sets in enumerate(index) for c, held in enumerate(sets)]
     full = (1 << num_constraints) - 1
-    lower = -(-num_constraints // max(back))  # the coverage bound
-    # Until the deepening loop builds the suffix tables, dfs runs only at
-    # last = 0, where the reachability test reads suffix_or[0] = full.
+    lower = -(-num_constraints // _cover_bound(spec))  # the coverage bound
+    # The cover masks, empty until ``_scan_tables`` builds them. Until the
+    # deepening loop builds the suffix tables, dfs runs only at last = 0,
+    # where the reachability test reads suffix_or[0] = full.
+    cover: list[int] = []
     suffix_or, suffix_max, max_row_for = [full], [], []
 
-    # covers_of[c]: the candidates covering constraint c, in order, built
-    # when the final-row loop first needs them.
-    covers_of: dict[int, list[int]] = {}
+    # covers_of[c]: the candidates covering constraint c, built when a final
+    # row first needs them, as one byte per candidate, 1 at a cover, that a
+    # forced or clashing row counts; listed in order for a scan or a second
+    # read, so no constraint's bytes are counted more than once.
+    covers_of: dict[int, bytes | list[int]] = {}
     # fits[tied] is ``_tie_list(n, q, tied)``; memo[i] is q > 2 candidate
     # i's column pairs (decreasing, equal).
     fits: dict[int, list[int]] = {}
@@ -264,7 +290,7 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
         # rows to spare would end a shorter solution on this path, which the
         # previous deepening level, with the same order, ties and sound
         # prunes, would have found.
-        nonlocal nodes
+        nonlocal nodes, cover
         nodes += 1
         if nodes > limit:
             raise _OutOfNodes
@@ -272,12 +298,13 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
             return False
         first = (uncovered & -uncovered).bit_length() - 1
         if rows_left == 1:
-            if first not in covers_of:
+            covers = covers_of.get(first)
+            if covers is None:
                 nodes += count
                 if nodes > limit:
                     raise _OutOfNodes
-                # One byte per candidate, 1 where it holds every symbol the
-                # constraint requires, joined a column at a time from the last.
+                # 1 where a candidate holds every symbol the constraint
+                # requires, joined a column at a time from the last.
                 bit, block = 1 << first, b"\1"
                 for sets in reversed(index):
                     if sum(sets) & bit:
@@ -285,22 +312,36 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
                         block = b"".join(block if held & bit else zero for held in sets)
                     else:
                         block *= q
-                covers_of[first] = list(compress(range(count), block))
-            # A step per cover from ``last`` on, as far as the budget reaches.
-            covers = covers_of[first]
-            lo = bisect_left(covers, last)
-            stop = min(len(covers), lo + limit - nodes)
-            scan = range(lo, stop)
+                covers = covers_of[first] = block
+                lo, total = block.count(b"\1", 0, last), block.count(b"\1")
+            else:
+                if type(covers) is bytes:
+                    covers = covers_of[first] = list(compress(range(count), covers))
+                lo, total = bisect_left(covers, last), len(covers)
+            # A step per cover from ``last`` on, lo to stop, as far as the
+            # budget reaches.
+            stop = min(total, lo + limit - nodes)
+            scan = ()
             for held, later in clashes:
                 if uncovered & held and uncovered & later:
-                    scan = ()
                     break
             else:
                 forced = [value for held, value in symbols if uncovered & held]
                 if len(forced) == n:
-                    # Only its cover, where the scan from lo to stop reaches it.
-                    k = bisect_left(covers, sum(forced))
-                    scan = range(max(k, lo), min(k + 1, stop))
+                    # The one row left, which meets every uncovered constraint
+                    # by holding their symbols: taken where the scan would
+                    # reach it, at the k-th cover.
+                    i = sum(forced)
+                    k = covers.count(b"\1", 0, i) if type(covers) is bytes else bisect_left(covers, i)
+                    if lo <= k < stop and not tied & ((i >> 1) & ~i if q == 2 else pairs(i)[0]):
+                        nodes += k + 1 - lo
+                        chosen.append(i)
+                        return True
+                else:
+                    if type(covers) is bytes:
+                        covers = covers_of[first] = list(compress(range(count), covers))
+                    cover = cover or _scan_tables(index, num_constraints)
+                    scan = range(lo, stop)
             for k in scan:
                 i = covers[k]
                 if uncovered & ~cover[i] == 0 and not tied & ((i >> 1) & ~i if q == 2 else pairs(i)[0]):
@@ -308,7 +349,7 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
                     chosen.append(i)
                     return True
             nodes += stop - lo
-            if stop < len(covers):
+            if stop < total:
                 raise _OutOfNodes
             return False
         hi, need = max_row_for[first], uncovered.bit_count()
@@ -340,14 +381,19 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
             raise _OutOfNodes
         return False
 
-    # Universal sets start from the all-zero row, candidate 0.
+    # Universal sets start from the all-zero row, candidate 0, which misses
+    # the constraints requiring a nonzero symbol somewhere.
     start = [0] if isinstance(spec, UniversalSpec) else []
-    uncovered = full & ~cover[0] if start else full
+    uncovered = full
+    if start:
+        uncovered = 0
+        for sets in index:
+            uncovered |= sum(sets[1:])
     try:
         for size in range(lower, budget.max_rows + 1):
             if size - len(start) > 1 and not max_row_for:
-                suffix_or, suffix_max, max_row_for = _suffix_tables(index, num_constraints, cover, back)
-                del back  # its counts are in suffix_max now
+                cover = cover or _scan_tables(index, num_constraints)
+                suffix_or, suffix_max, max_row_for = _suffix_tables(index, num_constraints, cover)
             chosen[:] = start
             if dfs(0, uncovered, size - len(start), (1 << (n - 1)) - 1):
                 certificate = SymbolMatrix(n=n, q=q, rows=[_digits(i, q, n) for i in chosen])

@@ -27,7 +27,7 @@ from coverkit import (
 )
 from coverkit import oracle
 from coverkit.core import _check_work
-from coverkit.oracle import SearchOutcome, _OutOfNodes, _scan_tables, _suffix_tables, _tie_list
+from coverkit.oracle import SearchOutcome, _OutOfNodes, _cover_bound, _scan_tables, _suffix_tables, _tie_list
 from coverkit.verify import _constraint_index
 
 
@@ -103,6 +103,19 @@ class TestMinimalUniversal:
             tracemalloc.stop()
         assert (outcome.status, outcome.nodes) == ("budget_exceeded", 20001)
         assert peak < 10 * 2**20
+
+    def test_a_forced_final_row_builds_no_cover_masks(self):
+        # The 262,144 cover masks would take about 12 MiB and a list of the
+        # first uncovered constraint's covers about 5 MiB; the forced final
+        # row counts those covers in 256 KiB, one byte a candidate.
+        tracemalloc.start()
+        try:
+            outcome = minimal_universal_size(UniversalSpec(18, 1, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (outcome.status, outcome.size) == ("found", 2)
+        assert peak < 2**20
 
 
 class TestMinimalCff:
@@ -213,11 +226,22 @@ def table_specs(draw):
 @settings(deadline=None)
 def test_the_scan_tables_match_the_per_candidate_loops(spec):
     cover, suffix_or, suffix_max, last = reference_tables(spec)
-    index, size, scanned, back = _scan_tables(spec)
-    assert back == [mask.bit_count() for mask in reversed(cover)]
-    assert (scanned, *_suffix_tables(index, size, scanned, back)) == (cover, suffix_or, suffix_max, last)
+    index, size = _constraint_index(spec)
+    scanned = _scan_tables(index, size)
+    assert (scanned, *_suffix_tables(index, size, scanned)) == (cover, suffix_or, suffix_max, last)
     for c, i in enumerate(last):
         assert cover[i] >> c & 1 and not suffix_or[i + 1] >> c & 1, c
+
+
+# Every admissible spec with q**n <= 2**14 at q = 2 and 3, for n <= 12.
+@pytest.mark.parametrize("n,q", [(n, 2) for n in range(1, 13)] + [(n, 3) for n in range(1, 9)])
+def test_the_cover_bound_is_the_most_constraints_a_cover_mask_meets(n, q):
+    # The coverage bound, and so every pinned node count, rests on this.
+    specs = [UniversalSpec(n, d, q) for d in range(1, n + 1)]
+    if q == 2:
+        specs += [CffSpec(n, r, s) for r in range(n + 1) for s in range(n + 1 - r) if r + s]
+    for spec in specs:
+        assert _cover_bound(spec) == max(map(int.bit_count, _scan_tables(*_constraint_index(spec)))), spec
 
 
 def reference_pairs(n, q):
@@ -435,22 +459,52 @@ def constraint_cases(draw):
     return spec, (index, len(constraints)), budget
 
 
-@given(constraint_cases())
 # Four constraints, at most two met by a row, start the deepening at two
 # rows: the all-zero row and a lone final row, which would need both symbols
-# at column 1. The suffix tables are first built for three rows.
-@example((UniversalSpec(2, 1, 2), ([[0b0001, 0b1110], [0b0100, 0b1000]], 4), SearchBudget(max_rows=9, node_limit=30_000)))
-@settings(deadline=None)
-def test_the_search_matches_the_scanning_reference_on_any_constraints(case):
+# at column 1. The cover masks and suffix tables are first built for three
+# rows.
+SECOND_LEVEL = (UniversalSpec(2, 1, 2), ([[0b0001, 0b1110], [0b0100, 0b1000]], 4), SearchBudget(max_rows=9, node_limit=30_000))
+# Two constraints, one met by each row, start the deepening at the all-zero
+# row and a lone final row, which needs a 1 at column 0 only and so scans.
+FIRST_LEVEL_SCAN = (UniversalSpec(2, 1, 2), ([[0b01, 0b10], [0, 0]], 2), SearchBudget(max_rows=9, node_limit=30_000))
+
+
+def search_on(case):
+    """(outcome, reference outcome) of a ``constraint_cases`` case: the
+    spec's own constraints are replaced by the case's index, for which the
+    coverage bound is the largest bit count of the reference cover masks."""
     spec, index, budget = case
 
     def fake(_):
         return index
 
-    with patch.object(oracle, "_constraint_index", fake), patch.dict(globals(), _constraint_index=fake):
-        outcome, expected = search(spec, budget), reference_search(spec, budget)
+    with (patch.object(oracle, "_constraint_index", fake), patch.dict(globals(), _constraint_index=fake),
+          patch.object(oracle, "_cover_bound", lambda _: reference_tables(spec)[2][0])):
+        return search(spec, budget), reference_search(spec, budget)
+
+
+@given(constraint_cases())
+@example(SECOND_LEVEL)
+@settings(deadline=None)
+def test_the_search_matches_the_scanning_reference_on_any_constraints(case):
+    outcome, expected = search_on(case)
     assert (outcome.status, outcome.size, outcome.nodes) == (expected.status, expected.size, expected.nodes)
     assert outcome.certificate == expected.certificate
+
+
+def count_builds(monkeypatch):
+    """{name: calls} for ``_scan_tables`` and ``_suffix_tables``, counted
+    from here on."""
+    calls = {}
+    for name in ("_scan_tables", "_suffix_tables"):
+        calls[name] = 0
+
+        def counted(*args, name=name, build=getattr(oracle, name)):
+            calls[name] += 1
+            return build(*args)
+
+        monkeypatch.setattr(oracle, name, counted)
+    return calls
 
 
 class TestPinnedSearch:
@@ -490,15 +544,8 @@ class TestPinnedSearch:
         ids=repr,
     )
     def test_the_suffix_tables_are_built_once_and_only_for_a_non_final_row(self, spec, builds, monkeypatch):
-        calls = []
-
-        def counted(*tables):
-            calls.append(spec)
-            if not builds:
-                raise AssertionError("suffix tables built for a search with no non-final row")
-            return _suffix_tables(*tables)
-
-        monkeypatch.setattr(oracle, "_suffix_tables", counted)
+        # The cover masks too: each final row here is forced or clashes.
+        calls = count_builds(monkeypatch)
         outcome = search(spec)
         assert (
             outcome.status,
@@ -506,7 +553,16 @@ class TestPinnedSearch:
             outcome.nodes,
             certificate_sha(outcome.certificate),
         ) == SEARCHES[spec]
-        assert len(calls) == builds
+        assert calls == {"_scan_tables": builds, "_suffix_tables": builds}
+
+    @pytest.mark.parametrize(
+        "case,scans,builds", [(SECOND_LEVEL, 1, 1), (FIRST_LEVEL_SCAN, 1, 0)], ids=["second-level", "first-level-scan"]
+    )
+    def test_the_cover_masks_are_built_once_where_first_read(self, case, scans, builds, monkeypatch):
+        calls = count_builds(monkeypatch)
+        outcome, expected = search_on(case)
+        assert outcome == expected
+        assert calls == {"_scan_tables": scans, "_suffix_tables": builds}
 
     @pytest.mark.parametrize(
         "node_limit,nodes",
