@@ -10,6 +10,13 @@ Sound prunes on top of the basic scheme (none can change an answer):
 * optimistic coverage: skip a candidate when what it leaves uncovered
   exceeds the rows left after it times the best single-row coverage among
   it and the candidates after it;
+* conflict blocks: no row meets two constraints on one column set that
+  require different symbols there, so skip a candidate leaving t <= 2 rows
+  when such a block keeps more than t uncovered (Colbourn's covering-array
+  bound N >= v**t, 2004, on what is left), by one SWAR count. Tested at
+  larger t it cut no more nodes in the pinned searches, only time. It
+  does not replace the coverage test: without that (8,(1,2)) takes 3.7x
+  the nodes;
 * reachability: give up when some uncovered constraint is covered by no
   remaining candidate;
 * the next row must leave the first uncovered constraint coverable, so its
@@ -47,7 +54,8 @@ The coverage bound is a closed form (``_cover_bound``), so the cover masks
 are built only when something reads them: the suffix tables that only
 non-final rows read, built before the first level with one, or a final row
 that must scan its candidates. A search that ends at final rows decided
-without a scan builds neither.
+without a scan builds neither. The blocks' layout comes with the suffix
+tables, and a second table of the masks where it is not the index's own.
 """
 
 from __future__ import annotations
@@ -56,7 +64,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress, pairwise
 from math import comb
-from typing import Literal
+from operator import lt
+from typing import Callable, Literal
 
 from .core import CffSpec, SymbolMatrix, UniversalSpec, _check_work, _digits
 from .errors import ParameterError, ResourceLimitError
@@ -184,6 +193,56 @@ def _suffix_tables(
     return suffix_or, suffix_max, last
 
 
+def _fields(index: list[list[int]], size: int, last: list[int]) -> tuple[int, int, Callable[[int], int] | None]:
+    """(F, width, moved) for the conflict blocks: the constraints on one
+    column set, with the k-th copy of a requirement among the k-th copies,
+    so no row meets two in a block. Each takes a field of F bits, the power
+    of two at or above the largest, and moved maps a mask of ``size`` bits
+    to one of width bits in that layout; it is None where the blocks are the
+    index's own runs of F, as when q**d is a power of two, or hold one
+    constraint. On one column set, requirements agree just when their last
+    covers do, so a run whose last covers increase, as ``_constraint_index``
+    lists patterns, holds distinct ones."""
+    on = [sum(sets) for sets in index]
+    first = (1 << size) - 1  # the constraints on constraint 0's column set
+    for held in on:
+        first &= held if held & 1 else ~held
+    g = (first ^ first + 1).bit_length() - 1
+    low = ((1 << size) - 1) // ((1 << g) - 1)  # bit 0 of each run of g
+    if (not g & g - 1 and size % g == 0 and all(held == (held & low) * ((1 << g) - 1) for held in on)
+            and len(set(zip(*(format(held, f"0{size}b")[::-g] for held in on)))) == size // g
+            and all(all(map(lt, last[r::g], last[r + 1::g])) for r in range(g - 1))):
+        return g, size, None
+    blocks: dict[tuple, list[int]] = {}
+    copies: dict[tuple, int] = {}
+    for c, key in enumerate(zip(zip(*(format(held, f"0{size}b")[::-1] for held in on)), last)):
+        copies[key] = copies.get(key, -1) + 1
+        blocks.setdefault((key[0], copies[key]), []).append(c)
+    field = 1 << (max(map(len, blocks.values())) - 1).bit_length()
+    order = [c for block in blocks.values() for c in block + [size] * (field - len(block))]
+
+    def moved(x: int) -> int:
+        bits = format(x, f"0{size}b")[::-1] + "0"  # "0" at padding
+        return int("".join(map(bits.__getitem__, order))[::-1], 2)
+
+    return field, len(order), moved if field > 1 else None
+
+
+def _crowding(field: int, width: int, most: int) -> tuple[int, list[tuple[int, int]], list[int], int]:
+    """(m1, folds, adds, high) for the SWAR count of Warren, *Hacker's
+    Delight* 5-1, over F-bit fields of x < 2**width: x -= x >> 1 & m1, then
+    x = (x & mask) + (x >> w & mask) per fold. A count is at most F <=
+    2**(F - 1), so x + adds[t - 1] & high is nonzero just when one exceeds
+    t, for 0 < t < most <= F. Each constant is a value times the word with
+    a 1 at the foot of every field, one division of all ones."""
+    def repeat(value: int, bits: int) -> int:
+        return value * (((1 << (width // bits + 1) * bits) - 1) // ((1 << bits) - 1))
+
+    top = 1 << field - 1
+    folds = [(w, repeat((1 << w) - 1, 2 * w)) for w in (2**k for k in range(1, field.bit_length() - 1))]
+    return repeat(1, 2), folds, [repeat(top - 1 - t, field) for t in range(1, most)], repeat(top, field)
+
+
 # The most candidates the tie lists and the q > 2 column-pair memo of one
 # search hold between them. A list entry takes about 40 bytes and a memo
 # entry about 200, but the memo holds only rows the search takes, a few
@@ -217,8 +276,9 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
     from the candidate index. It tests the budget before each child and at
     the scan's end: a budget that runs out mid-scan is caught at the end, no
     more than q**n <= node_limit candidates late, with the same outcome.
-    The tables it reads come from ``_scan_tables`` and ``_suffix_tables``,
-    before the first deepening level with more than one row to choose.
+    The tables it reads come from ``_scan_tables``, ``_suffix_tables`` and
+    ``_fields``, before the first deepening level with more than one row to
+    choose; ``grouped`` carries ``uncovered`` in the blocks' fields.
 
     A final row whose uncovered constraints require two symbols at one
     column, or one at every column, is decided without a scan, by two passes
@@ -250,6 +310,8 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
     # where the reachability test reads suffix_or[0] = full.
     cover: list[int] = []
     suffix_or, suffix_max, max_row_for = [full], [], []
+    # The cover masks in the blocks' fields, and _crowding's constants.
+    blocks, m1, folds, adds, high = cover, 0, [], [], 0
 
     # covers_of[c]: the candidates covering constraint c, built when a final
     # row first needs them, as one byte per candidate, 1 at a cover, that a
@@ -283,9 +345,9 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
 
     chosen: list[int] = []
 
-    def dfs(last: int, uncovered: int, rows_left: int, tied: int) -> bool:
+    def dfs(last: int, uncovered: int, rows_left: int, tied: int, grouped: int) -> bool:
         """Whether rows_left more rows from ``last`` on, none decreasing a
-        ``tied`` column pair, cover ``uncovered``."""
+        ``tied`` column pair, cover ``uncovered`` (``grouped``)."""
         # ``uncovered`` is never empty: a row leaving nothing uncovered with
         # rows to spare would end a shorter solution on this path, which the
         # previous deepening level, with the same order, ties and sound
@@ -353,6 +415,7 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
                 raise _OutOfNodes
             return False
         hi, need = max_row_for[first], uncovered.bit_count()
+        add = adds[rows_left - 2] if rows_left - 2 < len(adds) else None
         fit = fits.get(tied)
         if fit is None:
             fit = _tie_list(n, q, tied)
@@ -367,12 +430,19 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
                 continue
             if need - newly.bit_count() > (rows_left - 1) * suffix_max[i]:
                 continue
+            if add is not None:
+                kept = grouped & ~blocks[i]
+                x = kept - (kept >> 1 & m1)
+                for w, mask in folds:
+                    x = (x & mask) + (x >> w & mask)
+                if x + add & high:
+                    continue
             nodes = base + i + 1
             if nodes > limit:
                 raise _OutOfNodes
             chosen.append(i)
-            if dfs(i, uncovered & ~cover[i], rows_left - 1,
-                   tied & (~(i ^ (i >> 1)) if q == 2 else pairs(i)[1])):
+            if dfs(i, uncovered ^ newly, rows_left - 1,
+                   tied & (~(i ^ (i >> 1)) if q == 2 else pairs(i)[1]), grouped & ~blocks[i]):
                 return True
             chosen.pop()
             base = nodes - i - 1
@@ -384,7 +454,7 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
     # Universal sets start from the all-zero row, candidate 0, which misses
     # the constraints requiring a nonzero symbol somewhere.
     start = [0] if isinstance(spec, UniversalSpec) else []
-    uncovered = full
+    uncovered = grouped = full
     if start:
         uncovered = 0
         for sets in index:
@@ -392,10 +462,15 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
     try:
         for size in range(lower, budget.max_rows + 1):
             if size - len(start) > 1 and not max_row_for:
-                cover = cover or _scan_tables(index, num_constraints)
+                cover = blocks = cover or _scan_tables(index, num_constraints)
                 suffix_or, suffix_max, max_row_for = _suffix_tables(index, num_constraints, cover)
+                field, width, moved = _fields(index, num_constraints, max_row_for)
+                if moved:
+                    blocks = _scan_tables([list(map(moved, sets)) for sets in index], width)
+                grouped = moved(uncovered) if moved else uncovered
+                m1, folds, adds, high = _crowding(field, width, min(field, 3))
             chosen[:] = start
-            if dfs(0, uncovered, size - len(start), (1 << (n - 1)) - 1):
+            if dfs(0, uncovered, size - len(start), (1 << (n - 1)) - 1, grouped):
                 certificate = SymbolMatrix(n=n, q=q, rows=[_digits(i, q, n) for i in chosen])
                 return SearchOutcome("found", size=size, certificate=certificate, nodes=nodes)
     except _OutOfNodes:

@@ -26,8 +26,10 @@ from coverkit import (
     verify_universal,
 )
 from coverkit import oracle
-from coverkit.core import _check_work
-from coverkit.oracle import SearchOutcome, _OutOfNodes, _cover_bound, _scan_tables, _suffix_tables, _tie_list
+from coverkit.core import _check_work, _work
+from coverkit.oracle import (
+    SearchOutcome, _OutOfNodes, _cover_bound, _crowding, _fields, _scan_tables, _suffix_tables, _tie_list,
+)
 from coverkit.verify import _constraint_index
 
 
@@ -42,7 +44,7 @@ def kleitman_spencer(n):
 
 
 class TestMinimalUniversal:
-    @pytest.mark.parametrize("n,expected", [(n, kleitman_spencer(n)) for n in range(2, 10)])
+    @pytest.mark.parametrize("n,expected", [(n, kleitman_spencer(n)) for n in range(2, 11)])
     def test_ground_truth(self, n, expected):
         outcome = minimal_universal_size(UniversalSpec(n, 2, 2))
         assert outcome.found
@@ -264,6 +266,23 @@ def test_each_tie_list_holds_the_candidates_decreasing_no_tied_pair(q, data):
     assert _tie_list(n, q, tied) == [i for i in range(q**n) if not tied & dec[i]]
 
 
+@given(st.sampled_from((2, 4, 8, 16)), st.data())
+@settings(deadline=None)
+def test_the_swar_counts_match_a_bit_count_per_field(field, data):
+    # The scan's steps on ``_crowding``'s constants, for blocks of g bits in
+    # fields of F = ``field``, the next power of two at or above g.
+    g = data.draw(st.integers(field // 2 + 1, field))
+    blocks = data.draw(st.lists(st.integers(0, (1 << g) - 1), min_size=1, max_size=9))
+    x = sum(block << k * field for k, block in enumerate(blocks))
+    m1, folds, adds, high = _crowding(field, len(blocks) * field, g)
+    x -= x >> 1 & m1
+    for w, mask in folds:
+        x = (x & mask) + (x >> w & mask)
+    assert [x >> k * field & (1 << field) - 1 for k in range(len(blocks))] == [b.bit_count() for b in blocks]
+    for t in range(1, g):
+        assert bool(x + adds[t - 1] & high) == any(b.bit_count() > t for b in blocks), t
+
+
 def certificate_sha(m):
     return None if m is None else hashlib.sha256("\n".join(m.row_strings()).encode()).hexdigest()
 
@@ -272,12 +291,12 @@ def certificate_sha(m):
 # search path, not just the minimum. Nodes count search nodes, scanned
 # candidates and q**n per cover-mask scan.
 SEARCHES = {
-    UniversalSpec(4, 2, 2): ("found", 5, 160, "5ace6d852cdab38f6629510bbdae086998b322e0e5e76f53f1c73a030a08e10f"),
-    UniversalSpec(5, 2, 2): ("found", 6, 2677, "84f8e5e12271d71d1ad6172a2bb7d628d9a5f2a8fbc1f7a6c60f065fae91b348"),
+    UniversalSpec(4, 2, 2): ("found", 5, 126, "5ace6d852cdab38f6629510bbdae086998b322e0e5e76f53f1c73a030a08e10f"),
+    UniversalSpec(5, 2, 2): ("found", 6, 1672, "84f8e5e12271d71d1ad6172a2bb7d628d9a5f2a8fbc1f7a6c60f065fae91b348"),
     UniversalSpec(2, 1, 3): ("found", 3, 28, "6809a683cdd8563f77719218f8b0f91f2f80edd5f7a7a5f5b6c11508da38db67"),
-    UniversalSpec(6, 2, 2): ("found", 6, 26701, "be57e429aeef33c8e367f53dea8057b3ea67fa3b861c0383e1b090378686f30a"),
-    CffSpec(7, 1, 1): ("found", 5, 19102, "b2c692404ec8ea3e28d99c1973b393779bb065be182fa4f19060cfae7be9da00"),
-    CffSpec(7, 1, 2): ("found", 7, 11465, "a9b308a6a3996bfa101482b1e0ccbfd050cc918137be6dbec46b90537d51e94e"),
+    UniversalSpec(6, 2, 2): ("found", 6, 10609, "be57e429aeef33c8e367f53dea8057b3ea67fa3b861c0383e1b090378686f30a"),
+    CffSpec(7, 1, 1): ("found", 5, 8715, "b2c692404ec8ea3e28d99c1973b393779bb065be182fa4f19060cfae7be9da00"),
+    CffSpec(7, 1, 2): ("found", 7, 7894, "a9b308a6a3996bfa101482b1e0ccbfd050cc918137be6dbec46b90537d51e94e"),
     CffSpec(3, 1, 2): ("found", 3, 24, "1d52ee03dff97a7a4281b36c7fd78f73540d3a57e897d8bcf3fb720b828d2625"),
     CffSpec(4, 0, 2): ("found", 1, 34, "9af15b336e6a9619928537df30b2e6a2376569fcf9d7e773eccede65606529a0"),
     CffSpec(4, 2, 0): ("found", 1, 37, "0ffe1abd1a08215353c233d6e009613e95eec4253832a761af28ff37ac5a150c"),
@@ -286,14 +305,18 @@ SEARCHES = {
     UniversalSpec(16, 1, 2): ("found", 2, 163841, "67e47f8d3b8f5a8cd225b3000f6a7cd7d88c66d298c60ffbbcab2707f6ec3707"),
     CffSpec(14, 0, 3): ("found", 1, 32770, "2e6e15a38c6fe8b624fca13be00a737947a8096fd5620795696b5b63cd7feea4"),
     # The search-heavy cases of the benchmark's oracle workload.
-    UniversalSpec(7, 2, 2): ("found", 6, 228113, "d16b2c164978c2c3c9f3ddccf9965d605a399348caac42198d7d59689bc1a7a0"),
-    CffSpec(8, 1, 1): ("found", 5, 213441, "03d1e883f581767d48e6d3dc5a046058bbad19de3acecc95d914b8468adcd95f"),
+    UniversalSpec(7, 2, 2): ("found", 6, 49407, "d16b2c164978c2c3c9f3ddccf9965d605a399348caac42198d7d59689bc1a7a0"),
+    CffSpec(8, 1, 1): ("found", 5, 65345, "03d1e883f581767d48e6d3dc5a046058bbad19de3acecc95d914b8468adcd95f"),
     CffSpec(14, 2, 0): ("found", 1, 36865, "79f7928f3deb7436d6e110dfae37e8f80ea9c65f55ea84eb449895b63bc5909e"),
-    UniversalSpec(8, 2, 2): ("found", 6, 1676843, "f22c7499603f1297113fc895a65dacfe87a6fc7d42c6f6e46cb3dfd64744ee12"),
+    UniversalSpec(8, 2, 2): ("found", 6, 181871, "f22c7499603f1297113fc895a65dacfe87a6fc7d42c6f6e46cb3dfd64744ee12"),
+    # Binary d = 2 minima the block bound brings within reach: (10, 2, 2)
+    # ran out of nodes at the default limit without it.
+    UniversalSpec(9, 2, 2): ("found", 6, 552808, "80a42274ad75a00542f79122d50bfcae4115ac9eeae488eb236678b6db1a3d44"),
+    UniversalSpec(10, 2, 2): ("found", 6, 1563658, "8484eda7b8b491e66decd1e7ed4b41ff7aac354c5fdf4ccca092b5adb2385a55"),
     # A ternary search, whose column pairs are read from the digits, and the
     # longest non-final scans.
     UniversalSpec(12, 1, 3): ("found", 3, 1505752, "f8d9fc942d056b8465c796f127c444df1532843c7ad10a88ea19497ceab80709"),
-    CffSpec(8, 1, 2): ("found", 8, 3012067, "e226c58e87d753baad42cbe74e91b7baf0ae31e58c04721d25c21a54859ea232"),
+    CffSpec(8, 1, 2): ("found", 8, 1312980, "e226c58e87d753baad42cbe74e91b7baf0ae31e58c04721d25c21a54859ea232"),
     # Wider alphabets, whose column pairs and certificate rows are read from
     # base-4 and base-5 digits.
     UniversalSpec(8, 1, 4): ("found", 4, 191151, "10997ec7711c1293d750ae51c53410654153869023353440a2e5df21946e1624"),
@@ -307,13 +330,31 @@ def search(spec, budget=SearchBudget()):
     return minimal_cff_size(spec, budget)
 
 
+def reference_blocks(spec):
+    """The conflict blocks of ``spec``'s constraints, as masks: the
+    constraints on one column set that require different symbols there, the
+    k-th copy of a requirement with the other k-th copies. Each constraint's
+    requirement is read from ``_constraint_index`` bit by bit."""
+    index, size = _constraint_index(spec)
+    blocks, copies = {}, {}
+    for c in range(size):
+        needs = frozenset((j, s) for j, sets in enumerate(index) for s, held in enumerate(sets) if held >> c & 1)
+        copies[needs] = copies.get(needs, -1) + 1
+        key = frozenset(j for j, _ in needs), copies[needs]
+        blocks[key] = blocks.get(key, 0) | 1 << c
+    return list(blocks.values())
+
+
 def reference_search(spec, budget):
     """``_search_minimal`` as it was before the final row was read from the
     symbols its uncovered constraints force: every final row is found by a
     scan of the covers of the first uncovered constraint, one node per
     candidate scanned, each tested against the tied column pairs. Verbatim
-    but for its tables, which come from ``reference_tables``, and its
-    column-pair masks, from ``reference_pairs``."""
+    but for its tables, which come from ``reference_tables``, its
+    column-pair masks, from ``reference_pairs``, and its block bound, a
+    ``bit_count`` per block of ``reference_blocks``: a child with at most
+    two rows left is skipped when some block keeps more constraints
+    uncovered than it has rows."""
     n, q, limit = spec.n, spec.q, budget.node_limit
     try:
         _check_work(spec, "search")
@@ -326,6 +367,7 @@ def reference_search(spec, budget):
     num_constraints = len(max_row_for)
     full = (1 << num_constraints) - 1
     dec, eq = reference_pairs(n, q)
+    blocks = reference_blocks(spec)
 
     # covers_of[c]: the candidates covering constraint c, in order, built
     # when the final-row loop first needs them.
@@ -382,11 +424,14 @@ def reference_search(spec, budget):
                 continue
             if need - newly.bit_count() > (rows_left - 1) * suffix_max[i]:
                 continue
+            left = uncovered & ~cover[i]
+            if rows_left <= 3 and any((left & block).bit_count() > rows_left - 1 for block in blocks):
+                continue
             nodes = base + i + 1
             if nodes > limit:
                 raise _OutOfNodes
             chosen.append(i)
-            if dfs(i, uncovered & ~cover[i], rows_left - 1, tied & eq[i]):
+            if dfs(i, left, rows_left - 1, tied & eq[i]):
                 return True
             chosen.pop()
             base = nodes - i - 1
@@ -429,7 +474,17 @@ def search_cases(draw):
     return spec, SearchBudget(max_rows=draw(st.integers(1, 9)), node_limit=draw(st.integers(1, 30_000)))
 
 
+# The block bound skips children with one row left at (4, 2, 2) and (6, (1, 1)),
+# whose blocks are the index's own runs of 4 and pairs laid out in fields of
+# 2; and children with two rows left at (4, 2, 2) and (6, (2, 1)), whose
+# blocks of 3 take fields of 4. (3, 2, 3)'s blocks of 9 take fields of 16,
+# and (4, (2, 2))'s one block of 6 a field of 8; neither skips a child.
 @given(search_cases())
+@example((UniversalSpec(4, 2, 2), SearchBudget(max_rows=9, node_limit=30_000)))
+@example((CffSpec(6, 1, 1), SearchBudget(max_rows=9, node_limit=30_000)))
+@example((CffSpec(6, 2, 1), SearchBudget(max_rows=9, node_limit=30_000)))
+@example((UniversalSpec(3, 2, 3), SearchBudget(max_rows=9, node_limit=30_000)))
+@example((CffSpec(4, 2, 2), SearchBudget(max_rows=9, node_limit=30_000)))
 @settings(deadline=None)
 def test_the_search_matches_the_scanning_reference(case):
     spec, budget = case
@@ -467,6 +522,14 @@ SECOND_LEVEL = (UniversalSpec(2, 1, 2), ([[0b0001, 0b1110], [0b0100, 0b1000]], 4
 # Two constraints, one met by each row, start the deepening at the all-zero
 # row and a lone final row, which needs a 1 at column 0 only and so scans.
 FIRST_LEVEL_SCAN = (UniversalSpec(2, 1, 2), ([[0b01, 0b10], [0, 0]], 2), SearchBudget(max_rows=9, node_limit=30_000))
+# Over three symbols: two constraints at column 0, and a block of six at
+# columns 1 and 2, which takes a field of 8 bits and leaves more constraints
+# uncovered than rows at children with two rows left.
+SIX_BLOCK = (
+    UniversalSpec(3, 1, 3),
+    ([[0b01, 0b10, 0], [0b00011100, 0b11100000, 0], [0b00100100, 0b01001000, 0b10010000]], 8),
+    SearchBudget(max_rows=9, node_limit=30_000),
+)
 
 
 def search_on(case):
@@ -485,6 +548,7 @@ def search_on(case):
 
 @given(constraint_cases())
 @example(SECOND_LEVEL)
+@example(SIX_BLOCK)
 @settings(deadline=None)
 def test_the_search_matches_the_scanning_reference_on_any_constraints(case):
     outcome, expected = search_on(case)
@@ -492,11 +556,44 @@ def test_the_search_matches_the_scanning_reference_on_any_constraints(case):
     assert outcome.certificate == expected.certificate
 
 
+def laid_out_blocks(spec):
+    """(F, masks): ``_fields``' field width for ``spec``'s constraints and
+    the constraints in each of its fields, as masks."""
+    index, size = _constraint_index(spec)
+    field, _, moved = _fields(index, size, reference_tables(spec)[3])
+    masks = {}
+    for c in range(size):
+        at = (moved(1 << c) if moved else 1 << c).bit_length() - 1
+        masks[at // field] = masks.get(at // field, 0) | 1 << c
+    return field, sorted(masks.values())
+
+
+# Runs of two constraints, each on one column set, but runs 0 and 2 share
+# theirs, so they make one block of four: {0, 1} x {0, 1} at columns 0 and 1.
+RUNS_APART = (UniversalSpec(2, 1, 2), ([[0b10101, 0b101010], [0b1000011, 0b10110000]], 8), None)
+# Runs of two, the first holding one requirement twice: two blocks of one.
+TWIN_RUN = (UniversalSpec(2, 1, 2), ([[0b11, 0], [0b100, 0b1000]], 4), None)
+
+
+@given(st.one_of(table_specs().map(lambda spec: (spec, _constraint_index(spec), None)), constraint_cases()))
+@example(SIX_BLOCK)
+@example(RUNS_APART)
+@example(TWIN_RUN)
+@settings(deadline=None)
+def test_the_fields_hold_the_conflict_blocks(case):
+    spec, index, _ = case
+    with patch.dict(globals(), _constraint_index=lambda _: index):
+        blocks = sorted(reference_blocks(spec))
+        field, laid_out = laid_out_blocks(spec)
+    assert laid_out == blocks
+    assert field == 1 << (max(map(int.bit_count, blocks)) - 1).bit_length()
+
+
 def count_builds(monkeypatch):
-    """{name: calls} for ``_scan_tables`` and ``_suffix_tables``, counted
-    from here on."""
+    """{name: calls} for ``_scan_tables``, ``_suffix_tables`` and
+    ``_fields``, which lays out the conflict blocks, counted from here on."""
     calls = {}
-    for name in ("_scan_tables", "_suffix_tables"):
+    for name in ("_scan_tables", "_suffix_tables", "_fields"):
         calls[name] = 0
 
         def counted(*args, name=name, build=getattr(oracle, name)):
@@ -532,18 +629,22 @@ class TestPinnedSearch:
         ) == SEARCHES[spec]
 
     @pytest.mark.parametrize(
-        "spec,builds",
+        "spec,scans,builds",
         [
             # Each ends at its first level, a lone final row.
-            (UniversalSpec(16, 1, 2), 0),
-            (CffSpec(14, 0, 3), 0),
-            (CffSpec(14, 2, 0), 0),
-            # Its first level has three rows to choose after the all-zero row.
-            (UniversalSpec(7, 2, 2), 1),
+            (UniversalSpec(16, 1, 2), 0, 0),
+            (CffSpec(14, 0, 3), 0, 0),
+            (CffSpec(14, 2, 0), 0, 0),
+            # Its first level has three rows to choose after the all-zero row,
+            # and its blocks are the index's own runs of four.
+            (UniversalSpec(7, 2, 2), 1, 1),
+            # Its blocks are pairs apart in the index, so a second scan lays
+            # its cover masks out in their fields.
+            (CffSpec(7, 1, 1), 2, 1),
         ],
         ids=repr,
     )
-    def test_the_suffix_tables_are_built_once_and_only_for_a_non_final_row(self, spec, builds, monkeypatch):
+    def test_the_suffix_tables_are_built_once_and_only_for_a_non_final_row(self, spec, scans, builds, monkeypatch):
         # The cover masks too: each final row here is forced or clashes.
         calls = count_builds(monkeypatch)
         outcome = search(spec)
@@ -553,7 +654,7 @@ class TestPinnedSearch:
             outcome.nodes,
             certificate_sha(outcome.certificate),
         ) == SEARCHES[spec]
-        assert calls == {"_scan_tables": builds, "_suffix_tables": builds}
+        assert calls == {"_scan_tables": scans, "_suffix_tables": builds, "_fields": builds}
 
     @pytest.mark.parametrize(
         "case,scans,builds", [(SECOND_LEVEL, 1, 1), (FIRST_LEVEL_SCAN, 1, 0)], ids=["second-level", "first-level-scan"]
@@ -562,7 +663,25 @@ class TestPinnedSearch:
         calls = count_builds(monkeypatch)
         outcome, expected = search_on(case)
         assert outcome == expected
-        assert calls == {"_scan_tables": scans, "_suffix_tables": builds}
+        assert calls == {"_scan_tables": scans, "_suffix_tables": builds, "_fields": builds}
+
+    @pytest.mark.parametrize(
+        "spec,node_limit", [(UniversalSpec(12, 1, 3), 600_000), (CffSpec(12, 1, 1), 10_000)], ids=repr
+    )
+    def test_the_peak_stays_within_the_charge(self, spec, node_limit):
+        # A byte for each bit ``_work`` charges: CPython keeps a b-bit mask
+        # in about 28 + b / 7.5 bytes and a list slot in 8. Both searches
+        # keep their cover masks twice, the second time in the blocks'
+        # fields of 4 or 2 bits; (12, 1, 3) peaks at about 50.6 MiB of the
+        # 58.8 charged, past the 34.5 that one table alone would be charged.
+        tracemalloc.start()
+        try:
+            outcome = search(spec, SearchBudget(node_limit=node_limit))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (outcome.status, outcome.nodes) == ("budget_exceeded", node_limit + 1)
+        assert peak <= _work(spec, "search", 0) >> 9
 
     @pytest.mark.parametrize(
         "node_limit,nodes",
