@@ -182,9 +182,9 @@ def _work(spec: UniversalSpec | CffSpec, op: str, rows: int) -> int:
       witness, which a verdict on an empty matrix builds and the CLI
       prints without a scan.
     * "search": q**n cover masks, kept and rescanned, at 2**9 a bit and
-      2**14 a candidate, and again in C(n, d) fields of the power of two at
-      or above g = q**d or C(r + s, r) bits, for the conflict blocks, unless
-      g is 1 or those are the index's own runs (q**d a power of two).
+      2**14 a candidate, a mask laid out in C(n, d) fields, one per
+      conflict block, of the power of two at or above g = q**d or
+      C(r + s, r) bits (M bits where g is a power of two).
     * "count": the constraint count built whole, C(n, d) q**d or C(n, r)
       C(n - r, s), of b <= k n.bit_length() + d q.bit_length() bits for the
       k of ``_binomial_exponent`` (no q**d for a cover-free family), at
@@ -201,8 +201,7 @@ def _work(spec: UniversalSpec | CffSpec, op: str, rows: int) -> int:
     q, m = spec.q, _num_constraints(spec)
     if op == "search":
         g = q**d if universal else comb(d, spec.r)
-        fields = 0 if g == 1 or universal and not g & g - 1 else comb(n, d) << (g - 1).bit_length()
-        return q**n * (m + fields + 2**5) << 9
+        return q**n * ((comb(n, d) << (g - 1).bit_length()) + 2**5) << 9
     bound = universal_greedy_size_bound(spec) if universal else derandomized_size_bound(spec)
     subsets = comb(n, d if universal else spec.r)
     return ((max(rows, bound) + 1) * q * m + (subsets << 11)) * n + (rows * (n + 15) << 11)

@@ -43,19 +43,26 @@ Two symmetry breaks, each of which keeps some minimum solution in reach:
 
 The prunes above hold for every minimum solution, so for these ones too.
 
-Each candidate scanned costs a node, as does each search node, each of the
-q**n cover masks and each later scan of them: ``SearchOutcome.nodes`` counts
-nodes plus scanned candidates, so ``node_limit`` bounds the search's time.
-The masks are charged before the search starts, whether or not it builds
-them, so no count depends on when they are built. A search never returns a
-wrong answer; see ``SearchOutcome``.
+A search is charged nodes, which ``node_limit`` caps and
+``SearchOutcome.nodes`` reports, so the limit bounds its time: q**n up
+front for its cover masks, whether or not it builds them, so no count
+depends on when they are built; one for each search node; one for each
+candidate a non-final row scans or skips, from ``last`` to its bound; q**n
+when a final row first reads a constraint's covers; and one for each of
+those covers a final row passes from ``last``, up to the row it takes or
+all of them where it takes none, whether or not it scans them. A row is
+charged at its end, so a budget that runs out mid-scan is caught there, at
+most one scan late, with the same outcome. A search never returns a wrong
+answer; see ``SearchOutcome``.
 
-The coverage bound is a closed form (``_cover_bound``), so the cover masks
-are built only when something reads them: the suffix tables that only
+Every table, mask and set of uncovered constraints a search keeps numbers
+the constraints one way: by their conflict blocks, each in a field of a
+power of two bits (``_fields``), so a block's count is a SWAR sum. The
+coverage bound is a closed form (``_cover_bound``), so the cover masks are
+built only where something reads them: the suffix tables that only
 non-final rows read, built before the first level with one, or a final row
 that must scan its candidates. A search that ends at final rows decided
-without a scan builds neither. The blocks' layout comes with the suffix
-tables, and a second table of the masks where it is not the index's own.
+without a scan builds neither.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ from dataclasses import dataclass
 from itertools import compress, pairwise
 from math import comb
 from operator import lt
-from typing import Callable, Literal
+from typing import Literal
 
 from .core import CffSpec, SymbolMatrix, UniversalSpec, _check_work, _digits
 from .errors import ParameterError, ResourceLimitError
@@ -92,10 +99,9 @@ class SearchOutcome:
     matrix of that size passing the verifier. status "infeasible": the
     search completed and proved the minimum exceeds the budget's max_rows.
     status "budget_exceeded": the node limit was hit first (then nodes is
-    node_limit + 1), or the q**n cover masks were estimated past the work
-    budget (then nodes is 0); nothing is claimed. nodes counts search nodes
-    plus scanned candidates, and the q**n cover masks, charged up front
-    whether or not the search builds them.
+    node_limit + 1), or the search's work was estimated past the work
+    budget (then nodes is 0); nothing is claimed. The module docstring says
+    what nodes counts.
     """
 
     status: Literal["found", "infeasible", "budget_exceeded"]
@@ -123,19 +129,16 @@ def _cover_bound(spec: UniversalSpec | CffSpec) -> int:
     return max(comb(w, spec.r) * comb(n - w, spec.s) for w in range(n + 1))
 
 
-def _scan_tables(index: list[list[int]], size: int) -> list[int]:
+def _scan_tables(index: list[list[int]], full: int) -> list[int]:
     """The cover masks of the q**n candidate rows, in ``product`` order, for
-    the ``size`` constraints of ``_constraint_index``'s ``index``: bit c of
-    cover[i] is set when candidate i meets the c-th constraint the verifier
-    scans. Built only for a search that reads them: before its suffix
-    tables, or at a final row that neither clashes nor is forced.
+    the constraints ``full`` holds of ``_fields``' ``index``: bit c of
+    cover[i] is set when candidate i meets constraint c.
 
     No step is taken per candidate in Python but for one comprehension: a
     cover mask is the AND of a mask of the first n // 2 columns and one of
     the rest, so it pairs two lists of about q**(n/2) masks.
     """
     n = len(index)
-    full = (1 << size) - 1
 
     def masks(columns: list[list[int]]) -> list[int]:
         out = [full]
@@ -149,24 +152,26 @@ def _scan_tables(index: list[list[int]], size: int) -> list[int]:
     return [head & tail for head in masks(index[: n // 2]) for tail in tails]
 
 
-def _suffix_tables(
-    index: list[list[int]], size: int, cover: list[int]
-) -> tuple[list[int], list[int], list[int]]:
-    """(suffix_or, suffix_max, last) for ``_scan_tables``' masks, built only
-    for a search with a non-final level, whose scans alone read them:
-    suffix_or[i] and suffix_max[i] are the union and the largest bit count
-    of cover[i:] (both 0 at i = q**n), and last[c] is the last candidate
-    meeting constraint c. last[c] holds the symbol c requires at each
-    column it constrains and q - 1 at every other.
-    """
-    n, q, count = len(index), len(index[0]), len(cover)
-    last = [count - 1] * size
+def _last_covers(index: list[list[int]], size: int) -> list[int]:
+    """last[c] for c < size, the last candidate meeting constraint c of
+    ``index``: it holds the symbol c requires at each column c constrains
+    and q - 1 at every other."""
+    n, q = len(index), len(index[0])
+    last = [q**n - 1] * size
     for j, sets in enumerate(index):
         for c, held in enumerate(sets[:-1]):
             drop = (q - 1 - c) * q ** (n - 1 - j)
             # The bits of held, lowest first, as bytes that are 0 where clear.
             for k in compress(range(size), format(held, "b")[::-1].encode().replace(b"0", b"\0")):
                 last[k] -= drop
+    return last
+
+
+def _suffix_tables(cover: list[int], last: list[int]) -> tuple[list[int], list[int]]:
+    """(suffix_or, suffix_max) for ``_scan_tables``' masks and the last
+    covers of their constraints: the union and the largest bit count of
+    cover[i:], both 0 at i = q**n."""
+    count = len(cover)
 
     def filled(runs: list[tuple[int, int]]) -> list[int]:
         """The table holding each value up to its run's last index."""
@@ -189,30 +194,33 @@ def _suffix_tables(
         if not runs or bits > runs[-1][1]:
             k = back.index(bits, k)
             runs.append((count - 1 - k, bits))
-    suffix_max = filled(runs[::-1])
-    return suffix_or, suffix_max, last
+    return suffix_or, filled(runs[::-1])
 
 
-def _fields(index: list[list[int]], size: int, last: list[int]) -> tuple[int, int, Callable[[int], int] | None]:
-    """(F, width, moved) for the conflict blocks: the constraints on one
-    column set, with the k-th copy of a requirement among the k-th copies,
-    so no row meets two in a block. Each takes a field of F bits, the power
-    of two at or above the largest, and moved maps a mask of ``size`` bits
-    to one of width bits in that layout; it is None where the blocks are the
-    index's own runs of F, as when q**d is a power of two, or hold one
-    constraint. On one column set, requirements agree just when their last
-    covers do, so a run whose last covers increase, as ``_constraint_index``
-    lists patterns, holds distinct ones."""
+def _fields(index: list[list[int]], size: int) -> tuple[int, list[list[int]], int, list[int] | None]:
+    """(F, laid, full, last): the ``size`` constraints of ``index`` laid out
+    by their conflict blocks, the constraints on one column set, with the
+    k-th copy of a requirement among the k-th copies, so no row meets two in
+    a block. Each block takes a field of F bits, the power of two at or
+    above the largest; ``laid`` is the index in that layout, ``full`` the
+    mask of its constraints, whose other bits are padding no row meets, and
+    ``last`` their last covers (0 at padding), or None where the layout
+    reads none. ``laid`` is ``index`` itself where the blocks are its own
+    runs of F, as when q**d is a power of two, or hold one constraint. On
+    one column set, requirements agree just when their last covers do, so a
+    run whose last covers increase, as ``_constraint_index`` lists
+    patterns, holds distinct ones."""
     on = [sum(sets) for sets in index]
-    first = (1 << size) - 1  # the constraints on constraint 0's column set
+    full = first = (1 << size) - 1  # first: the constraints on constraint 0's column set
     for held in on:
         first &= held if held & 1 else ~held
     g = (first ^ first + 1).bit_length() - 1
-    low = ((1 << size) - 1) // ((1 << g) - 1)  # bit 0 of each run of g
-    if (not g & g - 1 and size % g == 0 and all(held == (held & low) * ((1 << g) - 1) for held in on)
-            and len(set(zip(*(format(held, f"0{size}b")[::-g] for held in on)))) == size // g
-            and all(all(map(lt, last[r::g], last[r + 1::g])) for r in range(g - 1))):
-        return g, size, None
+    low = full // ((1 << g) - 1)  # bit 0 of each run of g
+    runs = (not g & g - 1 and size % g == 0 and all(held == (held & low) * ((1 << g) - 1) for held in on)
+            and len(set(zip(*(format(held, f"0{size}b")[::-g] for held in on)))) == size // g)
+    last = None if runs and g == 1 else _last_covers(index, size)
+    if runs and all(all(map(lt, last[r::g], last[r + 1::g])) for r in range(g - 1)):
+        return g, index, full, last
     blocks: dict[tuple, list[int]] = {}
     copies: dict[tuple, int] = {}
     for c, key in enumerate(zip(zip(*(format(held, f"0{size}b")[::-1] for held in on)), last)):
@@ -225,7 +233,8 @@ def _fields(index: list[list[int]], size: int, last: list[int]) -> tuple[int, in
         bits = format(x, f"0{size}b")[::-1] + "0"  # "0" at padding
         return int("".join(map(bits.__getitem__, order))[::-1], 2)
 
-    return field, len(order), moved if field > 1 else None
+    last.append(0)
+    return field, [list(map(moved, sets)) for sets in index], moved(full), list(map(last.__getitem__, order))
 
 
 def _crowding(field: int, width: int, most: int) -> tuple[int, list[tuple[int, int]], list[int], int]:
@@ -271,24 +280,18 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
     """Search the q**n candidate rows, in ``product`` order, for the fewest
     meeting every constraint of ``spec``.
 
-    A non-final row's scan walks the slice from ``last`` to its bound of
-    ``_tie_list``'s candidates for its ``tied`` mask, and counts its nodes
-    from the candidate index. It tests the budget before each child and at
-    the scan's end: a budget that runs out mid-scan is caught at the end, no
-    more than q**n <= node_limit candidates late, with the same outcome.
-    The tables it reads come from ``_scan_tables``, ``_suffix_tables`` and
-    ``_fields``, before the first deepening level with more than one row to
-    choose; ``grouped`` carries ``uncovered`` in the blocks' fields.
+    A non-final row scans the slice from ``last`` to its bound of
+    ``_tie_list``'s candidates for its ``tied`` mask, testing the budget
+    before each child. The tables it reads are built before the first
+    deepening level with more than one row to choose.
 
     A final row whose uncovered constraints require two symbols at one
     column, or one at every column, is decided without a scan, by two passes
     over the columns' sets, and reads no cover mask: the forced row meets
-    every uncovered constraint. Its nodes are those the scan would count:
-    the covers from ``last`` on when no row fits, those up to the forced row
-    when it fits, and out of nodes where the scan would run out first. Any
-    other final row scans, and builds the cover masks if none are built.
-    The first final row to read a constraint's covers counts them in one
-    byte a candidate; they are listed for a scan or a second read.
+    every uncovered constraint. Any other final row scans, and builds the
+    cover masks if none are built. The first final row to read a
+    constraint's covers counts them in one byte a candidate; they are
+    listed for a scan or a second read.
     """
     n, q, limit = spec.n, spec.q, budget.node_limit
     try:
@@ -298,20 +301,18 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
     count = nodes = q**n
     if nodes > limit:
         return SearchOutcome("budget_exceeded", nodes=limit + 1)
-    index, num_constraints = _constraint_index(spec)
+    field, index, full, max_row_for = _fields(*_constraint_index(spec))
     # (a symbol's set, the sets of the symbols after it) for each column, and
     # (a symbol's set, what the symbol adds to a candidate's index).
     clashes = [(held, sum(sets[c + 1:])) for sets in index for c, held in enumerate(sets[:-1])]
     symbols = [(held, c * q ** (n - 1 - j)) for j, sets in enumerate(index) for c, held in enumerate(sets)]
-    full = (1 << num_constraints) - 1
-    lower = -(-num_constraints // _cover_bound(spec))  # the coverage bound
+    lower = -(-full.bit_count() // _cover_bound(spec))  # the coverage bound
     # The cover masks, empty until ``_scan_tables`` builds them. Until the
     # deepening loop builds the suffix tables, dfs runs only at last = 0,
     # where the reachability test reads suffix_or[0] = full.
     cover: list[int] = []
-    suffix_or, suffix_max, max_row_for = [full], [], []
-    # The cover masks in the blocks' fields, and _crowding's constants.
-    blocks, m1, folds, adds, high = cover, 0, [], [], 0
+    suffix_or, suffix_max = [full], []
+    m1, folds, adds, high = 0, [], [], 0  # _crowding's constants
 
     # covers_of[c]: the candidates covering constraint c, built when a final
     # row first needs them, as one byte per candidate, 1 at a cover, that a
@@ -345,9 +346,9 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
 
     chosen: list[int] = []
 
-    def dfs(last: int, uncovered: int, rows_left: int, tied: int, grouped: int) -> bool:
+    def dfs(last: int, uncovered: int, rows_left: int, tied: int) -> bool:
         """Whether rows_left more rows from ``last`` on, none decreasing a
-        ``tied`` column pair, cover ``uncovered`` (``grouped``)."""
+        ``tied`` column pair, cover ``uncovered``."""
         # ``uncovered`` is never empty: a row leaving nothing uncovered with
         # rows to spare would end a shorter solution on this path, which the
         # previous deepening level, with the same order, ties and sound
@@ -363,8 +364,6 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
             covers = covers_of.get(first)
             if covers is None:
                 nodes += count
-                if nodes > limit:
-                    raise _OutOfNodes
                 # 1 where a candidate holds every symbol the constraint
                 # requires, joined a column at a time from the last.
                 bit, block = 1 << first, b"\1"
@@ -380,10 +379,7 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
                 if type(covers) is bytes:
                     covers = covers_of[first] = list(compress(range(count), covers))
                 lo, total = bisect_left(covers, last), len(covers)
-            # A step per cover from ``last`` on, lo to stop, as far as the
-            # budget reaches.
-            stop = min(total, lo + limit - nodes)
-            scan = ()
+            k = total  # the ordinal of the cover taken, total where none is
             for held, later in clashes:
                 if uncovered & held and uncovered & later:
                     break
@@ -391,29 +387,27 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
                 forced = [value for held, value in symbols if uncovered & held]
                 if len(forced) == n:
                     # The one row left, which meets every uncovered constraint
-                    # by holding their symbols: taken where the scan would
-                    # reach it, at the k-th cover.
+                    # by holding their symbols.
                     i = sum(forced)
-                    k = covers.count(b"\1", 0, i) if type(covers) is bytes else bisect_left(covers, i)
-                    if lo <= k < stop and not tied & ((i >> 1) & ~i if q == 2 else pairs(i)[0]):
-                        nodes += k + 1 - lo
-                        chosen.append(i)
-                        return True
+                    if i >= last and not tied & ((i >> 1) & ~i if q == 2 else pairs(i)[0]):
+                        k = covers.count(b"\1", 0, i) if type(covers) is bytes else bisect_left(covers, i)
                 else:
                     if type(covers) is bytes:
                         covers = covers_of[first] = list(compress(range(count), covers))
-                    cover = cover or _scan_tables(index, num_constraints)
-                    scan = range(lo, stop)
-            for k in scan:
-                i = covers[k]
-                if uncovered & ~cover[i] == 0 and not tied & ((i >> 1) & ~i if q == 2 else pairs(i)[0]):
-                    nodes += k + 1 - lo
-                    chosen.append(i)
-                    return True
-            nodes += stop - lo
-            if stop < total:
+                    cover = cover or _scan_tables(index, full)
+                    for k in range(lo, total):
+                        i = covers[k]
+                        if uncovered & ~cover[i] == 0 and not tied & ((i >> 1) & ~i if q == 2 else pairs(i)[0]):
+                            break
+                    else:
+                        k = total
+            nodes += min(k + 1, total) - lo
+            if nodes > limit:
                 raise _OutOfNodes
-            return False
+            if k == total:
+                return False
+            chosen.append(i)
+            return True
         hi, need = max_row_for[first], uncovered.bit_count()
         add = adds[rows_left - 2] if rows_left - 2 < len(adds) else None
         fit = fits.get(tied)
@@ -430,9 +424,9 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
                 continue
             if need - newly.bit_count() > (rows_left - 1) * suffix_max[i]:
                 continue
+            left = uncovered ^ newly
             if add is not None:
-                kept = grouped & ~blocks[i]
-                x = kept - (kept >> 1 & m1)
+                x = left - (left >> 1 & m1)
                 for w, mask in folds:
                     x = (x & mask) + (x >> w & mask)
                 if x + add & high:
@@ -441,8 +435,7 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
             if nodes > limit:
                 raise _OutOfNodes
             chosen.append(i)
-            if dfs(i, uncovered ^ newly, rows_left - 1,
-                   tied & (~(i ^ (i >> 1)) if q == 2 else pairs(i)[1]), grouped & ~blocks[i]):
+            if dfs(i, left, rows_left - 1, tied & (~(i ^ (i >> 1)) if q == 2 else pairs(i)[1])):
                 return True
             chosen.pop()
             base = nodes - i - 1
@@ -454,23 +447,20 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
     # Universal sets start from the all-zero row, candidate 0, which misses
     # the constraints requiring a nonzero symbol somewhere.
     start = [0] if isinstance(spec, UniversalSpec) else []
-    uncovered = grouped = full
+    uncovered = full
     if start:
         uncovered = 0
         for sets in index:
             uncovered |= sum(sets[1:])
     try:
         for size in range(lower, budget.max_rows + 1):
-            if size - len(start) > 1 and not max_row_for:
-                cover = blocks = cover or _scan_tables(index, num_constraints)
-                suffix_or, suffix_max, max_row_for = _suffix_tables(index, num_constraints, cover)
-                field, width, moved = _fields(index, num_constraints, max_row_for)
-                if moved:
-                    blocks = _scan_tables([list(map(moved, sets)) for sets in index], width)
-                grouped = moved(uncovered) if moved else uncovered
-                m1, folds, adds, high = _crowding(field, width, min(field, 3))
+            if size - len(start) > 1 and not suffix_max:
+                cover = cover or _scan_tables(index, full)
+                max_row_for = max_row_for or _last_covers(index, full.bit_length())
+                suffix_or, suffix_max = _suffix_tables(cover, max_row_for)
+                m1, folds, adds, high = _crowding(field, full.bit_length(), min(field, 3))
             chosen[:] = start
-            if dfs(0, uncovered, size - len(start), (1 << (n - 1)) - 1, grouped):
+            if dfs(0, uncovered, size - len(start), (1 << (n - 1)) - 1):
                 certificate = SymbolMatrix(n=n, q=q, rows=[_digits(i, q, n) for i in chosen])
                 return SearchOutcome("found", size=size, certificate=certificate, nodes=nodes)
     except _OutOfNodes:

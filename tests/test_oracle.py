@@ -1,4 +1,5 @@
 import hashlib
+from contextlib import contextmanager
 import time
 import tracemalloc
 from bisect import bisect_left
@@ -28,7 +29,8 @@ from coverkit import (
 from coverkit import oracle
 from coverkit.core import _check_work, _work
 from coverkit.oracle import (
-    SearchOutcome, _OutOfNodes, _cover_bound, _crowding, _fields, _scan_tables, _suffix_tables, _tie_list,
+    SearchOutcome, _OutOfNodes, _cover_bound, _crowding, _fields, _last_covers, _scan_tables, _suffix_tables,
+    _tie_list,
 )
 from coverkit.verify import _constraint_index
 
@@ -186,12 +188,18 @@ class TestSandwich:
         assert outcome.size <= built.num_rows <= universal_greedy_size_bound(spec)
 
 
-def reference_tables(spec):
-    """(cover, suffix_or, suffix_max, last) by the per-candidate loops: the
-    masks a column at a time, the suffix tables a candidate at a time from
-    the end, and a constraint's last cover where the suffix unions drop it."""
-    index, size = _constraint_index(spec)
-    full = (1 << size) - 1
+def laid_out_index(spec):
+    """(index, full): ``spec``'s constraints numbered as the search numbers
+    them, by ``_fields``, and the mask of those that are not padding."""
+    return _fields(*_constraint_index(spec))[1:3]
+
+
+def reference_tables(index, full):
+    """(cover, suffix_or, suffix_max, last) for the constraints ``full``
+    holds of ``index``, by the per-candidate loops: the masks a column at a
+    time, the suffix tables a candidate at a time from the end, and a
+    constraint's last cover where the suffix unions drop it (0 at
+    padding)."""
     cover = [full]
     for sets in index:
         rest = full & ~sum(sets)
@@ -202,7 +210,7 @@ def reference_tables(spec):
     for i in range(count - 1, -1, -1):
         suffix_or[i] = suffix_or[i + 1] | cover[i]
         suffix_max[i] = max(suffix_max[i + 1], cover[i].bit_count())
-    last = [0] * size
+    last = [0] * full.bit_length()
     for i in range(count):
         ends = suffix_or[i] & ~suffix_or[i + 1]
         while ends:
@@ -227,12 +235,15 @@ def table_specs(draw):
 @given(table_specs())
 @settings(deadline=None)
 def test_the_scan_tables_match_the_per_candidate_loops(spec):
-    cover, suffix_or, suffix_max, last = reference_tables(spec)
-    index, size = _constraint_index(spec)
-    scanned = _scan_tables(index, size)
-    assert (scanned, *_suffix_tables(index, size, scanned)) == (cover, suffix_or, suffix_max, last)
-    for c, i in enumerate(last):
-        assert cover[i] >> c & 1 and not suffix_or[i + 1] >> c & 1, c
+    _, index, full, last = _fields(*_constraint_index(spec))
+    cover, suffix_or, suffix_max, expected = reference_tables(index, full)
+    last = last or _last_covers(index, full.bit_length())
+    scanned = _scan_tables(index, full)
+    assert (scanned, *_suffix_tables(scanned, last)) == (cover, suffix_or, suffix_max)
+    real = [c for c in range(full.bit_length()) if full >> c & 1]
+    assert [last[c] for c in real] == [expected[c] for c in real]
+    for c in real:
+        assert cover[last[c]] >> c & 1 and not suffix_or[last[c] + 1] >> c & 1, c
 
 
 # Every admissible spec with q**n <= 2**14 at q = 2 and 3, for n <= 12.
@@ -243,7 +254,8 @@ def test_the_cover_bound_is_the_most_constraints_a_cover_mask_meets(n, q):
     if q == 2:
         specs += [CffSpec(n, r, s) for r in range(n + 1) for s in range(n + 1 - r) if r + s]
     for spec in specs:
-        assert _cover_bound(spec) == max(map(int.bit_count, _scan_tables(*_constraint_index(spec)))), spec
+        index, size = _constraint_index(spec)
+        assert _cover_bound(spec) == max(map(int.bit_count, _scan_tables(index, (1 << size) - 1))), spec
 
 
 def reference_pairs(n, q):
@@ -330,18 +342,24 @@ def search(spec, budget=SearchBudget()):
     return minimal_cff_size(spec, budget)
 
 
-def reference_blocks(spec):
-    """The conflict blocks of ``spec``'s constraints, as masks: the
-    constraints on one column set that require different symbols there, the
-    k-th copy of a requirement with the other k-th copies. Each constraint's
-    requirement is read from ``_constraint_index`` bit by bit."""
-    index, size = _constraint_index(spec)
+def requirement(index, c):
+    """The (column, symbol) pairs constraint c of ``index`` requires, read
+    bit by bit."""
+    return tuple((j, s) for j, sets in enumerate(index) for s, held in enumerate(sets) if held >> c & 1)
+
+
+def reference_blocks(index, full):
+    """The conflict blocks of the constraints ``full`` holds of ``index``,
+    as masks: the constraints on one column set that require different
+    symbols there, the k-th copy of a requirement with the other k-th
+    copies."""
     blocks, copies = {}, {}
-    for c in range(size):
-        needs = frozenset((j, s) for j, sets in enumerate(index) for s, held in enumerate(sets) if held >> c & 1)
-        copies[needs] = copies.get(needs, -1) + 1
-        key = frozenset(j for j, _ in needs), copies[needs]
-        blocks[key] = blocks.get(key, 0) | 1 << c
+    for c in range(full.bit_length()):
+        if full >> c & 1:
+            needs = requirement(index, c)
+            copies[needs] = copies.get(needs, -1) + 1
+            key = frozenset(j for j, _ in needs), copies[needs]
+            blocks[key] = blocks.get(key, 0) | 1 << c
     return list(blocks.values())
 
 
@@ -354,7 +372,9 @@ def reference_search(spec, budget):
     column-pair masks, from ``reference_pairs``, and its block bound, a
     ``bit_count`` per block of ``reference_blocks``: a child with at most
     two rows left is skipped when some block keeps more constraints
-    uncovered than it has rows."""
+    uncovered than it has rows. Its tables and blocks number the
+    constraints as the search does, so the two meet the same first
+    uncovered constraint."""
     n, q, limit = spec.n, spec.q, budget.node_limit
     try:
         _check_work(spec, "search")
@@ -363,11 +383,11 @@ def reference_search(spec, budget):
     count = nodes = q**n
     if nodes > limit:
         return SearchOutcome("budget_exceeded", nodes=limit + 1)
-    cover, suffix_or, suffix_max, max_row_for = reference_tables(spec)
-    num_constraints = len(max_row_for)
-    full = (1 << num_constraints) - 1
+    index, full = laid_out_index(spec)
+    cover, suffix_or, suffix_max, max_row_for = reference_tables(index, full)
+    num_constraints = full.bit_count()
     dec, eq = reference_pairs(n, q)
-    blocks = reference_blocks(spec)
+    blocks = reference_blocks(index, full)
 
     # covers_of[c]: the candidates covering constraint c, in order, built
     # when the final-row loop first needs them.
@@ -532,17 +552,25 @@ SIX_BLOCK = (
 )
 
 
-def search_on(case):
-    """(outcome, reference outcome) of a ``constraint_cases`` case: the
-    spec's own constraints are replaced by the case's index, for which the
-    coverage bound is the largest bit count of the reference cover masks."""
-    spec, index, budget = case
+@contextmanager
+def constrained_by(case):
+    """Within it, the spec of a ``constraint_cases`` case has the case's
+    index in place of its own constraints, for which the coverage bound is
+    the largest bit count of the reference cover masks."""
+    _, (index, size), _ = case
 
     def fake(_):
-        return index
+        return index, size
 
     with (patch.object(oracle, "_constraint_index", fake), patch.dict(globals(), _constraint_index=fake),
-          patch.object(oracle, "_cover_bound", lambda _: reference_tables(spec)[2][0])):
+          patch.object(oracle, "_cover_bound", lambda _: reference_tables(index, (1 << size) - 1)[2][0])):
+        yield
+
+
+def search_on(case):
+    """(outcome, reference outcome) of a ``constraint_cases`` case."""
+    spec, _, budget = case
+    with constrained_by(case):
         return search(spec, budget), reference_search(spec, budget)
 
 
@@ -556,16 +584,10 @@ def test_the_search_matches_the_scanning_reference_on_any_constraints(case):
     assert outcome.certificate == expected.certificate
 
 
-def laid_out_blocks(spec):
-    """(F, masks): ``_fields``' field width for ``spec``'s constraints and
-    the constraints in each of its fields, as masks."""
-    index, size = _constraint_index(spec)
-    field, _, moved = _fields(index, size, reference_tables(spec)[3])
-    masks = {}
-    for c in range(size):
-        at = (moved(1 << c) if moved else 1 << c).bit_length() - 1
-        masks[at // field] = masks.get(at // field, 0) | 1 << c
-    return field, sorted(masks.values())
+def requirements(index, mask):
+    """The requirements of the constraints ``mask`` holds of ``index``,
+    sorted, so blocks compare whatever their numbering."""
+    return sorted(requirement(index, c) for c in range(mask.bit_length()) if mask >> c & 1)
 
 
 # Runs of two constraints, each on one column set, but runs 0 and 2 share
@@ -581,19 +603,22 @@ TWIN_RUN = (UniversalSpec(2, 1, 2), ([[0b11, 0], [0b100, 0b1000]], 4), None)
 @example(TWIN_RUN)
 @settings(deadline=None)
 def test_the_fields_hold_the_conflict_blocks(case):
-    spec, index, _ = case
-    with patch.dict(globals(), _constraint_index=lambda _: index):
-        blocks = sorted(reference_blocks(spec))
-        field, laid_out = laid_out_blocks(spec)
-    assert laid_out == blocks
+    # Each field of the layout holds the requirements of one block read
+    # from the index as ``_constraint_index`` gives it, and nothing else.
+    _, (index, size), _ = case
+    blocks = reference_blocks(index, (1 << size) - 1)
+    field, laid, full, _ = _fields(index, size)
+    fields = [full & (1 << field) - 1 << at for at in range(0, full.bit_length(), field)]
+    assert sorted(requirements(laid, mask) for mask in fields) == sorted(requirements(index, block) for block in blocks)
+    assert full.bit_count() == size
     assert field == 1 << (max(map(int.bit_count, blocks)) - 1).bit_length()
 
 
 def count_builds(monkeypatch):
     """{name: calls} for ``_scan_tables``, ``_suffix_tables`` and
-    ``_fields``, which lays out the conflict blocks, counted from here on."""
+    ``_last_covers``, counted from here on."""
     calls = {}
-    for name in ("_scan_tables", "_suffix_tables", "_fields"):
+    for name in ("_scan_tables", "_suffix_tables", "_last_covers"):
         calls[name] = 0
 
         def counted(*args, name=name, build=getattr(oracle, name)):
@@ -606,7 +631,9 @@ def count_builds(monkeypatch):
 
 class TestPinnedSearch:
     @pytest.mark.parametrize("spec", list(SEARCHES), ids=repr)
-    def test_outcome(self, spec):
+    def test_outcome(self, spec, monkeypatch):
+        # Each search builds at most one table of cover masks.
+        calls = count_builds(monkeypatch)
         outcome = search(spec)
         assert (
             outcome.status,
@@ -614,6 +641,7 @@ class TestPinnedSearch:
             outcome.nodes,
             certificate_sha(outcome.certificate),
         ) == SEARCHES[spec]
+        assert max(calls.values()) <= 1, calls
 
     @pytest.mark.parametrize("spec", list(SEARCHES), ids=repr)
     def test_outcome_with_the_tie_cache_cleared_every_few_candidates(self, spec, monkeypatch):
@@ -629,22 +657,26 @@ class TestPinnedSearch:
         ) == SEARCHES[spec]
 
     @pytest.mark.parametrize(
-        "spec,scans,builds",
+        "spec,scans,builds,lasts",
         [
-            # Each ends at its first level, a lone final row.
-            (UniversalSpec(16, 1, 2), 0, 0),
-            (CffSpec(14, 0, 3), 0, 0),
-            (CffSpec(14, 2, 0), 0, 0),
+            # Each ends at its first level, a lone final row. The runs of two
+            # of (16, 1, 2) are found by their last covers; the blocks of the
+            # other two hold one constraint each.
+            (UniversalSpec(16, 1, 2), 0, 0, 1),
+            (CffSpec(14, 0, 3), 0, 0, 0),
+            (CffSpec(14, 2, 0), 0, 0, 0),
             # Its first level has three rows to choose after the all-zero row,
             # and its blocks are the index's own runs of four.
-            (UniversalSpec(7, 2, 2), 1, 1),
-            # Its blocks are pairs apart in the index, so a second scan lays
-            # its cover masks out in their fields.
-            (CffSpec(7, 1, 1), 2, 1),
+            (UniversalSpec(7, 2, 2), 1, 1, 1),
+            # Its blocks are pairs apart in the index, laid out before its
+            # one table of cover masks is built.
+            (CffSpec(7, 1, 1), 1, 1, 1),
         ],
         ids=repr,
     )
-    def test_the_suffix_tables_are_built_once_and_only_for_a_non_final_row(self, spec, scans, builds, monkeypatch):
+    def test_the_suffix_tables_are_built_once_and_only_for_a_non_final_row(
+        self, spec, scans, builds, lasts, monkeypatch
+    ):
         # The cover masks too: each final row here is forced or clashes.
         calls = count_builds(monkeypatch)
         outcome = search(spec)
@@ -654,16 +686,35 @@ class TestPinnedSearch:
             outcome.nodes,
             certificate_sha(outcome.certificate),
         ) == SEARCHES[spec]
-        assert calls == {"_scan_tables": scans, "_suffix_tables": builds, "_fields": builds}
+        assert calls == {"_scan_tables": scans, "_suffix_tables": builds, "_last_covers": lasts}
 
     @pytest.mark.parametrize(
         "case,scans,builds", [(SECOND_LEVEL, 1, 1), (FIRST_LEVEL_SCAN, 1, 0)], ids=["second-level", "first-level-scan"]
     )
     def test_the_cover_masks_are_built_once_where_first_read(self, case, scans, builds, monkeypatch):
-        calls = count_builds(monkeypatch)
-        outcome, expected = search_on(case)
-        assert outcome == expected
-        assert calls == {"_scan_tables": scans, "_suffix_tables": builds, "_fields": builds}
+        # Both indexes hold runs of two, found by their last covers.
+        spec, _, budget = case
+        with constrained_by(case):
+            expected = reference_search(spec, budget)
+            calls = count_builds(monkeypatch)
+            assert search(spec, budget) == expected
+        assert calls == {"_scan_tables": scans, "_suffix_tables": builds, "_last_covers": 1}
+
+    @pytest.mark.parametrize(
+        "spec,work",
+        [
+            # 12 blocks of 3 in fields of 4 bits, past the 36 constraints.
+            (UniversalSpec(12, 1, 3), 3**12 * (12 * 4 + 32) << 9),
+            # 56 blocks of 3 in fields of 4 bits, past the 168 constraints.
+            (CffSpec(8, 1, 2), 2**8 * (56 * 4 + 32) << 9),
+            # The index's own runs of 4, one for each of the 21 column pairs.
+            (UniversalSpec(7, 2, 2), 2**7 * (21 * 4 + 32) << 9),
+        ],
+        ids=repr,
+    )
+    def test_a_search_is_charged_one_table_of_its_layouts_width(self, spec, work):
+        field, _, full, _ = _fields(*_constraint_index(spec))
+        assert _work(spec, "search", 0) == work == spec.q**spec.n * (-(-full.bit_length() // field) * field + 32) << 9
 
     @pytest.mark.parametrize(
         "spec,node_limit", [(UniversalSpec(12, 1, 3), 600_000), (CffSpec(12, 1, 1), 10_000)], ids=repr
@@ -671,9 +722,8 @@ class TestPinnedSearch:
     def test_the_peak_stays_within_the_charge(self, spec, node_limit):
         # A byte for each bit ``_work`` charges: CPython keeps a b-bit mask
         # in about 28 + b / 7.5 bytes and a list slot in 8. Both searches
-        # keep their cover masks twice, the second time in the blocks'
-        # fields of 4 or 2 bits; (12, 1, 3) peaks at about 50.6 MiB of the
-        # 58.8 charged, past the 34.5 that one table alone would be charged.
+        # keep one table of cover masks, laid out in the blocks' fields of 4
+        # or 2 bits; (12, 1, 3) peaks at about 37 MiB of the 40.5 charged.
         tracemalloc.start()
         try:
             outcome = search(spec, SearchBudget(node_limit=node_limit))
