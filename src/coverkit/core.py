@@ -182,9 +182,9 @@ def _work(spec: UniversalSpec | CffSpec, op: str, rows: int) -> int:
       witness, which a verdict on an empty matrix builds and the CLI
       prints without a scan.
     * "search": q**n cover masks, kept and rescanned, at 2**9 a bit and
-      2**14 a candidate, a mask laid out in C(n, d) fields, one per
-      conflict block, of the power of two at or above g = q**d or
-      C(r + s, r) bits (M bits where g is a power of two).
+      2**14 a candidate, a mask laid out by ``oracle._layout``: a field per
+      d-subset of the power of two at or above its g = q**d or C(r + s, r)
+      patterns (M bits in all where g is a power of two).
     * "count": the constraint count built whole, C(n, d) q**d or C(n, r)
       C(n - r, s), of b <= k n.bit_length() + d q.bit_length() bits for the
       k of ``_binomial_exponent`` (no q**d for a cover-free family), at

@@ -56,22 +56,25 @@ most one scan late, with the same outcome. A search never returns a wrong
 answer; see ``SearchOutcome``.
 
 Every table, mask and set of uncovered constraints a search keeps numbers
-the constraints one way: by their conflict blocks, each in a field of a
-power of two bits (``_fields``), so a block's count is a SWAR sum. The
-coverage bound is a closed form (``_cover_bound``), so the cover masks are
-built only where something reads them: the suffix tables that only
-non-final rows read, built before the first level with one, or a final row
-that must scan its candidates. A search that ends at final rows decided
-without a scan builds neither.
+the constraints one way (``_layout``): a constraint is a d-subset of
+columns and a pattern on it, and each d-subset's patterns, its conflict
+block, fill a field of a power of two bits, so a block's count is a SWAR
+sum. That is Lemma 1 read per constraint: a binary matrix is
+(n, d)-universal just when it is (n, (i, d - i))-cover-free for every i,
+so the (R, S) pairs of an (r, s) family are the weight-r patterns, 1 on R
+and 0 on S, of the d-subsets R | S. The coverage bound is a closed form
+(``_cover_bound``), so the cover masks are built only where something
+reads them: the suffix tables that only non-final rows read, built before
+the first level with one, or a final row that must scan its candidates.
+A search that ends at final rows decided without a scan builds neither.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress, pairwise
+from itertools import combinations, compress, pairwise, product
 from math import comb
-from operator import lt
 from typing import Literal
 
 from .core import CffSpec, SymbolMatrix, UniversalSpec, _check_work, _digits
@@ -131,8 +134,8 @@ def _cover_bound(spec: UniversalSpec | CffSpec) -> int:
 
 def _scan_tables(index: list[list[int]], full: int) -> list[int]:
     """The cover masks of the q**n candidate rows, in ``product`` order, for
-    the constraints ``full`` holds of ``_fields``' ``index``: bit c of
-    cover[i] is set when candidate i meets constraint c.
+    the constraints ``full`` holds of ``index``: bit c of cover[i] is set
+    when candidate i meets constraint c.
 
     No step is taken per candidate in Python but for one comprehension: a
     cover mask is the AND of a mask of the first n // 2 columns and one of
@@ -155,7 +158,7 @@ def _scan_tables(index: list[list[int]], full: int) -> list[int]:
 def _last_covers(index: list[list[int]], size: int) -> list[int]:
     """last[c] for c < size, the last candidate meeting constraint c of
     ``index``: it holds the symbol c requires at each column c constrains
-    and q - 1 at every other."""
+    and q - 1 at every other, so it is q**n - 1 at padding."""
     n, q = len(index), len(index[0])
     last = [q**n - 1] * size
     for j, sets in enumerate(index):
@@ -197,44 +200,23 @@ def _suffix_tables(cover: list[int], last: list[int]) -> tuple[list[int], list[i
     return suffix_or, filled(runs[::-1])
 
 
-def _fields(index: list[list[int]], size: int) -> tuple[int, list[list[int]], int, list[int] | None]:
-    """(F, laid, full, last): the ``size`` constraints of ``index`` laid out
-    by their conflict blocks, the constraints on one column set, with the
-    k-th copy of a requirement among the k-th copies, so no row meets two in
-    a block. Each block takes a field of F bits, the power of two at or
-    above the largest; ``laid`` is the index in that layout, ``full`` the
-    mask of its constraints, whose other bits are padding no row meets, and
-    ``last`` their last covers (0 at padding), or None where the layout
-    reads none. ``laid`` is ``index`` itself where the blocks are its own
-    runs of F, as when q**d is a power of two, or hold one constraint. On
-    one column set, requirements agree just when their last covers do, so a
-    run whose last covers increase, as ``_constraint_index`` lists
-    patterns, holds distinct ones."""
-    on = [sum(sets) for sets in index]
-    full = first = (1 << size) - 1  # first: the constraints on constraint 0's column set
-    for held in on:
-        first &= held if held & 1 else ~held
-    g = (first ^ first + 1).bit_length() - 1
-    low = full // ((1 << g) - 1)  # bit 0 of each run of g
-    runs = (not g & g - 1 and size % g == 0 and all(held == (held & low) * ((1 << g) - 1) for held in on)
-            and len(set(zip(*(format(held, f"0{size}b")[::-g] for held in on)))) == size // g)
-    last = None if runs and g == 1 else _last_covers(index, size)
-    if runs and all(all(map(lt, last[r::g], last[r + 1::g])) for r in range(g - 1)):
-        return g, index, full, last
-    blocks: dict[tuple, list[int]] = {}
-    copies: dict[tuple, int] = {}
-    for c, key in enumerate(zip(zip(*(format(held, f"0{size}b")[::-1] for held in on)), last)):
-        copies[key] = copies.get(key, -1) + 1
-        blocks.setdefault((key[0], copies[key]), []).append(c)
-    field = 1 << (max(map(len, blocks.values())) - 1).bit_length()
-    order = [c for block in blocks.values() for c in block + [size] * (field - len(block))]
-
-    def moved(x: int) -> int:
-        bits = format(x, f"0{size}b")[::-1] + "0"  # "0" at padding
-        return int("".join(map(bits.__getitem__, order))[::-1], 2)
-
-    last.append(0)
-    return field, [list(map(moved, sets)) for sets in index], moved(full), list(map(last.__getitem__, order))
+def _layout(spec: UniversalSpec | CffSpec) -> tuple[int, list[list[int]], int]:
+    """(F, index, full): the constraints of ``spec`` as (d-subset, pattern)
+    pairs, each d-subset, in ``combinations`` order, in a field of F bits,
+    the power of two at or above its g patterns: the q**d in ``product``
+    order, or the C(d, r) that are 1 on R for R in ``combinations`` order.
+    ``index`` is ``_constraint_index``'s for them, each field padded with
+    the all-q pattern, which no row meets; ``full`` is the mask of the
+    real constraints."""
+    q, d = spec.q, spec.d
+    if isinstance(spec, UniversalSpec):
+        patterns = list(product(range(q), repeat=d))
+    else:
+        patterns = [tuple(int(k in R) for k in range(d)) for R in combinations(range(d), spec.r)]
+    g = len(patterns)
+    field = 1 << (g - 1).bit_length()
+    index, size = _constraint_index(spec, patterns + [(q,) * d] * (field - g))
+    return field, index, ((1 << g) - 1) * (((1 << size) - 1) // ((1 << field) - 1))
 
 
 def _crowding(field: int, width: int, most: int) -> tuple[int, list[tuple[int, int]], list[int], int]:
@@ -301,15 +283,15 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
     count = nodes = q**n
     if nodes > limit:
         return SearchOutcome("budget_exceeded", nodes=limit + 1)
-    field, index, full, max_row_for = _fields(*_constraint_index(spec))
+    field, index, full = _layout(spec)
     # (a symbol's set, the sets of the symbols after it) for each column, and
     # (a symbol's set, what the symbol adds to a candidate's index).
     clashes = [(held, sum(sets[c + 1:])) for sets in index for c, held in enumerate(sets[:-1])]
     symbols = [(held, c * q ** (n - 1 - j)) for j, sets in enumerate(index) for c, held in enumerate(sets)]
     lower = -(-full.bit_count() // _cover_bound(spec))  # the coverage bound
     # The cover masks, empty until ``_scan_tables`` builds them. Until the
-    # deepening loop builds the suffix tables, dfs runs only at last = 0,
-    # where the reachability test reads suffix_or[0] = full.
+    # deepening loop builds the last covers and the suffix tables, dfs runs
+    # only at last = 0, where the reachability test reads suffix_or[0] = full.
     cover: list[int] = []
     suffix_or, suffix_max = [full], []
     m1, folds, adds, high = 0, [], [], 0  # _crowding's constants
@@ -456,7 +438,7 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
         for size in range(lower, budget.max_rows + 1):
             if size - len(start) > 1 and not suffix_max:
                 cover = cover or _scan_tables(index, full)
-                max_row_for = max_row_for or _last_covers(index, full.bit_length())
+                max_row_for = _last_covers(index, full.bit_length())
                 suffix_or, suffix_max = _suffix_tables(cover, max_row_for)
                 m1, folds, adds, high = _crowding(field, full.bit_length(), min(field, 3))
             chosen[:] = start

@@ -298,7 +298,8 @@ def _squeezer(keep: int) -> Callable[[int], int]:
     return squeeze
 
 
-def _constraint_index(spec: UniversalSpec | CffSpec) -> tuple[list[list[int]], int]:
+def _constraint_index(spec: UniversalSpec | CffSpec,
+                      patterns: list[tuple[int, ...]] | None = None) -> tuple[list[list[int]], int]:
     """(index, size) for the ``size`` constraints of ``spec``, where bit i
     of ``index[j][c]`` is set when the i-th constraint its verifier scans
     requires symbol c at column j.
@@ -310,14 +311,20 @@ def _constraint_index(spec: UniversalSpec | CffSpec) -> tuple[list[list[int]], i
     ``_squeezer`` drops the padding, and where a block is whole bytes it
     has no stage and only masks. The columns are built one at a time, so
     besides the index only one column's kinds and bytes are alive.
+
+    Given ``patterns``, tuples of d symbols, each d-subset's block holds
+    them in their order, for either family: a cover-free (R, S) is the
+    d-subset R | S with the pattern 1 on R and 0 on S (Lemma 1). The
+    symbol q requires nothing, so the all-q pattern is padding that no
+    column's sets hold.
     """
     n, q = spec.n, spec.q
-    if isinstance(spec, UniversalSpec):
+    if patterns is not None or isinstance(spec, UniversalSpec):
         d = spec.d
         heads = list(combinations(range(n), d))
-        # kind k < d: at S[k], digit k of each pattern; kind d: not in S
-        blocks = [bytes(p[k] for p in product(range(q), repeat=d)) for k in range(d)]
-        blocks.append(bytes([q]) * q**d)
+        # kind k < d: at S[k], symbol k of each pattern; kind d: not in S
+        blocks = [bytes(p[k] for p in patterns or product(range(q), repeat=d)) for k in range(d)]
+        blocks.append(bytes([q]) * len(blocks[0]))
         kinds = ([S.index(j) if j in S else d for S in heads] for j in range(n))
     else:
         r, s = spec.r, spec.s

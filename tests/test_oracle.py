@@ -29,7 +29,7 @@ from coverkit import (
 from coverkit import oracle
 from coverkit.core import _check_work, _work
 from coverkit.oracle import (
-    SearchOutcome, _OutOfNodes, _cover_bound, _crowding, _fields, _last_covers, _scan_tables, _suffix_tables,
+    SearchOutcome, _OutOfNodes, _cover_bound, _crowding, _last_covers, _layout, _scan_tables, _suffix_tables,
     _tie_list,
 )
 from coverkit.verify import _constraint_index
@@ -190,8 +190,9 @@ class TestSandwich:
 
 def laid_out_index(spec):
     """(index, full): ``spec``'s constraints numbered as the search numbers
-    them, by ``_fields``, and the mask of those that are not padding."""
-    return _fields(*_constraint_index(spec))[1:3]
+    them, by ``_layout``, and the mask of those that are not padding. It is
+    read from the module, so ``constrained_by`` replaces it."""
+    return oracle._layout(spec)[1:]
 
 
 def reference_tables(index, full):
@@ -235,9 +236,9 @@ def table_specs(draw):
 @given(table_specs())
 @settings(deadline=None)
 def test_the_scan_tables_match_the_per_candidate_loops(spec):
-    _, index, full, last = _fields(*_constraint_index(spec))
+    _, index, full = _layout(spec)
     cover, suffix_or, suffix_max, expected = reference_tables(index, full)
-    last = last or _last_covers(index, full.bit_length())
+    last = _last_covers(index, full.bit_length())
     scanned = _scan_tables(index, full)
     assert (scanned, *_suffix_tables(scanned, last)) == (cover, suffix_or, suffix_max)
     real = [c for c in range(full.bit_length()) if full >> c & 1]
@@ -350,15 +351,13 @@ def requirement(index, c):
 
 def reference_blocks(index, full):
     """The conflict blocks of the constraints ``full`` holds of ``index``,
-    as masks: the constraints on one column set that require different
-    symbols there, the k-th copy of a requirement with the other k-th
-    copies."""
-    blocks, copies = {}, {}
+    as masks: the constraints on one column set, read bit by bit. Every
+    requirement is held once, so those of a block require different
+    symbols there."""
+    blocks = {}
     for c in range(full.bit_length()):
         if full >> c & 1:
-            needs = requirement(index, c)
-            copies[needs] = copies.get(needs, -1) + 1
-            key = frozenset(j for j, _ in needs), copies[needs]
+            key = frozenset(j for j, _ in requirement(index, c))
             blocks[key] = blocks.get(key, 0) | 1 << c
     return list(blocks.values())
 
@@ -495,10 +494,10 @@ def search_cases(draw):
 
 
 # The block bound skips children with one row left at (4, 2, 2) and (6, (1, 1)),
-# whose blocks are the index's own runs of 4 and pairs laid out in fields of
-# 2; and children with two rows left at (4, 2, 2) and (6, (2, 1)), whose
-# blocks of 3 take fields of 4. (3, 2, 3)'s blocks of 9 take fields of 16,
-# and (4, (2, 2))'s one block of 6 a field of 8; neither skips a child.
+# whose blocks of 4 and 2 fill their fields; and children with two rows left
+# at (4, 2, 2) and (6, (2, 1)), whose blocks of 3 take fields of 4. (3, 2, 3)'s
+# blocks of 9 take fields of 16, and (4, (2, 2))'s one block of 6 a field of
+# 8; neither skips a child.
 @given(search_cases())
 @example((UniversalSpec(4, 2, 2), SearchBudget(max_rows=9, node_limit=30_000)))
 @example((CffSpec(6, 1, 1), SearchBudget(max_rows=9, node_limit=30_000)))
@@ -515,39 +514,51 @@ def test_the_search_matches_the_scanning_reference(case):
 
 @st.composite
 def constraint_cases(draw):
-    """A spec standing for n columns over q symbols, an index of random
-    constraints on them in place of its own, and a node limit. Two of the
-    constraints need different symbols at column 0, so no row covers every
-    constraint and the all-zero start of a universal set leaves some
-    uncovered. Such constraints break the column symmetry the search
-    relies on, so a final row decreasing a tied column pair is common."""
+    """A spec standing for n columns over q symbols, random constraints on
+    them laid out in place of its own as (F, index, full), and a node limit.
+    They come as conflict blocks, each a column set and distinct
+    requirements on it in a field of F bits, the power of two at or above
+    the largest block, the rest padding. The block on column 0 alone needs
+    two symbols or more, so no row covers every constraint and the all-zero
+    start of a universal set leaves some uncovered. Such constraints break
+    the column symmetry the search relies on, so a final row decreasing a
+    tied column pair is common."""
     q = draw(st.sampled_from((2, 3, 4)))
     n = draw(st.integers(2, {2: 7, 3: 4, 4: 3}[q]))
-    requirement = st.dictionaries(st.integers(0, n - 1), st.integers(0, q - 1), min_size=1)
-    constraints = draw(st.permutations([{0: 0}, {0: 1}, *draw(st.lists(requirement, max_size=12))]))
-    index = [[0] * q for _ in range(n)]
-    for i, requires in enumerate(constraints):
-        for j, c in requires.items():
-            index[j][c] |= 1 << i
+    column_set = st.sets(st.integers(0, n - 1), min_size=1).map(lambda columns: tuple(sorted(columns)))
+    others = draw(st.lists(column_set.filter(lambda columns: columns != (0,)), unique=True, max_size=3))
+    column_sets = draw(st.permutations([(0,), *others]))
+    blocks = [draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * len(columns)), unique=True,
+                            min_size=1 + (columns == (0,)), max_size=5)) for columns in column_sets]
+    field = 1 << (max(map(len, blocks)) - 1).bit_length()
+    index, full = [[0] * q for _ in range(n)], 0
+    for at, (columns, block) in enumerate(zip(column_sets, blocks)):
+        for i, symbols in enumerate(block):
+            for j, c in zip(columns, symbols):
+                index[j][c] |= 1 << at * field + i
+        full |= (1 << len(block)) - 1 << at * field
     spec = UniversalSpec(n, 1, q) if q > 2 or draw(st.booleans()) else CffSpec(n, 1, 0)
     budget = SearchBudget(max_rows=9, node_limit=draw(st.integers(1, 30_000)))
-    return spec, (index, len(constraints)), budget
+    return spec, (field, index, full), budget
 
 
 # Four constraints, at most two met by a row, start the deepening at two
 # rows: the all-zero row and a lone final row, which would need both symbols
 # at column 1. The cover masks and suffix tables are first built for three
 # rows.
-SECOND_LEVEL = (UniversalSpec(2, 1, 2), ([[0b0001, 0b1110], [0b0100, 0b1000]], 4), SearchBudget(max_rows=9, node_limit=30_000))
+SECOND_LEVEL = (
+    UniversalSpec(2, 1, 2), (2, [[0b0001, 0b1110], [0b0100, 0b1000]], 0b1111), SearchBudget(max_rows=9, node_limit=30_000)
+)
 # Two constraints, one met by each row, start the deepening at the all-zero
 # row and a lone final row, which needs a 1 at column 0 only and so scans.
-FIRST_LEVEL_SCAN = (UniversalSpec(2, 1, 2), ([[0b01, 0b10], [0, 0]], 2), SearchBudget(max_rows=9, node_limit=30_000))
+FIRST_LEVEL_SCAN = (UniversalSpec(2, 1, 2), (2, [[0b01, 0b10], [0, 0]], 0b11), SearchBudget(max_rows=9, node_limit=30_000))
 # Over three symbols: two constraints at column 0, and a block of six at
-# columns 1 and 2, which takes a field of 8 bits and leaves more constraints
-# uncovered than rows at children with two rows left.
+# columns 1 and 2, each in a field of 8 bits; the six leave more
+# constraints uncovered than rows at children with two rows left.
 SIX_BLOCK = (
     UniversalSpec(3, 1, 3),
-    ([[0b01, 0b10, 0], [0b00011100, 0b11100000, 0], [0b00100100, 0b01001000, 0b10010000]], 8),
+    (8, [[0b01, 0b10, 0], [0b000111 << 8, 0b111000 << 8, 0], [0b001001 << 8, 0b010010 << 8, 0b100100 << 8]],
+     0b111111 << 8 | 0b11),
     SearchBudget(max_rows=9, node_limit=30_000),
 )
 
@@ -555,15 +566,11 @@ SIX_BLOCK = (
 @contextmanager
 def constrained_by(case):
     """Within it, the spec of a ``constraint_cases`` case has the case's
-    index in place of its own constraints, for which the coverage bound is
-    the largest bit count of the reference cover masks."""
-    _, (index, size), _ = case
-
-    def fake(_):
-        return index, size
-
-    with (patch.object(oracle, "_constraint_index", fake), patch.dict(globals(), _constraint_index=fake),
-          patch.object(oracle, "_cover_bound", lambda _: reference_tables(index, (1 << size) - 1)[2][0])):
+    layout in place of its own, for which the coverage bound is the largest
+    bit count of the reference cover masks."""
+    _, (field, index, full), _ = case
+    with (patch.object(oracle, "_layout", lambda _: (field, index, full)),
+          patch.object(oracle, "_cover_bound", lambda _: reference_tables(index, full)[2][0])):
         yield
 
 
@@ -590,28 +597,31 @@ def requirements(index, mask):
     return sorted(requirement(index, c) for c in range(mask.bit_length()) if mask >> c & 1)
 
 
-# Runs of two constraints, each on one column set, but runs 0 and 2 share
-# theirs, so they make one block of four: {0, 1} x {0, 1} at columns 0 and 1.
-RUNS_APART = (UniversalSpec(2, 1, 2), ([[0b10101, 0b101010], [0b1000011, 0b10110000]], 8), None)
-# Runs of two, the first holding one requirement twice: two blocks of one.
-TWIN_RUN = (UniversalSpec(2, 1, 2), ([[0b11, 0], [0b100, 0b1000]], 4), None)
-
-
-@given(st.one_of(table_specs().map(lambda spec: (spec, _constraint_index(spec), None)), constraint_cases()))
-@example(SIX_BLOCK)
-@example(RUNS_APART)
-@example(TWIN_RUN)
+@given(table_specs())
 @settings(deadline=None)
-def test_the_fields_hold_the_conflict_blocks(case):
-    # Each field of the layout holds the requirements of one block read
-    # from the index as ``_constraint_index`` gives it, and nothing else.
-    _, (index, size), _ = case
-    blocks = reference_blocks(index, (1 << size) - 1)
-    field, laid, full, _ = _fields(index, size)
-    fields = [full & (1 << field) - 1 << at for at in range(0, full.bit_length(), field)]
-    assert sorted(requirements(laid, mask) for mask in fields) == sorted(requirements(index, block) for block in blocks)
-    assert full.bit_count() == size
-    assert field == 1 << (max(map(int.bit_count, blocks)) - 1).bit_length()
+def test_the_layout_holds_each_requirement_once(spec):
+    # Each field holds distinct requirements on one column set, its own,
+    # and the fields together hold those of ``_constraint_index`` once each.
+    field, index, full = _layout(spec)
+    laid = [requirements(index, full & (1 << field) - 1 << at) for at in range(0, full.bit_length(), field)]
+    column_sets = [{frozenset(j for j, _ in needs) for needs in block} for block in laid]
+    assert all(len(sets) == 1 for sets in column_sets) and len(set().union(*column_sets)) == len(laid)
+    assert all(len(set(block)) == len(block) for block in laid)
+    assert field == 1 << (max(map(len, laid)) - 1).bit_length()
+    assert not any(held & ~full for sets in index for held in sets)
+    raw, size = _constraint_index(spec)
+    assert sorted(needs for block in laid for needs in block) == requirements(raw, (1 << size) - 1)
+
+
+@pytest.mark.parametrize("spec,layout", [
+    # (R, S) = ({a}, {b}) is the pattern (1, 0) on {a, b}, and ({b}, {a})
+    # the pattern (0, 1): a field of 2 for each of the column pairs.
+    (CffSpec(3, 1, 1), (2, [[0b001010, 0b000101], [0b100001, 0b010010], [0b010100, 0b101000]], 0b111111)),
+    # Three symbols at each column, in a field of 4 whose top bit is padding.
+    (UniversalSpec(2, 1, 3), (4, [[0b0001, 0b0010, 0b0100], [0b0001 << 4, 0b0010 << 4, 0b0100 << 4]], 0b01110111)),
+], ids=repr)
+def test_a_small_layout(spec, layout):
+    assert _layout(spec) == layout
 
 
 def count_builds(monkeypatch):
@@ -657,27 +667,21 @@ class TestPinnedSearch:
         ) == SEARCHES[spec]
 
     @pytest.mark.parametrize(
-        "spec,scans,builds,lasts",
+        "spec,scans,builds",
         [
-            # Each ends at its first level, a lone final row. The runs of two
-            # of (16, 1, 2) are found by their last covers; the blocks of the
-            # other two hold one constraint each.
-            (UniversalSpec(16, 1, 2), 0, 0, 1),
-            (CffSpec(14, 0, 3), 0, 0, 0),
-            (CffSpec(14, 2, 0), 0, 0, 0),
-            # Its first level has three rows to choose after the all-zero row,
-            # and its blocks are the index's own runs of four.
-            (UniversalSpec(7, 2, 2), 1, 1, 1),
-            # Its blocks are pairs apart in the index, laid out before its
-            # one table of cover masks is built.
-            (CffSpec(7, 1, 1), 1, 1, 1),
+            # Each ends at its first level, a lone final row.
+            (UniversalSpec(16, 1, 2), 0, 0),
+            (CffSpec(14, 0, 3), 0, 0),
+            (CffSpec(14, 2, 0), 0, 0),
+            # Its first level has three rows to choose after the all-zero row.
+            (UniversalSpec(7, 2, 2), 1, 1),
+            (CffSpec(7, 1, 1), 1, 1),
         ],
         ids=repr,
     )
-    def test_the_suffix_tables_are_built_once_and_only_for_a_non_final_row(
-        self, spec, scans, builds, lasts, monkeypatch
-    ):
-        # The cover masks too: each final row here is forced or clashes.
+    def test_the_suffix_tables_are_built_once_and_only_for_a_non_final_row(self, spec, scans, builds, monkeypatch):
+        # The cover masks and last covers too: each final row here is forced
+        # or clashes, and only the suffix tables read last covers.
         calls = count_builds(monkeypatch)
         outcome = search(spec)
         assert (
@@ -686,35 +690,27 @@ class TestPinnedSearch:
             outcome.nodes,
             certificate_sha(outcome.certificate),
         ) == SEARCHES[spec]
-        assert calls == {"_scan_tables": scans, "_suffix_tables": builds, "_last_covers": lasts}
+        assert calls == {"_scan_tables": scans, "_suffix_tables": builds, "_last_covers": builds}
 
     @pytest.mark.parametrize(
         "case,scans,builds", [(SECOND_LEVEL, 1, 1), (FIRST_LEVEL_SCAN, 1, 0)], ids=["second-level", "first-level-scan"]
     )
     def test_the_cover_masks_are_built_once_where_first_read(self, case, scans, builds, monkeypatch):
-        # Both indexes hold runs of two, found by their last covers.
         spec, _, budget = case
         with constrained_by(case):
             expected = reference_search(spec, budget)
             calls = count_builds(monkeypatch)
             assert search(spec, budget) == expected
-        assert calls == {"_scan_tables": scans, "_suffix_tables": builds, "_last_covers": 1}
+        assert calls == {"_scan_tables": scans, "_suffix_tables": builds, "_last_covers": builds}
 
-    @pytest.mark.parametrize(
-        "spec,work",
-        [
-            # 12 blocks of 3 in fields of 4 bits, past the 36 constraints.
-            (UniversalSpec(12, 1, 3), 3**12 * (12 * 4 + 32) << 9),
-            # 56 blocks of 3 in fields of 4 bits, past the 168 constraints.
-            (CffSpec(8, 1, 2), 2**8 * (56 * 4 + 32) << 9),
-            # The index's own runs of 4, one for each of the 21 column pairs.
-            (UniversalSpec(7, 2, 2), 2**7 * (21 * 4 + 32) << 9),
-        ],
-        ids=repr,
-    )
-    def test_a_search_is_charged_one_table_of_its_layouts_width(self, spec, work):
-        field, _, full, _ = _fields(*_constraint_index(spec))
-        assert _work(spec, "search", 0) == work == spec.q**spec.n * (-(-full.bit_length() // field) * field + 32) << 9
+    @given(table_specs())
+    @example(UniversalSpec(12, 1, 3))  # 12 blocks of 3 in fields of 4 bits
+    @example(CffSpec(8, 1, 2))  # 56 blocks of 3 in fields of 4 bits
+    @settings(deadline=None)
+    def test_a_search_is_charged_one_table_of_its_layouts_width(self, spec):
+        field, _, full = _layout(spec)
+        bits = -(-full.bit_length() // field) * field
+        assert _work(spec, "search", 0) == spec.q**spec.n * (bits + 32) << 9
 
     @pytest.mark.parametrize(
         "spec,node_limit", [(UniversalSpec(12, 1, 3), 600_000), (CffSpec(12, 1, 1), 10_000)], ids=repr
