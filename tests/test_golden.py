@@ -143,7 +143,7 @@ GOLDEN_STDOUT = {
     "construct-cff-random": "c48aa54c5cdda16019643c575f508ba43b88ebd40cad880721a469f5bea222ba",
     "construct-greedy-ternary": "0858d07832bf0ee1580a6588efb79129afe50c9fd0a4918c013b5aa60b6bb8fa",
     "construct-lemma1-random": "0792a4a86d8728d00281a43f3a0a21215f764e03035fa3772b356a5cb9fe14e9",
-    "minimal-universal": "99592b5caba80bfeb2061f8c5e81b9a0d126afa2cb6ce4ec248bed9af73e3c71",
+    "minimal-universal": "3f08fd0420a1d1267b7b21ead41b015a75edb4d3f4413a89d7764284d1e1dc61",
 }
 
 

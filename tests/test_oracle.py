@@ -301,39 +301,41 @@ def certificate_sha(m):
 
 
 # (status, size, nodes, sha256 of the certificate rows): the nodes pin the
-# search path, not just the minimum. Nodes count search nodes, scanned
-# candidates and q**n per cover-mask scan.
+# search path, not just the minimum. Nodes count search nodes, each scan's
+# whole range, and q**n up front and at each constraint's first covers.
 SEARCHES = {
-    UniversalSpec(4, 2, 2): ("found", 5, 126, "5ace6d852cdab38f6629510bbdae086998b322e0e5e76f53f1c73a030a08e10f"),
-    UniversalSpec(5, 2, 2): ("found", 6, 1672, "84f8e5e12271d71d1ad6172a2bb7d628d9a5f2a8fbc1f7a6c60f065fae91b348"),
-    UniversalSpec(2, 1, 3): ("found", 3, 28, "6809a683cdd8563f77719218f8b0f91f2f80edd5f7a7a5f5b6c11508da38db67"),
-    UniversalSpec(6, 2, 2): ("found", 6, 10609, "be57e429aeef33c8e367f53dea8057b3ea67fa3b861c0383e1b090378686f30a"),
-    CffSpec(7, 1, 1): ("found", 5, 8715, "b2c692404ec8ea3e28d99c1973b393779bb065be182fa4f19060cfae7be9da00"),
-    CffSpec(7, 1, 2): ("found", 7, 7894, "a9b308a6a3996bfa101482b1e0ccbfd050cc918137be6dbec46b90537d51e94e"),
-    CffSpec(3, 1, 2): ("found", 3, 24, "1d52ee03dff97a7a4281b36c7fd78f73540d3a57e897d8bcf3fb720b828d2625"),
-    CffSpec(4, 0, 2): ("found", 1, 34, "9af15b336e6a9619928537df30b2e6a2376569fcf9d7e773eccede65606529a0"),
+    UniversalSpec(4, 2, 2): ("found", 5, 135, "5ace6d852cdab38f6629510bbdae086998b322e0e5e76f53f1c73a030a08e10f"),
+    UniversalSpec(5, 2, 2): ("found", 6, 1692, "84f8e5e12271d71d1ad6172a2bb7d628d9a5f2a8fbc1f7a6c60f065fae91b348"),
+    UniversalSpec(2, 1, 3): ("found", 3, 29, "6809a683cdd8563f77719218f8b0f91f2f80edd5f7a7a5f5b6c11508da38db67"),
+    UniversalSpec(6, 2, 2): ("found", 6, 10651, "be57e429aeef33c8e367f53dea8057b3ea67fa3b861c0383e1b090378686f30a"),
+    CffSpec(7, 1, 1): ("found", 5, 8953, "b2c692404ec8ea3e28d99c1973b393779bb065be182fa4f19060cfae7be9da00"),
+    CffSpec(7, 1, 2): ("found", 7, 8320, "a9b308a6a3996bfa101482b1e0ccbfd050cc918137be6dbec46b90537d51e94e"),
+    CffSpec(3, 1, 2): ("found", 3, 29, "1d52ee03dff97a7a4281b36c7fd78f73540d3a57e897d8bcf3fb720b828d2625"),
+    CffSpec(4, 0, 2): ("found", 1, 37, "9af15b336e6a9619928537df30b2e6a2376569fcf9d7e773eccede65606529a0"),
     CffSpec(4, 2, 0): ("found", 1, 37, "0ffe1abd1a08215353c233d6e009613e95eec4253832a761af28ff37ac5a150c"),
     CffSpec(10, 2, 0): ("found", 1, 2305, "d2d02ea74de2c9fab1d802db969c18d409a8663a9697977bb1c98ccdd9de4372"),
-    # Many cover masks and a final row drawn from one constraint's covers.
+    # Many candidates and a final row forced at every column, decided without
+    # a scan: the three such cases of the benchmark's oracle workload.
     UniversalSpec(16, 1, 2): ("found", 2, 163841, "67e47f8d3b8f5a8cd225b3000f6a7cd7d88c66d298c60ffbbcab2707f6ec3707"),
-    CffSpec(14, 0, 3): ("found", 1, 32770, "2e6e15a38c6fe8b624fca13be00a737947a8096fd5620795696b5b63cd7feea4"),
-    # The search-heavy cases of the benchmark's oracle workload.
-    UniversalSpec(7, 2, 2): ("found", 6, 49407, "d16b2c164978c2c3c9f3ddccf9965d605a399348caac42198d7d59689bc1a7a0"),
-    CffSpec(8, 1, 1): ("found", 5, 65345, "03d1e883f581767d48e6d3dc5a046058bbad19de3acecc95d914b8468adcd95f"),
+    CffSpec(14, 0, 3): ("found", 1, 34817, "2e6e15a38c6fe8b624fca13be00a737947a8096fd5620795696b5b63cd7feea4"),
     CffSpec(14, 2, 0): ("found", 1, 36865, "79f7928f3deb7436d6e110dfae37e8f80ea9c65f55ea84eb449895b63bc5909e"),
-    UniversalSpec(8, 2, 2): ("found", 6, 181871, "f22c7499603f1297113fc895a65dacfe87a6fc7d42c6f6e46cb3dfd64744ee12"),
+    # Two search-heavy cases of the benchmark's oracle workload, which also
+    # runs (6, 2, 2), (7, (1, 1)) and (7, (1, 2)) above, and one it does not.
+    UniversalSpec(7, 2, 2): ("found", 6, 49493, "d16b2c164978c2c3c9f3ddccf9965d605a399348caac42198d7d59689bc1a7a0"),
+    CffSpec(8, 1, 1): ("found", 5, 65822, "03d1e883f581767d48e6d3dc5a046058bbad19de3acecc95d914b8468adcd95f"),
+    UniversalSpec(8, 2, 2): ("found", 6, 182045, "f22c7499603f1297113fc895a65dacfe87a6fc7d42c6f6e46cb3dfd64744ee12"),
     # Binary d = 2 minima the block bound brings within reach: (10, 2, 2)
     # ran out of nodes at the default limit without it.
-    UniversalSpec(9, 2, 2): ("found", 6, 552808, "80a42274ad75a00542f79122d50bfcae4115ac9eeae488eb236678b6db1a3d44"),
-    UniversalSpec(10, 2, 2): ("found", 6, 1563658, "8484eda7b8b491e66decd1e7ed4b41ff7aac354c5fdf4ccca092b5adb2385a55"),
+    UniversalSpec(9, 2, 2): ("found", 6, 553158, "80a42274ad75a00542f79122d50bfcae4115ac9eeae488eb236678b6db1a3d44"),
+    UniversalSpec(10, 2, 2): ("found", 6, 1564360, "8484eda7b8b491e66decd1e7ed4b41ff7aac354c5fdf4ccca092b5adb2385a55"),
     # A ternary search, whose column pairs are read from the digits, and the
     # longest non-final scans.
-    UniversalSpec(12, 1, 3): ("found", 3, 1505752, "f8d9fc942d056b8465c796f127c444df1532843c7ad10a88ea19497ceab80709"),
-    CffSpec(8, 1, 2): ("found", 8, 1312980, "e226c58e87d753baad42cbe74e91b7baf0ae31e58c04721d25c21a54859ea232"),
+    UniversalSpec(12, 1, 3): ("found", 3, 1594325, "f8d9fc942d056b8465c796f127c444df1532843c7ad10a88ea19497ceab80709"),
+    CffSpec(8, 1, 2): ("found", 8, 1313997, "e226c58e87d753baad42cbe74e91b7baf0ae31e58c04721d25c21a54859ea232"),
     # Wider alphabets, whose column pairs and certificate rows are read from
     # base-4 and base-5 digits.
-    UniversalSpec(8, 1, 4): ("found", 4, 191151, "10997ec7711c1293d750ae51c53410654153869023353440a2e5df21946e1624"),
-    UniversalSpec(6, 1, 5): ("found", 5, 46100, "26c817ad286995572b6891e6b552b254ea1fc38b14ddc3524c4997e7562108ae"),
+    UniversalSpec(8, 1, 4): ("found", 4, 207534, "10997ec7711c1293d750ae51c53410654153869023353440a2e5df21946e1624"),
+    UniversalSpec(6, 1, 5): ("found", 5, 50786, "26c817ad286995572b6891e6b552b254ea1fc38b14ddc3524c4997e7562108ae"),
 }
 
 
@@ -365,8 +367,8 @@ def reference_blocks(index, full):
 def reference_search(spec, budget):
     """``_search_minimal`` as it was before the final row was read from the
     symbols its uncovered constraints force: every final row is found by a
-    scan of the covers of the first uncovered constraint, one node per
-    candidate scanned, each tested against the tied column pairs. Verbatim
+    scan of the covers of the first uncovered constraint, charged a node per
+    cover from ``last`` on, each tested against the tied column pairs. Verbatim
     but for its tables, which come from ``reference_tables``, its
     column-pair masks, from ``reference_pairs``, and its block bound, a
     ``bit_count`` per block of ``reference_blocks``: a child with at most
@@ -398,8 +400,8 @@ def reference_search(spec, budget):
 
     def dfs(last: int, uncovered: int, rows_left: int, tied: int) -> bool:
         """Whether rows_left more rows from ``last`` on, none decreasing a
-        ``tied`` column pair, cover ``uncovered``; each candidate scanned
-        costs a node."""
+        ``tied`` column pair, cover ``uncovered``; each scan is charged its
+        whole range before it starts."""
         # ``uncovered`` is never empty: a row leaving nothing uncovered with
         # rows to spare would end a shorter solution on this path, which the
         # previous deepening level, with the same order, ties and sound
@@ -414,27 +416,22 @@ def reference_search(spec, budget):
         if rows_left == 1:
             if first not in covers_of:
                 nodes += count
-                if nodes > limit:
-                    raise _OutOfNodes
                 bit = 1 << first
                 covers_of[first] = [i for i, mask in enumerate(cover) if mask & bit]
-            # A step per cover from ``last`` on, as far as the budget reaches.
             covers = covers_of[first]
             lo = bisect_left(covers, last)
-            stop = min(len(covers), lo + limit - nodes)
-            for k in range(lo, stop):
-                i = covers[k]
+            nodes += len(covers) - lo
+            if nodes > limit:
+                raise _OutOfNodes
+            for i in covers[lo:]:
                 if uncovered & ~cover[i] == 0 and not tied & dec[i]:
-                    nodes += k + 1 - lo
                     chosen.append(i)
                     return True
-            nodes += stop - lo
-            if stop < len(covers):
-                raise _OutOfNodes
             return False
         hi, need = max_row_for[first], uncovered.bit_count()
-        # Scanning candidate i brings nodes to base + i + 1.
-        base = nodes - last
+        nodes += hi + 1 - last
+        if nodes > limit:
+            raise _OutOfNodes
         for i in range(last, hi + 1):
             if tied & dec[i]:
                 continue
@@ -446,17 +443,10 @@ def reference_search(spec, budget):
             left = uncovered & ~cover[i]
             if rows_left <= 3 and any((left & block).bit_count() > rows_left - 1 for block in blocks):
                 continue
-            nodes = base + i + 1
-            if nodes > limit:
-                raise _OutOfNodes
             chosen.append(i)
             if dfs(i, left, rows_left - 1, tied & eq[i]):
                 return True
             chosen.pop()
-            base = nodes - i - 1
-        nodes = base + hi + 1
-        if nodes > limit:
-            raise _OutOfNodes
         return False
 
     # Universal sets start from the all-zero row, candidate 0.
@@ -703,6 +693,20 @@ class TestPinnedSearch:
             assert search(spec, budget) == expected
         assert calls == {"_scan_tables": scans, "_suffix_tables": builds, "_last_covers": builds}
 
+    def test_a_scan_the_budget_cannot_pay_is_refused_before_it_runs(self, monkeypatch):
+        # 4 candidates up front, a search node, 4 for the final row's first
+        # read of its constraint's covers and the 2 covers it would scan
+        # come to 11 nodes, so the scan's cover masks are never built.
+        spec, _, _ = FIRST_LEVEL_SCAN
+
+        def unpaid(*args):
+            raise AssertionError("a scan past the node limit built the cover masks")
+
+        with constrained_by(FIRST_LEVEL_SCAN):
+            monkeypatch.setattr(oracle, "_scan_tables", unpaid)
+            outcome = search(spec, SearchBudget(max_rows=9, node_limit=10))
+        assert (outcome.status, outcome.nodes) == ("budget_exceeded", 11)
+
     @given(table_specs())
     @example(UniversalSpec(12, 1, 3))  # 12 blocks of 3 in fields of 4 bits
     @example(CffSpec(8, 1, 2))  # 56 blocks of 3 in fields of 4 bits
@@ -747,9 +751,9 @@ class TestPinnedSearch:
             nodes,
         )
 
-    # Between them these run out of nodes at each place the search counts
-    # them: a search node, a scanned candidate, a final row's cover list, a
-    # final row's scan of it and a final row forced at every column.
+    # Between them these run out of nodes at each place the search charges
+    # them: a search node, a non-final row's scan, and a final row's covers,
+    # at a first read or a later one, scanned or forced at every column.
     @pytest.mark.parametrize(
         "spec",
         [UniversalSpec(4, 2, 2), CffSpec(5, 1, 1), UniversalSpec(3, 2, 3), CffSpec(5, 1, 2),
