@@ -109,11 +109,11 @@ def _classes(
 
 
 def _greedy_cover(
-    need: list[list[int]], size: int, weights: Sequence[int]
+    need: list[list[int]], live: int, weights: Sequence[int]
 ) -> tuple[SymbolMatrix, GreedyTrace]:
-    """Emit rows by conditional expectations until all ``size`` constraints
-    are met, where bit i of ``need[j][c]`` is set when constraint i requires
-    symbol c at column j.
+    """Emit rows by conditional expectations until the constraints of the
+    mask ``live`` are met, where bit i of ``need[j][c]`` is set when
+    constraint i requires symbol c at column j, and no padding bit is.
 
     Undecided symbols are independent, c with probability weights[c] / W for
     W = sum(weights). Each constraint has an exact numerator, over W**k for
@@ -141,18 +141,18 @@ def _greedy_cover(
 
     Each of those operations costs in proportion to the sets' width, and
     the width follows the live count: once no more than a third of the
-    width is live, ``_squeezer`` drops the met constraints from ``need``
-    and ``start``, and the classes are folded again, so bit i is then the
-    i-th live constraint. The order of the constraints is kept, so every
-    tally, tie and row is the same as at full width.
+    constraints the sets hold are live, ``_squeezer`` drops the met ones,
+    and the first time the padding, from ``need`` and ``start``, and the
+    classes are folded again, so bit i is then the i-th live constraint.
+    The order of the constraints is kept, so every tally, tie and row is
+    the same as at full width.
     """
     q = len(weights)
-    start = {1: (1 << size) - 1}
+    start = {1: live}  # live: constraints no earlier row has met
     for sets in need:
         start = _fold(start, sets, weights, (1,) * q)[0]
 
-    width = remaining = size
-    live = (1 << width) - 1  # constraints no earlier row has met
+    width = remaining = live.bit_count()
     classes = _classes(need, start, weights)
     trace_rows: list[GreedyTraceRow] = []
     while live:
@@ -227,7 +227,8 @@ def construct_cff_randomized(spec: CffSpec, seed: int, batch: int = 16) -> Symbo
 
     Always returns a verified family; the output is a pure function of
     (spec, seed, batch). For r = 0 or s = 0 the constant-row closed form is
-    returned directly.
+    returned directly. Each row clears the constraints it meets from a mask
+    that starts as ``_constraint_index``'s, which leaves out its padding.
     """
     _check_work(spec, "construct", batch)
     if batch < 1:
@@ -238,10 +239,9 @@ def construct_cff_randomized(spec: CffSpec, seed: int, batch: int = 16) -> Symbo
     n, r, s = spec.n, spec.r, spec.s
     p = r / spec.d
     rng = random.Random(seed)
-    need, size = _constraint_index(spec)
+    need, pending = _constraint_index(spec)  # pending: the constraints no row has met
     # A row misses exactly the constraints requiring the other symbol at one
     # of its columns: the union of need[j][1 - bit] over them.
-    pending = (1 << size) - 1  # constraints no row has met
 
     rows: list[bytes] = []
     for _ in range(MAX_BATCHES):

@@ -170,11 +170,12 @@ def _work(spec: UniversalSpec | CffSpec, op: str, rows: int) -> int:
     """The estimated work of ``op`` on ``spec``, an exact integer. With M
     constraints and the greedy row bound R:
 
-    * "construct": n q M index bits, built in 2**11 (an interpreter step)
-      per column and d-subset or R, and a pass over them for each of
-      max(R, ``rows``) rows; a Las Vegas run takes at least its batch, and
-      about R, and draws and records each of its ``rows`` at 2**11 a
-      column and 15 * 2**11 a row. The self-verify is checked apart.
+    * "construct": n q M index bits, with 2**11 per column and d-subset or
+      R, an interpreter step the index no longer takes, kept until the
+      estimate is refitted (ROADMAP.md, item 3); and a pass over the bits
+      for each of max(R, ``rows``) rows; a Las Vegas run takes at least its
+      batch, and about R, and draws and records each of its ``rows`` at
+      2**11 a column and 15 * 2**11 a row. The self-verify is checked apart.
     * "verify" of ``rows`` rows: if there are any, 2**14 and 2**8 a row
       for each d-subset and 2**11 for each of the q**d patterns, or 2**11
       and 1 a row for each (R, S) pair; an empty matrix is not scanned.

@@ -77,7 +77,7 @@ from typing import Literal
 
 from .core import CffSpec, SymbolMatrix, UniversalSpec, _check_work, _digits
 from .errors import ParameterError, ResourceLimitError
-from .verify import _constraint_index
+from .verify import _constraint_index, _squeezer
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,8 @@ def _layout(spec: UniversalSpec | CffSpec) -> tuple[int, list[list[int]], int]:
     order, or the C(d, r) that are 1 on R for R in ``combinations`` order.
     ``index`` is ``_constraint_index``'s for them, each field padded with
     the all-q pattern, which no row meets; ``full`` is the mask of the
-    real constraints."""
+    real constraints. Fields under a byte are squeezed out of its padding,
+    so that ``_crowding``'s SWAR counts read them side by side."""
     q, d = spec.q, spec.d
     if isinstance(spec, UniversalSpec):
         patterns = list(product(range(q), repeat=d))
@@ -216,7 +217,9 @@ def _layout(spec: UniversalSpec | CffSpec) -> tuple[int, list[list[int]], int]:
         patterns = [tuple(int(k in R) for k in range(d)) for R in combinations(range(d), spec.r)]
     g = len(patterns)
     field = 1 << (g - 1).bit_length()
-    index, size = _constraint_index(spec, patterns + [(q,) * d] * (field - g))
+    index, keep = _constraint_index(spec, patterns + [(q,) * d] * (field - g))
+    squeeze, size = _squeezer(keep), keep.bit_count()
+    index = [[squeeze(held) for held in sets] for sets in index]
     return field, index, ((1 << g) - 1) * (((1 << size) - 1) // ((1 << field) - 1))
 
 

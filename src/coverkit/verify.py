@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, filterfalse, product, repeat
+from itertools import chain, combinations, filterfalse, product, repeat
 from math import comb
 from typing import Callable, Iterable, Iterator, Literal, Union
 
@@ -298,19 +298,48 @@ def _squeezer(keep: int) -> Callable[[int], int]:
     return squeeze
 
 
+def _kinds(n: int, h: int, ranked: bool) -> Iterator[tuple[int, int, bytes]]:
+    """(lo, hi, kinds) for each column j < n: the h-subsets of range(n)
+    hold j at a position from lo to hi if at all, and byte i of ``kinds``
+    is j's kind in the i-th, in ``combinations`` order: k + 1 at position k
+    and 0 outside, or ranked, hi - lo + 2 inside and i outside, where i of
+    its elements from lo on are less than j. A kind is a sum over those
+    positions, a ``translate`` a byte plane of their elements, from the top
+    among those equal to j above; a subset holds j once, so no byte carries."""
+    # planes[k][b]: byte b of the element at position k of each subset
+    size, heads = max((n - 1).bit_length() + 7 >> 3, 1), comb(n, h)
+    raws = [bytes(chain.from_iterable(combinations([v >> 8 * b & 255 for v in range(n)], h)))
+            for b in range(size)]
+    planes = [[raw[k::h] for raw in raws] for k in range(h)]
+    # ramps[a][256 - y:512 - y]: bytes under y to ``ranked``, y to a, the rest to 0; ramps[-1]: y to 255
+    ramps = [bytes([ranked]) * 256 + bytes([a]) + bytes(255) for a in range(min(h + 2, 256))]
+    ramps.append(bytes(256) + b"\xff" + bytes(255))
+    for j in range(n):
+        lo, hi = max(0, j - n + h), min(j, h - 1)  # elements before lo are less than j, after hi more
+        kinds = 0
+        for k in range(lo, hi + 1):
+            at, equal = hi + 2 - k if ranked else k + 1, None
+            for b in reversed(range(size)):
+                x = 256 - (j >> 8 * b & 255)
+                found = int.from_bytes(planes[k][b].translate(ramps[0 if b else at][x:x + 256]), "little")
+                kinds += found if equal is None else found & equal
+                if b:
+                    found = int.from_bytes(planes[k][b].translate(ramps[-1][x:x + 256]), "little")
+                    equal = found if equal is None else equal & found
+        yield lo, hi, kinds.to_bytes(heads, "little")
+
+
 def _constraint_index(spec: UniversalSpec | CffSpec,
                       patterns: list[tuple[int, ...]] | None = None) -> tuple[list[list[int]], int]:
-    """(index, size) for the ``size`` constraints of ``spec``, where bit i
-    of ``index[j][c]`` is set when the i-th constraint its verifier scans
-    requires symbol c at column j.
+    """(index, keep), where bit i of ``index[j][c]`` is set when the i-th
+    of the constraints of ``spec`` its verifier scans, and of their byte
+    padding, requires symbol c at column j; ``keep`` masks the constraints.
 
-    The constraints come in blocks of one width: the C(n - r, s) pairs of
-    one R, or the q**d patterns of one d-subset S, and within a block each
-    column is of one kind. A column's set is one join of its kinds'
-    palette entries, block by block, and one ``int.from_bytes``; one
-    ``_squeezer`` drops the padding, and where a block is whole bytes it
-    has no stage and only masks. The columns are built one at a time, so
-    besides the index only one column's kinds and bytes are alive.
+    The constraints come in blocks, each padded to whole bytes: the
+    C(n - r, s) pairs of one R, or the q**d patterns of one d-subset S. A
+    column is of one kind in a block (``_kinds``), and its set one join of
+    its kinds' palette entries and one ``int.from_bytes``, built a column at
+    a time: besides the index, only one column's kinds and bytes are alive.
 
     Given ``patterns``, tuples of d symbols, each d-subset's block holds
     them in their order, for either family: a cover-free (R, S) is the
@@ -319,33 +348,30 @@ def _constraint_index(spec: UniversalSpec | CffSpec,
     column's sets hold.
     """
     n, q = spec.n, spec.q
-    if patterns is not None or isinstance(spec, UniversalSpec):
-        d = spec.d
-        heads = list(combinations(range(n), d))
-        # kind k < d: at S[k], symbol k of each pattern; kind d: not in S
-        blocks = [bytes(p[k] for p in patterns or product(range(q), repeat=d)) for k in range(d)]
-        blocks.append(bytes([q]) * len(blocks[0]))
-        kinds = ([S.index(j) if j in S else d for S in heads] for j in range(n))
+    by_pattern = patterns is not None or isinstance(spec, UniversalSpec)
+    if by_pattern:
+        h = spec.d
+        # kind 0: not in S; kind k + 1: at S[k], symbol k of each pattern
+        blocks = [bytes(p[k] for p in patterns or product(range(q), repeat=h)) for k in range(h)]
+        blocks.insert(0, bytes([q]) * len(blocks[0]))
     else:
-        r, s = spec.r, spec.s
-        heads = list(combinations(range(n), r))
-        rest = range(n - r)
+        h, s, rest = spec.r, spec.s, n - spec.r
         # kind t < n - r: the t-th column outside R, 0 where it is in S; kind n - r: in R
-        blocks = [bytes(0 if t in S else q for S in combinations(rest, s)) for t in rest]
-        blocks.append(b"\1" * comb(n - r, s))
-        kinds = ([n - r if j in R else j - bisect_left(R, j) for R in heads] for j in range(n))
+        blocks = [kinds.translate(bytes([q]) + bytes(255)) for _, _, kinds in _kinds(rest, s, False)]
+        blocks.append(b"\1" * comb(rest, s))
     kind_sets, block = _column_index(q, blocks)
     width = -(-block // 8)
     # palettes[c][kind]: the kind's set for symbol c over one block, in whole bytes
     palettes = [[sets[c].to_bytes(width, "little") for sets in kind_sets] for c in range(q)]
-    keep = ((1 << block) - 1).to_bytes(width, "little") * len(heads)  # not the padding
-    squeeze = _squeezer(int.from_bytes(keep, "little"))
-    index = [
-        [squeeze(int.from_bytes(b"".join(map(palette.__getitem__, column)), "little"))
-         for palette in palettes]
-        for column in kinds
-    ]
-    return index, block * len(heads)
+    index = []
+    for j, (lo, hi, kinds) in enumerate(_kinds(n, h, not by_pattern)):
+        # ranked kind i is the rank j - lo - i outside R, and hi - lo + 2 in R
+        column = palettes if by_pattern else [
+            [palette[t] if 0 <= t < rest else None for t in range(j - lo, j - hi - 2, -1)] + palette[-1:]
+            for palette in palettes]
+        index.append([int.from_bytes(b"".join(map(palette.__getitem__, kinds)), "little")
+                      for palette in column])
+    return index, int.from_bytes(((1 << block) - 1).to_bytes(width, "little") * comb(n, h), "little")
 
 
 def _missing_cff(m: SymbolMatrix, spec: CffSpec) -> Iterator[Missed]:

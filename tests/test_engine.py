@@ -59,16 +59,24 @@ def reference_greedy_cover(n, requirements, weights):
     return SymbolMatrix(n=n, q=q, rows=tuple(rows)), GreedyTrace(tuple(trace_rows))
 
 
-def greedy_cover(n, requirements, weights):
+def greedy_cover(n, requirements, weights, gaps=None):
     """``_greedy_cover`` on constraints given as lists of (column, symbol)
-    requirements, passed to it as one byte per constraint at each column:
-    the symbol required there, or q for none."""
+    requirements, passed to it as one byte per item at each column: the
+    symbol required there, or q for none. With ``gaps``, one more than the
+    constraints, gaps[i] items of padding, which require nothing and which
+    the mask of live constraints leaves out, come before constraint i, and
+    gaps[-1] after the last."""
     q = len(weights)
-    columns = [bytearray([q]) * len(requirements) for _ in range(n)]
-    for i, reqs in enumerate(requirements):
+    gaps = gaps or [0] * (len(requirements) + 1)
+    columns = [bytearray([q]) * (len(requirements) + sum(gaps)) for _ in range(n)]
+    live = at = 0
+    for reqs, gap in zip(requirements, gaps):
+        at += gap
+        live |= 1 << at
         for j, c in reqs:
-            columns[j][i] = c
-    return _greedy_cover(*_column_index(q, columns), weights)
+            columns[j][at] = c
+        at += 1
+    return _greedy_cover(_column_index(q, columns)[0], live, weights)
 
 
 @st.composite
@@ -87,6 +95,14 @@ def engine_inputs(draw):
     return n, requirements, weights
 
 
+@st.composite
+def padded_inputs(draw):
+    """``engine_inputs`` and 0-9 items of padding around each constraint."""
+    n, requirements, weights = draw(engine_inputs())
+    gaps = draw(st.lists(st.integers(0, 9), min_size=len(requirements) + 1, max_size=len(requirements) + 1))
+    return n, requirements, weights, gaps
+
+
 class TestAgainstReference:
     @given(engine_inputs())
     @example((3, [], (1, 1)))
@@ -98,6 +114,14 @@ class TestAgainstReference:
         assert greedy_cover(n, requirements, weights) == reference_greedy_cover(
             n, requirements, weights
         )
+
+    @given(padded_inputs())
+    @example((2, [[(0, 1)], [(0, 0)], [(1, 1), (0, 0)]], (1, 3), [7, 0, 9, 5]))
+    @settings(deadline=None)
+    def test_padding_changes_no_row_or_trace(self, case):
+        # The first compaction drops the padding with the met constraints.
+        n, requirements, weights, gaps = case
+        assert greedy_cover(n, requirements, weights, gaps) == greedy_cover(n, requirements, weights)
 
     def test_ties_go_to_the_smallest_symbol(self):
         # Symbols 0 and 1 tie at column 0 and at column 1.

@@ -1,6 +1,7 @@
 """The (column, symbol) index against the per-requirement builder it
 replaced, kept here as the definitional reference: one list append per
-requirement, in the verifiers' scan order."""
+requirement, in the verifiers' scan order. The constraint index is padded
+to whole bytes a block, so it is compared with its padding dropped."""
 
 import tracemalloc
 from itertools import combinations, product
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from coverkit import CffSpec, SymbolMatrix, UniversalSpec
 from coverkit.core import MAX_ALPHABET
-from coverkit.verify import _column_index, _columns, _constraint_index
+from coverkit.verify import _column_index, _columns, _constraint_index, _squeezer
 
 
 def reference_column_index(n, q, items):
@@ -31,6 +32,15 @@ def reference_column_index(n, q, items):
         return int(flags.translate(bytes.maketrans(b"\0\1", b"01"))[::-1], 2) if size else 0
 
     return [[bitset(held) for held in column] for column in members], size
+
+
+def packed_index(spec):
+    """``_constraint_index(spec)`` as (index, size) with its padding dropped
+    by the mask it returns, once no set is found to hold a bit outside it."""
+    index, keep = _constraint_index(spec)
+    assert not any(held & ~keep for sets in index for held in sets)
+    squeeze = _squeezer(keep)
+    return [[squeeze(held) for held in sets] for sets in index], keep.bit_count()
 
 
 def cff_requirements(n, r, s):
@@ -65,7 +75,7 @@ class TestAgainstReference:
             for s in range(n - r + 1):
                 if r + s:
                     expected = reference_column_index(n, 2, cff_requirements(n, r, s))
-                    assert _constraint_index(CffSpec(n, r, s)) == expected, (r, s)
+                    assert packed_index(CffSpec(n, r, s)) == expected, (r, s)
 
     @given(universal_specs())
     @example((1, 1, 2))
@@ -75,7 +85,7 @@ class TestAgainstReference:
     def test_universal(self, case):
         n, d, q = case
         expected = reference_column_index(n, q, universal_requirements(n, d, q))
-        assert _constraint_index(UniversalSpec(n, d, q)) == expected
+        assert packed_index(UniversalSpec(n, d, q)) == expected
 
     @given(st.data())
     @settings(deadline=None)
@@ -92,11 +102,11 @@ def test_an_index_is_built_one_column_at_a_time():
     # times the finished index, which takes 80 ints of 548,340 bits.
     tracemalloc.start()
     try:
-        _, size = _constraint_index(CffSpec(40, 2, 2))
+        _, keep = _constraint_index(CffSpec(40, 2, 2))
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert size == 548_340
+    assert keep.bit_count() == 548_340
     assert peak < 2 * held
 
 
@@ -137,11 +147,21 @@ def requirements(spec):
 @pytest.mark.parametrize("spec", BLOCK_SPECS, ids=str)
 def test_blocks_of_every_width_mod_8(spec):
     expected = reference_column_index(spec.n, spec.q, requirements(spec))
-    assert _constraint_index(spec) == expected
+    assert packed_index(spec) == expected
 
 
 def test_a_palette_of_300_kinds():
     # (300, (1, 1)) has 299 ranks outside R and one kind in R, more than a
     # byte per block can name.
     spec = CffSpec(300, 1, 1)
-    assert _constraint_index(spec) == reference_column_index(300, 2, requirements(spec))
+    assert packed_index(spec) == reference_column_index(300, 2, requirements(spec))
+
+
+@pytest.mark.parametrize("spec", [
+    # palette blocks over the 2-subsets of 257 ranks, some of them >= 256
+    CffSpec(257, 0, 2),
+    # heads whose elements reach 259, two bytes each
+    UniversalSpec(260, 2, 2),
+], ids=str)
+def test_elements_past_a_byte(spec):
+    assert packed_index(spec) == reference_column_index(spec.n, spec.q, requirements(spec))

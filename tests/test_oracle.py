@@ -255,8 +255,8 @@ def test_the_cover_bound_is_the_most_constraints_a_cover_mask_meets(n, q):
     if q == 2:
         specs += [CffSpec(n, r, s) for r in range(n + 1) for s in range(n + 1 - r) if r + s]
     for spec in specs:
-        index, size = _constraint_index(spec)
-        assert _cover_bound(spec) == max(map(int.bit_count, _scan_tables(index, (1 << size) - 1))), spec
+        index, keep = _constraint_index(spec)
+        assert _cover_bound(spec) == max(map(int.bit_count, _scan_tables(index, keep))), spec
 
 
 def reference_pairs(n, q):
@@ -599,8 +599,8 @@ def test_the_layout_holds_each_requirement_once(spec):
     assert all(len(set(block)) == len(block) for block in laid)
     assert field == 1 << (max(map(len, laid)) - 1).bit_length()
     assert not any(held & ~full for sets in index for held in sets)
-    raw, size = _constraint_index(spec)
-    assert sorted(needs for block in laid for needs in block) == requirements(raw, (1 << size) - 1)
+    raw, keep = _constraint_index(spec)
+    assert sorted(needs for block in laid for needs in block) == requirements(raw, keep)
 
 
 @pytest.mark.parametrize("spec,layout", [
