@@ -25,6 +25,10 @@ from .verify import Verdict, _constraint_index, _squeezer, verify_cff
 # Las Vegas batch cap; hitting it means the spec is far beyond desk scale.
 MAX_BATCHES = 10_000
 
+# The fewest live constraints ``_greedy_cover`` compacts its sets to; from
+# 256 to 1024 the construct grid's greedy loops took about the same time.
+_COMPACT_FLOOR = 640
+
 CffMethod = Literal["derandomized", "randomized", "sperner_where_applicable"]
 
 CFF_METHODS = get_args(CffMethod)
@@ -108,6 +112,12 @@ def _classes(
     return classes
 
 
+def _drops(need: list[list[int]]) -> list[list[int]]:
+    """drops[j][c]: the union of the sets ``need[j]`` holds for symbols
+    other than c; at q = 2 the other set itself, so no int is added."""
+    return [sets[::-1] if len(sets) == 2 else [sum(sets) ^ s for s in sets] for sets in need]
+
+
 def _greedy_cover(
     need: list[list[int]], live: int, weights: Sequence[int]
 ) -> tuple[SymbolMatrix, GreedyTrace]:
@@ -134,7 +144,8 @@ def _greedy_cover(
     keeps one mask, ``consistent``, which starts as the live set: column
     j's gain for c is the sum of ``classes[j][c]`` at x = ``consistent``,
     and fixing the column to c drops the members of the other ``need[j]``
-    sets. Once every column is decided, ``consistent`` is what the row met.
+    sets, their union ``drops[j][c]`` (``_drops``), in one AND and XOR.
+    Once every column is decided, ``consistent`` is what the row met.
     The chosen symbol never lowers the sum of the numerators, so a row
     meets a live constraint unless one requires two symbols at a column; a
     row that meets none would repeat forever, so it raises AssertionError.
@@ -143,9 +154,12 @@ def _greedy_cover(
     the width follows the live count: once no more than a third of the
     constraints the sets hold are live, ``_squeezer`` drops the met ones,
     and the first time the padding, from ``need`` and ``start``, and the
-    classes are folded again, so bit i is then the i-th live constraint.
-    The order of the constraints is kept, so every tally, tie and row is
-    the same as at full width.
+    classes and drop sets are built again, so bit i is then the i-th live
+    constraint. Under ``_COMPACT_FLOOR`` live constraints it stops: a
+    big-int operation there costs about its interpreter step whatever the
+    width, so a compaction, n * q squeezes and a fold, saves the rows after
+    it less than it costs. The order of the constraints is kept, so every
+    tally, tie and row is the same as at full width.
     """
     q = len(weights)
     start = {1: live}  # live: constraints no earlier row has met
@@ -153,12 +167,12 @@ def _greedy_cover(
         start = _fold(start, sets, weights, (1,) * q)[0]
 
     width = remaining = live.bit_count()
-    classes = _classes(need, start, weights)
+    classes, drops = _classes(need, start, weights), _drops(need)
     trace_rows: list[GreedyTraceRow] = []
     while live:
         consistent = live
         row = []
-        for sets, column in zip(need, classes):
+        for drop, column in zip(drops, classes):
             best, best_gain = 0, -1
             for c, pairs in enumerate(column):
                 gain = 0
@@ -167,24 +181,22 @@ def _greedy_cover(
                 if gain > best_gain:
                     best, best_gain = c, gain
             row.append(best)
-            for c, s in enumerate(sets):
-                if c != best:
-                    consistent ^= consistent & s
+            consistent ^= consistent & drop[best]
         count = consistent.bit_count()
         if not count:
             raise AssertionError(f"row {row} meets none of the {remaining} constraints left")
         live ^= consistent
         remaining -= count
         trace_rows.append(GreedyTraceRow(tuple(row), count, remaining))
-        if remaining and remaining * 3 <= width:
-            # The old classes are freed before the new ones are folded.
-            del classes
+        if remaining >= _COMPACT_FLOOR and remaining * 3 <= width:
+            # The old classes and drop sets are freed before the new ones are built.
+            del classes, drops
             squeeze = _squeezer(live)
             need = [[squeeze(s) for s in sets] for sets in need]
             start = {v: squeeze(s) for v, s in start.items()}
             width = remaining
             live = (1 << width) - 1
-            classes = _classes(need, start, weights)
+            classes, drops = _classes(need, start, weights), _drops(need)
     rows = tuple(rec.row for rec in trace_rows)
     return SymbolMatrix(n=len(need), q=q, rows=rows), GreedyTrace(tuple(trace_rows))
 

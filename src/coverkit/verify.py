@@ -337,9 +337,12 @@ def _constraint_index(spec: UniversalSpec | CffSpec,
 
     The constraints come in blocks, each padded to whole bytes: the
     C(n - r, s) pairs of one R, or the q**d patterns of one d-subset S. A
-    column is of one kind in a block (``_kinds``), and its set one join of
-    its kinds' palette entries and one ``int.from_bytes``, built a column at
-    a time: besides the index, only one column's kinds and bytes are alive.
+    column is of one kind in a block (``_kinds``), and its set its kinds'
+    palette entries, w bytes each, in one ``int.from_bytes``, built a
+    column at a time: besides the index, only one column's kinds and bytes
+    are alive. The entries are joined, a step per head, or, for narrow
+    entries and many heads (``_translates``), byte o of all of them is one
+    ``kinds.translate`` of the entries' bytes o, written to ``out[o::w]``.
 
     Given ``patterns``, tuples of d symbols, each d-subset's block holds
     them in their order, for either family: a cover-free (R, S) is the
@@ -363,15 +366,30 @@ def _constraint_index(spec: UniversalSpec | CffSpec,
     width = -(-block // 8)
     # palettes[c][kind]: the kind's set for symbol c over one block, in whole bytes
     palettes = [[sets[c].to_bytes(width, "little") for sets in kind_sets] for c in range(q)]
-    index = []
+    heads, index = comb(n, h), []
     for j, (lo, hi, kinds) in enumerate(_kinds(n, h, not by_pattern)):
         # ranked kind i is the rank j - lo - i outside R, and hi - lo + 2 in R
         column = palettes if by_pattern else [
-            [palette[t] if 0 <= t < rest else None for t in range(j - lo, j - hi - 2, -1)] + palette[-1:]
-            for palette in palettes]
-        index.append([int.from_bytes(b"".join(map(palette.__getitem__, kinds)), "little")
-                      for palette in column])
-    return index, int.from_bytes(((1 << block) - 1).to_bytes(width, "little") * comb(n, h), "little")
+            [palette[t] if 0 <= t < rest else bytes(width) for t in range(j - lo, j - hi - 2, -1)]
+            + palette[-1:] for palette in palettes]
+        if _translates(width, heads):
+            sets = []
+            for palette in column:
+                flat, out = b"".join(palette), bytearray(heads * width)
+                for o in range(width):
+                    out[o::width] = kinds.translate(flat[o::width].ljust(256, b"\0"))
+                sets.append(int.from_bytes(out, "little"))
+        else:
+            sets = [int.from_bytes(b"".join(map(palette.__getitem__, kinds)), "little") for palette in column]
+        index.append(sets)
+    return index, int.from_bytes(((1 << block) - 1).to_bytes(width, "little") * heads, "little")
+
+
+def _translates(width: int, heads: int) -> bool:
+    """Whether ``_constraint_index`` translates a column's ``heads`` kinds
+    per byte of its ``width``-byte palette entries rather than join them;
+    on single sets the join won at 29 bytes and under 16 heads a byte."""
+    return width <= 8 and heads > 32 * width
 
 
 def _missing_cff(m: SymbolMatrix, spec: CffSpec) -> Iterator[Missed]:

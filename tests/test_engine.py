@@ -4,13 +4,20 @@ the engine's squeeze against a gather of one bit at a time."""
 
 import random
 from itertools import combinations, compress, product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coverkit import CffSpec, SymbolMatrix, construct_cff_randomized
+from coverkit import (CffSpec, SymbolMatrix, UniversalSpec, construct_cff_derandomized, construct_cff_randomized,
+                      construct_universal_greedy)
+from coverkit import cff
 from coverkit.cff import MAX_BATCHES, GreedyTrace, GreedyTraceRow, _greedy_cover, _squeezer
 from coverkit.verify import _column_index
+
+# The reference tests take at least 150 examples, and the profile's budget
+# where it is larger: 2,000 under --hypothesis-profile=thorough.
+REFERENCE_EXAMPLES = max(150, settings.default.max_examples)
 
 
 def reference_greedy_cover(n, requirements, weights):
@@ -108,20 +115,26 @@ class TestAgainstReference:
     @example((3, [], (1, 1)))
     @example((2, [[(0, 1)], [(0, 0)], [(1, 1), (0, 0)]], (1, 3)))
     @example((3, [[(0, 2), (1, 0)], [(2, 1)], [(1, 1), (2, 2), (0, 0)]], (2, 1, 1)))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=REFERENCE_EXAMPLES, deadline=None)
     def test_same_rows_and_trace(self, case):
+        # At the floor's default these never compact, and at a floor of 1
+        # they compact as often as the rule allows.
         n, requirements, weights = case
-        assert greedy_cover(n, requirements, weights) == reference_greedy_cover(
-            n, requirements, weights
-        )
+        expected = reference_greedy_cover(n, requirements, weights)
+        for floor in (cff._COMPACT_FLOOR, 1):
+            with patch.object(cff, "_COMPACT_FLOOR", floor):
+                assert greedy_cover(n, requirements, weights) == expected
 
     @given(padded_inputs())
     @example((2, [[(0, 1)], [(0, 0)], [(1, 1), (0, 0)]], (1, 3), [7, 0, 9, 5]))
     @settings(deadline=None)
     def test_padding_changes_no_row_or_trace(self, case):
-        # The first compaction drops the padding with the met constraints.
+        # Under the floor the padding stays; past it, the first compaction
+        # drops it with the met constraints.
         n, requirements, weights, gaps = case
-        assert greedy_cover(n, requirements, weights, gaps) == greedy_cover(n, requirements, weights)
+        for floor in (cff._COMPACT_FLOOR, 1):
+            with patch.object(cff, "_COMPACT_FLOOR", floor):
+                assert greedy_cover(n, requirements, weights, gaps) == greedy_cover(n, requirements, weights)
 
     def test_ties_go_to_the_smallest_symbol(self):
         # Symbols 0 and 1 tie at column 0 and at column 1.
@@ -158,15 +171,17 @@ class TestWideAlphabets:
         )
 
 
-def compactions(trace, size):
-    """How often ``_greedy_cover`` squeezes its sets on the way to
-    ``trace``: whenever a row leaves at most a third of the width unmet,
-    which then becomes the width."""
-    width, count = size, 0
-    for rec in trace.rows:
-        if rec.remaining and rec.remaining * 3 <= width:
-            width, count = rec.remaining, count + 1
-    return count
+def compacted(build):
+    """What ``build()`` returns, and the width each compaction of
+    ``_greedy_cover`` squeezed its sets to: the live constraints it kept."""
+    widths = []
+
+    def squeezer(keep):
+        widths.append(keep.bit_count())
+        return _squeezer(keep)
+
+    with patch.object(cff, "_squeezer", squeezer):
+        return build(), widths
 
 
 @st.composite
@@ -178,8 +193,9 @@ def compacting_inputs(draw):
     constraints, and there are at least 12 * m, for a column set has at
     least 12 patterns: 3 columns at q = 3, 2 at q = 4. The first row to
     leave at most a third of them unmet therefore leaves more than 3 * m:
-    it compacts, and so does the first row to leave at most a third of
-    those, which leaves at least one.
+    with no floor on the width, it compacts, and so does the first row to
+    leave at most a third of those, which leaves at least one. They are
+    fewer than ``_COMPACT_FLOOR``, so the tests lower it.
     """
     n = draw(st.integers(6, 8))
     q = draw(st.integers(3, 4))
@@ -212,9 +228,19 @@ class TestCompaction:
     @settings(max_examples=50, deadline=None)
     def test_same_rows_and_trace_across_compactions(self, case):
         n, requirements, weights = case
-        expected = reference_greedy_cover(n, requirements, weights)
-        assert compactions(expected[1], len(requirements)) >= 2
-        assert greedy_cover(n, requirements, weights) == expected
+        with patch.object(cff, "_COMPACT_FLOOR", 1):
+            built, widths = compacted(lambda: greedy_cover(n, requirements, weights))
+        assert len(widths) >= 2
+        assert built == reference_greedy_cover(n, requirements, weights)
+
+    @pytest.mark.parametrize("build, widths", [
+        (lambda: construct_cff_derandomized(CffSpec(24, 2, 2)), [19294, 6007, 1972]),
+        (lambda: construct_universal_greedy(UniversalSpec(16, 4, 2)), [9290, 2902, 946]),
+    ], ids=["derandomized-24-2-2", "greedy-16-4-2"])
+    def test_the_widths_compacted_to(self, build, widths):
+        # Each width is the first live count at most a third of the last,
+        # down to the floor: the next would be 633 and 275 constraints.
+        assert compacted(build)[1] == widths
 
 
 def gather(x, keep):
@@ -287,7 +313,7 @@ def las_vegas_inputs(draw):
 
 class TestLasVegasAgainstReference:
     @given(las_vegas_inputs())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=REFERENCE_EXAMPLES, deadline=None)
     def test_same_rows(self, case):
         spec, seed, batch = case
         built = construct_cff_randomized(spec, seed, batch)
