@@ -21,12 +21,14 @@ from .errors import AlphabetError, ParameterError, ResourceLimitError
 # File format and repr encode one symbol per character; q is capped where
 # the digit alphabet ends. _ENCODE maps a symbol's byte to its digit's,
 # _DECODE a digit's byte to its symbol's and any other byte to 255, and
-# _SYMBOLS[:q] holds the symbols below q.
+# _SYMBOLS[:q] holds the symbols below q. _ONE_AT[c] maps byte c to the
+# binary digit "1" and every other byte to "0".
 SYMBOL_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 MAX_ALPHABET = len(SYMBOL_DIGITS)
 _SYMBOLS = bytes(range(MAX_ALPHABET))
 _ENCODE = SYMBOL_DIGITS.encode().ljust(256)
 _DECODE = bytes(SYMBOL_DIGITS.find(chr(b)) & 255 for b in range(256))
+_ONE_AT = [bytes(48 + (b == c) for b in range(256)) for c in range(MAX_ALPHABET)]
 
 # In ``_work``'s units, about a bit operation of big-integer arithmetic each,
 # 2**35 is a few seconds; 2**20 more admits 2**24 patterns on a few rows.

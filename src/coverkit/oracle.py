@@ -54,13 +54,7 @@ on, whether or not it scans them. A search never returns a wrong answer;
 see ``SearchOutcome``.
 
 Every table, mask and set of uncovered constraints a search keeps numbers
-the constraints one way (``_layout``): a constraint is a d-subset of
-columns and a pattern on it, and each d-subset's patterns, its conflict
-block, fill a field of a power of two bits, so a block's count is a SWAR
-sum. That is Lemma 1 read per constraint: a binary matrix is
-(n, d)-universal just when it is (n, (i, d - i))-cover-free for every i,
-so the (R, S) pairs of an (r, s) family are the weight-r patterns, 1 on R
-and 0 on S, of the d-subsets R | S. The coverage bound is a closed form
+the constraints one way, ``_layout``'s. The coverage bound is a closed form
 (``_cover_bound``), so the cover masks are built only where something
 reads them: the suffix tables that only non-final rows read, built before
 the first level with one, or a final row that must scan its candidates.
@@ -75,9 +69,8 @@ from itertools import combinations, compress, pairwise, product
 from math import comb
 from typing import Literal
 
-from .core import CffSpec, SymbolMatrix, UniversalSpec, _check_work, _digits
+from .core import _ONE_AT, CffSpec, SymbolMatrix, UniversalSpec, _check_work, _digits
 from .errors import ParameterError, ResourceLimitError
-from .verify import _constraint_index, _squeezer
 
 
 @dataclass(frozen=True)
@@ -202,25 +195,36 @@ def _suffix_tables(cover: list[int], last: list[int]) -> tuple[list[int], list[i
 
 
 def _layout(spec: UniversalSpec | CffSpec) -> tuple[int, list[list[int]], int]:
-    """(F, index, full): the constraints of ``spec`` as (d-subset, pattern)
-    pairs, each d-subset, in ``combinations`` order, in a field of F bits,
-    the power of two at or above its g patterns: the q**d in ``product``
-    order, or the C(d, r) that are 1 on R for R in ``combinations`` order.
-    ``index`` is ``_constraint_index``'s for them, each field padded with
-    the all-q pattern, which no row meets; ``full`` is the mask of the
-    real constraints. Fields under a byte are squeezed out of its padding,
-    so that ``_crowding``'s SWAR counts read them side by side."""
-    q, d = spec.q, spec.d
-    if isinstance(spec, UniversalSpec):
-        patterns = list(product(range(q), repeat=d))
-    else:
-        patterns = [tuple(int(k in R) for k in range(d)) for R in combinations(range(d), spec.r)]
-    g = len(patterns)
-    field = 1 << (g - 1).bit_length()
-    index, keep = _constraint_index(spec, patterns + [(q,) * d] * (field - g))
-    squeeze, size = _squeezer(keep), keep.bit_count()
-    index = [[squeeze(held) for held in sets] for sets in index]
-    return field, index, ((1 << g) - 1) * (((1 << size) - 1) // ((1 << field) - 1))
+    """(F, index, full): bit i of ``index[j][c]`` is set when constraint i
+    of ``spec`` requires symbol c at column j, and ``full`` masks the real
+    constraints.
+
+    A constraint is a d-subset of columns and a pattern on it. Each
+    d-subset, in ``combinations`` order, takes a field of F bits, the power
+    of two at or above its g patterns, which fill its low g bits. A field
+    is a conflict block, so its count is a SWAR sum (``_crowding``). The
+    patterns are the q**d in ``product`` order, or the C(d, r) that are 1
+    on R for R in ``combinations`` order. That is Lemma 1 read per
+    constraint: a binary matrix is (n, d)-universal just when it is
+    (n, (i, d - i))-cover-free for every i, so the (R, S) pairs of an
+    (r, s) family are the weight-r patterns of the d-subsets R | S."""
+    n, q, d = spec.n, spec.q, spec.d
+    patterns = (list(product(range(q), repeat=d)) if isinstance(spec, UniversalSpec) else
+                [tuple(int(k in R) for k in range(d)) for R in combinations(range(d), spec.r)])
+    field = 1 << (len(patterns) - 1).bit_length()
+    # masks[k][c]: the patterns of a field holding c at position k, read
+    # from their symbols there as binary digits, pattern 0 last
+    masks = [[int(symbols[::-1].translate(_ONE_AT[c]), 2) for c in range(q)]
+             for symbols in map(bytes, zip(*patterns))]
+    # feet[j][k]: a 1 at the foot of the field of each d-subset holding j at
+    # k; foot: the next d-subset's, and at the end one past the last
+    feet, foot = [[0] * d for _ in range(n)], 1
+    for subset in combinations(range(n), d):
+        for k, j in enumerate(subset):
+            feet[j][k] |= foot
+        foot <<= field
+    index = [[sum(mask[c] * ones for mask, ones in zip(masks, column)) for c in range(q)] for column in feet]
+    return field, index, ((1 << len(patterns)) - 1) * ((foot - 1) // ((1 << field) - 1))
 
 
 def _crowding(field: int, width: int, most: int) -> tuple[int, list[tuple[int, int]], list[int], int]:

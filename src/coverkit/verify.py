@@ -25,7 +25,7 @@ from itertools import chain, combinations, filterfalse, product, repeat
 from math import comb
 from typing import Callable, Iterable, Iterator, Literal, Union
 
-from .core import MAX_ALPHABET, CffSpec, SymbolMatrix, UniversalSpec, _check_work, _digits, _num_constraints
+from .core import _ONE_AT, CffSpec, SymbolMatrix, UniversalSpec, _check_work, _digits, _num_constraints
 from .errors import AlphabetError, ParameterError
 
 
@@ -239,10 +239,6 @@ def _window_length(n: int, d: int, q: int, rows: int) -> int:
     return length
 
 
-# _ONE_AT[c] maps byte c to the digit "1" and every other byte to "0".
-_ONE_AT = [bytes(48 + (b == c) for b in range(256)) for c in range(MAX_ALPHABET)]
-
-
 def _column_index(q: int, columns: Iterable[bytes]) -> tuple[list[list[int]], int]:
     """(index, size) for ``size`` items, where bit i of the int
     ``index[j][c]`` is set when byte i of the j-th of ``columns`` is c.
@@ -329,8 +325,7 @@ def _kinds(n: int, h: int, ranked: bool) -> Iterator[tuple[int, int, bytes]]:
         yield lo, hi, kinds.to_bytes(heads, "little")
 
 
-def _constraint_index(spec: UniversalSpec | CffSpec,
-                      patterns: list[tuple[int, ...]] | None = None) -> tuple[list[list[int]], int]:
+def _constraint_index(spec: UniversalSpec | CffSpec) -> tuple[list[list[int]], int]:
     """(index, keep), where bit i of ``index[j][c]`` is set when the i-th
     of the constraints of ``spec`` its verifier scans, and of their byte
     padding, requires symbol c at column j; ``keep`` masks the constraints.
@@ -343,19 +338,13 @@ def _constraint_index(spec: UniversalSpec | CffSpec,
     are alive. The entries are joined, a step per head, or, for narrow
     entries and many heads (``_translates``), byte o of all of them is one
     ``kinds.translate`` of the entries' bytes o, written to ``out[o::w]``.
-
-    Given ``patterns``, tuples of d symbols, each d-subset's block holds
-    them in their order, for either family: a cover-free (R, S) is the
-    d-subset R | S with the pattern 1 on R and 0 on S (Lemma 1). The
-    symbol q requires nothing, so the all-q pattern is padding that no
-    column's sets hold.
     """
     n, q = spec.n, spec.q
-    by_pattern = patterns is not None or isinstance(spec, UniversalSpec)
+    by_pattern = isinstance(spec, UniversalSpec)
     if by_pattern:
         h = spec.d
         # kind 0: not in S; kind k + 1: at S[k], symbol k of each pattern
-        blocks = [bytes(p[k] for p in patterns or product(range(q), repeat=h)) for k in range(h)]
+        blocks = [bytes(p[k] for p in product(range(q), repeat=h)) for k in range(h)]
         blocks.insert(0, bytes([q]) * len(blocks[0]))
     else:
         h, s, rest = spec.r, spec.s, n - spec.r

@@ -34,11 +34,10 @@ def reference_column_index(n, q, items):
     return [[bitset(held) for held in column] for column in members], size
 
 
-def packed_index(spec, patterns=None):
-    """``_constraint_index(spec, patterns)`` as (index, size) with its
-    padding dropped by the mask it returns, once no set is found to hold a
-    bit outside it."""
-    index, keep = _constraint_index(spec, patterns)
+def packed_index(spec):
+    """``_constraint_index(spec)`` as (index, size) with its padding dropped
+    by the mask it returns, once no set is found to hold a bit outside it."""
+    index, keep = _constraint_index(spec)
     assert not any(held & ~keep for sets in index for held in sets)
     squeeze = _squeezer(keep)
     return [[squeeze(held) for held in sets] for sets in index], keep.bit_count()
@@ -60,70 +59,46 @@ def universal_requirements(n, d, q):
             yield zip(S, pattern)
 
 
-def pattern_requirements(n, d, q, patterns):
-    """Each d-subset's ``patterns`` in their order, subsets in
-    lexicographic order; the symbol q requires nothing."""
-    for S in combinations(range(n), d):
-        for pattern in patterns:
-            yield [(j, c) for j, c in zip(S, pattern) if c < q]
-
-
-def layout_patterns(spec):
-    """The patterns of ``oracle._layout``'s fields: the q**d of a universal
-    spec, or the C(d, r) that are 1 on R, then the all-q pattern up to a
-    power of two."""
-    q, d = spec.q, spec.d
-    if isinstance(spec, UniversalSpec):
-        patterns = list(product(range(q), repeat=d))
-    else:
-        patterns = [tuple(int(k in R) for k in range(d)) for R in combinations(range(d), spec.r)]
-    return patterns + [(q,) * d] * ((1 << (len(patterns) - 1).bit_length()) - len(patterns))
-
-
-# (spec, patterns) on both sides of ``_translates``: at q = 2 to 6, palette
-# entries of 1 to 9 bytes, few heads and many, the oracle's layouts, and
-# heads whose elements pass a byte. The comments give (entry bytes, heads).
+# Specs on both sides of ``_translates``: at q = 2 to 6, palette entries of
+# 1 to 33 bytes, few heads and many, either side of the rule at 1 and 2
+# bytes, and heads whose elements pass a byte. The comments give (entry
+# bytes, heads).
 FORM_CASES = [
-    (UniversalSpec(12, 3, 2), None),  # (1, 220)
-    (UniversalSpec(5, 3, 2), None),  # (1, 10)
-    (CffSpec(20, 3, 1), None),  # (3, 1,140), ranked palettes
-    (CffSpec(50, 2, 1), None),  # (6, 1,225)
-    (CffSpec(10, 3, 3), None),  # (5, 120)
-    (CffSpec(70, 2, 1), None),  # (9, 2,415)
-    (CffSpec(260, 1, 1), None),  # (33, 260), elements up to 259
-    (UniversalSpec(14, 3, 3), None),  # (4, 364)
-    (UniversalSpec(6, 3, 3), None),  # (4, 20)
-    (UniversalSpec(12, 2, 4), None),  # (2, 66)
-    (UniversalSpec(14, 3, 4), None),  # (8, 364)
-    (UniversalSpec(11, 3, 4), None),  # (8, 165)
-    (UniversalSpec(20, 2, 5), None),  # (4, 190)
-    (UniversalSpec(7, 3, 5), None),  # (16, 35)
-    (UniversalSpec(20, 2, 6), None),  # (5, 190)
-    (UniversalSpec(8, 2, 6), None),  # (5, 28)
-    (UniversalSpec(30, 2, 9), None),  # (11, 435)
-    (UniversalSpec(300, 1, 9), None),  # (2, 300), elements up to 299
-    (CffSpec(14, 1, 2), "layout"),  # (1, 364)
-    (CffSpec(7, 2, 2), "layout"),  # (1, 35)
-    (UniversalSpec(12, 2, 3), "layout"),  # (2, 66)
-    (UniversalSpec(8, 2, 3), "layout"),  # (2, 28)
-    (UniversalSpec(9, 2, 6), "layout"),  # (8, 36)
+    UniversalSpec(12, 3, 2),  # (1, 220)
+    UniversalSpec(5, 3, 2),  # (1, 10)
+    CffSpec(20, 3, 1),  # (3, 1,140), ranked palettes
+    CffSpec(50, 2, 1),  # (6, 1,225)
+    CffSpec(10, 3, 3),  # (5, 120)
+    CffSpec(70, 2, 1),  # (9, 2,415)
+    CffSpec(260, 1, 1),  # (33, 260), elements up to 259
+    UniversalSpec(14, 3, 3),  # (4, 364)
+    UniversalSpec(6, 3, 3),  # (4, 20)
+    UniversalSpec(12, 2, 4),  # (2, 66)
+    UniversalSpec(14, 3, 4),  # (8, 364)
+    UniversalSpec(11, 3, 4),  # (8, 165)
+    UniversalSpec(20, 2, 5),  # (4, 190)
+    UniversalSpec(7, 3, 5),  # (16, 35)
+    UniversalSpec(20, 2, 6),  # (5, 190)
+    UniversalSpec(8, 2, 6),  # (5, 28)
+    UniversalSpec(30, 2, 9),  # (11, 435)
+    UniversalSpec(300, 1, 9),  # (2, 300), elements up to 299
+    CffSpec(9, 2, 1),  # (1, 36), ranked palettes
+    CffSpec(8, 2, 1),  # (1, 28), ranked palettes
+    UniversalSpec(12, 2, 3),  # (2, 66)
+    UniversalSpec(8, 2, 3),  # (2, 28)
+    UniversalSpec(9, 2, 6),  # (5, 36)
 ]
 
 
-def form_shape(spec, patterns):
+def form_shape(spec):
     """(entry bytes, heads) of ``_constraint_index``'s palettes for spec."""
-    if patterns is not None or isinstance(spec, UniversalSpec):
-        return -(-len(patterns or range(spec.q**spec.d)) // 8), comb(spec.n, spec.d)
+    if isinstance(spec, UniversalSpec):
+        return -(-spec.q**spec.d // 8), comb(spec.n, spec.d)
     return -(-comb(spec.n - spec.r, spec.s) // 8), comb(spec.n, spec.r)
 
 
-def form_patterns(spec, patterns):
-    return layout_patterns(spec) if patterns == "layout" else None
-
-
 def test_the_form_cases_take_both_forms_at_every_q():
-    forms = {(spec.q, _translates(*form_shape(spec, form_patterns(spec, patterns))))
-             for spec, patterns in FORM_CASES}
+    forms = {(spec.q, _translates(*form_shape(spec))) for spec in FORM_CASES}
     assert {(q, form) for q in range(2, 7) for form in (False, True)} <= forms
 
 
@@ -155,14 +130,9 @@ class TestAgainstReference:
         expected = reference_column_index(n, q, universal_requirements(n, d, q))
         assert packed_index(UniversalSpec(n, d, q)) == expected
 
-    @pytest.mark.parametrize("spec, patterns", FORM_CASES, ids=lambda case: str(case))
-    def test_both_index_forms(self, spec, patterns):
-        patterns = form_patterns(spec, patterns)
-        if patterns is None:
-            items = requirements(spec)
-        else:
-            items = pattern_requirements(spec.n, spec.d, spec.q, patterns)
-        assert packed_index(spec, patterns) == reference_column_index(spec.n, spec.q, items)
+    @pytest.mark.parametrize("spec", FORM_CASES, ids=str)
+    def test_both_index_forms(self, spec):
+        assert packed_index(spec) == reference_column_index(spec.n, spec.q, requirements(spec))
 
     @given(st.data())
     @settings(deadline=None)

@@ -223,11 +223,13 @@ def reference_tables(index, full):
 
 @st.composite
 def table_specs(draw):
-    """Universal specs with n <= 7 at q = 2 and 3, and cover-free specs with
-    n <= 8, r = 0 and s = 0 included."""
+    """Universal specs with n <= 7 at q = 2 and 3, n <= 5 at q = 4 and n <=
+    4 at q = 5, and cover-free specs with n <= 8, r = 0 and s = 0
+    included."""
     if draw(st.booleans()):
-        n = draw(st.integers(1, 7))
-        return UniversalSpec(n, draw(st.integers(1, n)), draw(st.sampled_from((2, 3))))
+        q = draw(st.sampled_from((2, 3, 4, 5)))
+        n = draw(st.integers(1, {2: 7, 3: 7, 4: 5, 5: 4}[q]))
+        return UniversalSpec(n, draw(st.integers(1, n)), q)
     n = draw(st.integers(1, 8))
     r = draw(st.integers(0, n))
     return CffSpec(n, r, draw(st.integers(1 if r == 0 else 0, n - r)))
@@ -609,6 +611,13 @@ def test_the_layout_holds_each_requirement_once(spec):
     (CffSpec(3, 1, 1), (2, [[0b001010, 0b000101], [0b100001, 0b010010], [0b010100, 0b101000]], 0b111111)),
     # Three symbols at each column, in a field of 4 whose top bit is padding.
     (UniversalSpec(2, 1, 3), (4, [[0b0001, 0b0010, 0b0100], [0b0001 << 4, 0b0010 << 4, 0b0100 << 4]], 0b01110111)),
+    # The pairs (R, S) with R = {0}, {1} or {2} on the three columns: the
+    # weight-1 patterns, in one field of 4 whose top bit is padding.
+    (CffSpec(3, 1, 2), (4, [[0b110, 0b001], [0b101, 0b010], [0b011, 0b100]], 0b111)),
+    # The nine patterns over three symbols, in ``product`` order, in one
+    # field of 16 whose top seven bits are padding.
+    (UniversalSpec(2, 2, 3), (16, [[0b111, 0b111000, 0b111000000], [0b001001001, 0b010010010, 0b100100100]],
+                              0b111111111)),
 ], ids=repr)
 def test_a_small_layout(spec, layout):
     assert _layout(spec) == layout
