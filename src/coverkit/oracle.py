@@ -67,9 +67,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations, compress, pairwise, product
 from math import comb
-from typing import Literal
+from typing import Callable, Literal
 
-from .core import _ONE_AT, CffSpec, SymbolMatrix, UniversalSpec, _check_work, _digits
+from .core import _ONE_AT, CffSpec, SymbolMatrix, UniversalSpec, _check_work, _digits, _num_constraints
 from .errors import ParameterError, ResourceLimitError
 
 
@@ -242,11 +242,11 @@ def _crowding(field: int, width: int, most: int) -> tuple[int, list[tuple[int, i
     return repeat(1, 2), folds, [repeat(top - 1 - t, field) for t in range(1, most)], repeat(top, field)
 
 
-# The most candidates the tie lists and the q > 2 column-pair memo of one
-# search hold between them. A list entry takes about 40 bytes and a memo
-# entry about 200, but the memo holds only rows the search takes, a few
-# hundred at most in the searches measured. A tie list holds at most the
-# q**n <= 2**20 candidates the work budget admits, so one always fits.
+# The most entries the whole and half tie lists and the q > 2 column-pair
+# memo of one search hold between them. A list entry takes about 40 bytes
+# and a memo entry about 200, but the memo holds only rows the search takes,
+# a few hundred at most in the searches measured. A whole list holds at most
+# the q**n <= 2**20 candidates the work budget admits, so one always fits.
 _TIE_CAP = 2**20
 
 
@@ -266,14 +266,33 @@ def _tie_list(n: int, q: int, tied: int) -> list[int]:
     return list(compress(range(q**n), b"".join(block)))
 
 
+def _joined_tie_list(n: int, q: int, tied: int, half: Callable[[int, int], list[int]]) -> list[int]:
+    """``_tie_list(n, q, tied)``, from half(width, mask), the tie list of
+    ``width`` columns for a mask of their pairs. Each candidate is a head,
+    fitting the pairs among the first h = n // 2 columns, times q**(n - h),
+    plus a tail fitting those among the rest. When the pair across the
+    middle is tied, a head whose last digit is c takes only the tails whose
+    first digit is at least c, a suffix of their list."""
+    h = n // 2
+    middle, step = n - h - 1, q ** (n - h)  # the pair across the middle: bit n - h - 1
+    heads, tails = half(h, tied >> middle + 1), half(n - h, tied & (1 << middle) - 1)
+    if not tied >> middle & 1:
+        return [head + tail for head in [a * step for a in heads] for tail in tails]
+    ends = [tails[bisect_left(tails, c * step // q):] for c in range(q)]
+    return [head + tail for a in heads for head, after in ((a * step, ends[a % q]),) for tail in after]
+
+
 def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> SearchOutcome:
     """Search the q**n candidate rows, in ``product`` order, for the fewest
     meeting every constraint of ``spec``.
 
-    A non-final row scans the slice from ``last`` to its bound of
-    ``_tie_list``'s candidates for its ``tied`` mask, charged in full
-    first. The tables it reads are built before the first deepening level
-    with more than one row to choose.
+    A spec whose coverage bound passes ``max_rows`` is infeasible before
+    its layout is built. A non-final row scans the slice from ``last`` to
+    its bound of the candidates fitting its ``tied`` mask, charged in full
+    first: ``_joined_tie_list`` builds that list from two half lists, each
+    built once per half mask, so it costs what it holds, not q**n. The
+    tables it reads are built before the first deepening level with more
+    than one row to choose.
 
     A final row whose uncovered constraints require two symbols at one
     column, or one at every column, is decided without a scan, by two passes
@@ -291,12 +310,14 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
     count = nodes = q**n
     if nodes > limit:
         return SearchOutcome("budget_exceeded", nodes=limit + 1)
+    lower = -(-_num_constraints(spec) // _cover_bound(spec))  # the coverage bound
+    if lower > budget.max_rows:
+        return SearchOutcome("infeasible", nodes=nodes)
     field, index, full = _layout(spec)
     # (a symbol's set, the sets of the symbols after it) for each column, and
     # (a symbol's set, what the symbol adds to a candidate's index).
     clashes = [(held, sum(sets[c + 1:])) for sets in index for c, held in enumerate(sets[:-1])]
     symbols = [(held, c * q ** (n - 1 - j)) for j, sets in enumerate(index) for c, held in enumerate(sets)]
-    lower = -(-full.bit_count() // _cover_bound(spec))  # the coverage bound
     # The cover masks, empty until ``_scan_tables`` builds them. Until the
     # deepening loop builds the last covers and the suffix tables, dfs runs
     # only at last = 0, where the reachability test reads suffix_or[0] = full.
@@ -309,9 +330,9 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
     # forced or clashing row counts; listed in order for a scan or a second
     # read, so no constraint's bytes are counted more than once.
     covers_of: dict[int, bytes | list[int]] = {}
-    # fits[tied] is ``_tie_list(n, q, tied)``; memo[i] is q > 2 candidate
-    # i's column pairs (decreasing, equal).
-    fits: dict[int, list[int]] = {}
+    # fits[tied] is ``_tie_list(n, q, tied)`` and fits[width, mask] a half
+    # list; memo[i] is q > 2 candidate i's column pairs (decreasing, equal).
+    fits: dict[int | tuple[int, int], list[int]] = {}
     memo: dict[int, tuple[int, int]] = {}
     cached = 0
 
@@ -322,6 +343,14 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
             memo.clear()
             cached = 0
         cached += size
+
+    def half(width: int, tied: int) -> list[int]:
+        key = width, tied
+        if key not in fits:
+            listed = _tie_list(width, q, tied)
+            room(len(listed))
+            fits[key] = listed
+        return fits[key]
 
     def pairs(i: int) -> tuple[int, int]:
         """Candidate i's column-pair masks, read from its base-q digits; for
@@ -397,7 +426,7 @@ def _search_minimal(spec: UniversalSpec | CffSpec, budget: SearchBudget) -> Sear
         add = adds[rows_left - 2] if rows_left - 2 < len(adds) else None
         fit = fits.get(tied)
         if fit is None:
-            fit = _tie_list(n, q, tied)
+            fit = _joined_tie_list(n, q, tied, half)
             room(len(fit))
             fits[tied] = fit
         for i in fit[bisect_left(fit, last):bisect_right(fit, hi)]:

@@ -30,7 +30,7 @@ from coverkit import oracle
 from coverkit.core import _check_work, _work
 from coverkit.oracle import (
     SearchOutcome, _OutOfNodes, _cover_bound, _crowding, _last_covers, _layout, _scan_tables, _suffix_tables,
-    _tie_list,
+    _joined_tie_list, _tie_list,
 )
 from coverkit.verify import _constraint_index
 
@@ -67,6 +67,21 @@ class TestMinimalUniversal:
         outcome = minimal_universal_size(UniversalSpec(4, 2, 2), SearchBudget(max_rows=4))
         assert outcome.status == "infeasible"
         assert outcome.size is None and outcome.certificate is None
+
+    @pytest.mark.parametrize("spec,max_rows,nodes", [
+        (UniversalSpec(5, 5, 6), 32, 6**5),  # 7,776 constraints, one a row
+        (UniversalSpec(4, 2, 2), 3, 2**4),  # 24 constraints, at most 6 a row
+        (CffSpec(7, 1, 1), 3, 2**7),  # 42 constraints, at most 12 a row
+    ], ids=repr)
+    def test_a_coverage_bound_past_max_rows_is_infeasible_before_the_layout(self, spec, max_rows, nodes,
+                                                                           monkeypatch):
+        # Charged only the q**n candidates up front.
+        def unbuilt(spec):
+            raise AssertionError("a layout was built for a bound past max_rows")
+
+        monkeypatch.setattr(oracle, "_layout", unbuilt)
+        outcome = search(spec, SearchBudget(max_rows=max_rows))
+        assert (outcome.status, outcome.size, outcome.certificate, outcome.nodes) == ("infeasible", None, None, nodes)
 
     def test_node_budget_aborts_cleanly(self):
         outcome = minimal_universal_size(
@@ -279,6 +294,31 @@ def test_each_tie_list_holds_the_candidates_decreasing_no_tied_pair(q, data):
     tied = data.draw(st.integers(0, (1 << n - 1) - 1))
     dec, _ = reference_pairs(n, q)
     assert _tie_list(n, q, tied) == [i for i in range(q**n) if not tied & dec[i]]
+
+
+@st.composite
+def joined_tie_cases(draw):
+    """(n, q, tied) for q = 2 with n <= 12, q = 3 with n <= 8 and q = 4 with
+    n <= 6, the pair across the middle drawn tied or not."""
+    q = draw(st.sampled_from((2, 3, 4)))
+    n = draw(st.integers(1, {2: 12, 3: 8, 4: 6}[q]))
+    tied, middle = draw(st.integers(0, (1 << n - 1) - 1)), (1 << n - n // 2 - 1) * (n > 1)
+    return n, q, tied | middle if draw(st.booleans()) else tied & ~middle
+
+
+@given(joined_tie_cases())
+@example((1, 2, 0))  # no head columns
+@example((2, 3, 0))  # one column a half, the middle pair untied
+@example((2, 3, 1))  # and tied
+@settings(deadline=None)
+def test_each_joined_tie_list_is_the_tie_list_of_all_columns(case):
+    n, q, tied = case
+
+    def half(width, mask):
+        assert width in (n // 2, n - n // 2), width
+        return _tie_list(width, q, mask)
+
+    assert _joined_tie_list(n, q, tied, half) == _tie_list(n, q, tied)
 
 
 @given(st.sampled_from((2, 4, 8, 16)), st.data())
@@ -558,10 +598,12 @@ SIX_BLOCK = (
 @contextmanager
 def constrained_by(case):
     """Within it, the spec of a ``constraint_cases`` case has the case's
-    layout in place of its own, for which the coverage bound is the largest
-    bit count of the reference cover masks."""
+    layout in place of its own, for which the constraint count is the bits
+    of ``full`` and the coverage bound is the largest bit count of the
+    reference cover masks."""
     _, (field, index, full), _ = case
     with (patch.object(oracle, "_layout", lambda _: (field, index, full)),
+          patch.object(oracle, "_num_constraints", lambda _: full.bit_count()),
           patch.object(oracle, "_cover_bound", lambda _: reference_tables(index, full)[2][0])):
         yield
 
@@ -715,6 +757,20 @@ class TestPinnedSearch:
             monkeypatch.setattr(oracle, "_scan_tables", unpaid)
             outcome = search(spec, SearchBudget(max_rows=9, node_limit=10))
         assert (outcome.status, outcome.nodes) == ("budget_exceeded", 11)
+
+    def test_a_refusal_lists_its_ties_once_per_half_mask(self, monkeypatch):
+        # The oracle workload's refusal builds each whole tie list from the
+        # lists of its first 5 columns and of its last 6.
+        calls = []
+
+        def counted(width, q, tied):
+            calls.append((width, tied))
+            return _tie_list(width, q, tied)
+
+        monkeypatch.setattr(oracle, "_tie_list", counted)
+        outcome = search(UniversalSpec(11, 3, 2), SearchBudget(node_limit=20_000))
+        assert (outcome.status, outcome.nodes) == ("budget_exceeded", 20_001)
+        assert {width for width, _ in calls} == {5, 6} and len(set(calls)) == len(calls), calls
 
     @given(table_specs())
     @example(UniversalSpec(12, 1, 3))  # 12 blocks of 3 in fields of 4 bits
