@@ -391,10 +391,12 @@ def _missing_cff(m: SymbolMatrix, spec: CffSpec) -> Iterator[Missed]:
     return form(index, size, n, r, s)
 
 
-# The packed form keeps at most n + 6 ints of its block's size alive. It
-# runs only while n + 7 of them fit in _PACKED_CAP bytes, the one more for
-# the index and the rest; an int takes 16 bytes for each 15 it holds, as
-# CPython stores 30 bits in each 4-byte digit.
+# The packed form keeps at most n + r + 5 ints of its block's size alive:
+# the block, its e-bits and fill, the n repeated columns, r - 1 prefix
+# blocks and three while an R is decided. It runs only while n + r + 6 of
+# them fit in _PACKED_CAP bytes, the one more for the index and the rest;
+# an int takes 16 bytes for each 15 it holds, as CPython stores 30 bits in
+# each 4-byte digit.
 _PACKED_CAP = 2**24
 
 
@@ -403,14 +405,14 @@ def _packs(n: int, r: int, s: int, rows: int) -> bool:
     rows: it fits ``_PACKED_CAP`` and is estimated, in units of 1/100 ns,
     to cost less than the per-pair loop. It loses on wide rows, and where
     C(n, s) is much more than the C(n - r, s) pairs of one R."""
-    width, fields, heads = rows // 8 + 1, comb(n, s), comb(n, r)
+    width, fields, heads = (rows + 1) // 8 + 1, comb(n, s), comb(n, r)
     # Per R, the loop lists the columns outside R; per pair, it takes an
     # interpreter step and an AND per column of S.
     pairwise = heads * (15000 * n + comb(n - r, s) * (10000 + s * (7000 + 2 * width)))
-    # Each field is packed and each column's set repeated once; per R, a few
-    # passes over the block.
-    packed = fields * (100000 + 130 * n * width) + heads * (50000 + 135 * fields * width)
-    return (n + 7) * fields * width * 16 <= _PACKED_CAP * 15 and packed < pairwise
+    # Each field is packed and each column's set repeated once; per R, an
+    # AND, an add and an AND over the block, and a popcount where R misses.
+    packed = fields * (100000 + 130 * n * width) + heads * (50000 + 90 * fields * width)
+    return (n + r + 6) * fields * width * 16 <= _PACKED_CAP * 15 and packed < pairwise
 
 
 def _pairwise_cff(index: list[list[int]], size: int, n: int, r: int, s: int) -> Iterator[Missed]:
@@ -440,16 +442,28 @@ def _packed_cff(index: list[list[int]], size: int, n: int, r: int, s: int) -> It
     """``_missing_cff`` by a few big-int operations per R, grouped by R.
 
     The block is one int with a field of ``width`` bytes per s-subset S of
-    the columns, in ``combinations`` order: the rows all-0 on S, below a
-    spare top bit. Each column's rows all-1 are repeated into every field of
-    an int of the same size. Per R, ANDing the block with those of R leaves
-    in each field the rows that separate (R, S); adding 2**size - 1 to every
-    field carries into the spare bit exactly where one is left, and no field
-    carries into the next. A field whose S meets R is always empty, so R
-    misses C(n - r, s) less the spare bits set; its witnesses are listed by
+    the columns, in ``combinations`` order: the rows all-0 on S in bits 0
+    to size - 1, then an e-bit at bit ``size``, then an overflow bit. Each
+    column j's rows all-1 are repeated into every field of an int of the
+    same size, with the e-bit set where j is not in S. The block sets every
+    e-bit, so ANDing it with the ints of R leaves in each field the rows
+    that separate (R, S), and the e-bit just where S is disjoint from R.
+    A field whose S meets R is then all 0: no row is both 1 and 0 on a
+    column of both.
+
+    Adding 2**size - 1 to every field carries out of the rows exactly where
+    one is left. With the e-bit set the carry clears it and sets the
+    overflow bit; without it, the rows are empty and the e-bit stays clear.
+    So the e-bits left set are the pairs of R no row separates, and a zero
+    leaves R with no popcount. A field holds at most 2**(size + 1) - 1
+    before the add, so less than 2**(size + 2) after: no field carries into
+    the next. The ANDs over R's first r - 1 columns are kept as prefix
+    blocks and redone from the first column where R differs from the last
+    R, so most R's cost one AND, one add and one AND. A count is one
+    popcount per R that misses pairs; the witnesses are listed by
     ``_unseparated`` once they are read.
     """
-    width = size // 8 + 1
+    width = (size + 1) // 8 + 1
     full = (1 << size) - 1
     fields = comb(n, s)
     packed = bytearray()
@@ -458,24 +472,47 @@ def _packed_cff(index: list[list[int]], size: int, n: int, r: int, s: int) -> It
         for j in S:
             zero &= index[j][0]
         packed += zero.to_bytes(width, "little")
-    block = int.from_bytes(packed, "little")
-    del packed
-    ones = [int.from_bytes(sets[1].to_bytes(width, "little") * fields, "little") for sets in index]
+    # spare: the e-bits; the block's fields sit below them, so adding sets them
     spare = int.from_bytes(b"\1".ljust(width, b"\0") * fields, "little") << size
+    block = int.from_bytes(packed, "little") + spare
+    del packed
     fill = spare - (spare >> size)
-    pairs = comb(n - r, s)
-    for R in combinations(range(n), r):
-        # sep: the rows that separate, plus 2**size - 1 per field; met: the
-        # spare bits that carried. The last R's met is freed only once this
-        # R's is built, so its pages are not handed back and faulted in again.
-        sep = block
-        for j in R:
-            sep &= ones[j]
-        sep += fill
-        met = sep & spare
-        missed = pairs - met.bit_count()
-        if missed:
-            yield missed, map(CffWitness, repeat(R), _unseparated(index, full, n, R, s))
+    # Byte ``at`` of each field holds the e-bit, as bit ``bit``, above its top rows.
+    at, bit = divmod(size, 8)
+    ones = []
+    for sets, (_, _, kinds) in zip(index, _kinds(n, s, False)):
+        row = sets[1].to_bytes(width, "little")
+        # kind 0: the column is not in S
+        marked = bytearray(row) * fields
+        marked[at::width] = kinds.translate(bytes([row[at] | 1 << bit]) + bytes([row[at]]) * 255)
+        ones.append(int.from_bytes(marked, "little"))
+        del marked
+
+    def group(R: tuple, unmet: int) -> Missed:
+        return unmet.bit_count(), map(CffWitness, repeat(R), _unseparated(index, full, n, R, s))
+
+    if not r:
+        unmet = (block + fill) & spare
+        if unmet:
+            yield group((), unmet)
+        return
+    # R is a head of h columns and one column after it. partial[k]: the
+    # block ANDed with the ints of the head's first k columns; a head keeps
+    # those of the last head up to the first column where they differ.
+    h = r - 1
+    partial = [block] * r
+    last = (-1,) * h
+    for head in combinations(range(n - 1), h):
+        k = 0
+        while k < h and head[k] == last[k]:
+            k += 1
+        for k in range(k, h):
+            partial[k + 1] = partial[k] & ones[head[k]]
+        last, sep = head, partial[h]
+        for j in range(head[-1] + 1 if h else 0, n):
+            unmet = ((sep & ones[j]) + fill) & spare
+            if unmet:
+                yield group(head + (j,), unmet)
 
 
 def _missing(m: SymbolMatrix, spec: UniversalSpec | CffSpec) -> Iterator[Missed]:

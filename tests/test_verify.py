@@ -314,16 +314,22 @@ class TestWindows:
 def cff_cases(draw):
     """(matrix, r, s) with n up to 12 and any r, s with 1 <= r + s <= n,
     rows drawn with repeats from a pool that may hold the all-0 and all-1
-    rows. The row count is often 7, 8, 15, 16, 23 or 24, where the spare bit
-    of ``_packed_cff`` ends a byte or starts the next."""
+    rows. The row count is often 6, 7, 8, 14, 15, 16, 22, 23 or 24: in the
+    fields of ``_packed_cff`` the overflow bit above the e-bit is then the
+    top bit of a byte, or the e-bit is, or the e-bit starts a byte."""
     n = draw(st.integers(1, 12))
     r = draw(st.integers(0, n))
     s = draw(st.integers(0 if r else 1, n - r))
     pool = draw(st.lists(st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=12))
     pool += [(bit,) * n for bit in (0, 1) if draw(st.booleans())]
-    size = draw(st.sampled_from([7, 8, 15, 16, 23, 24]) | st.integers(1, 30))
+    size = draw(st.sampled_from([6, 7, 8, 14, 15, 16, 22, 23, 24]) | st.integers(1, 30))
     rows = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
     return SymbolMatrix(n=n, q=2, rows=tuple(rows)), r, s
+
+
+# The forms are compared on at least 200 examples, and on the profile's
+# budget where it is larger: 2,000 under --hypothesis-profile=thorough.
+CFF_FORM_EXAMPLES = max(200, settings.default.max_examples)
 
 
 class TestCffForms:
@@ -336,7 +342,15 @@ class TestCffForms:
     @example((SymbolMatrix(n=6, q=2, rows=((1,) * 6,) * 16), 2, 2))
     @example((SymbolMatrix(n=12, q=2, rows=((0, 1) * 6,) * 24), 0, 3))
     @example((SymbolMatrix(n=12, q=2, rows=((1, 0) * 6,) * 23), 4, 0))
-    @settings(max_examples=200, deadline=None)
+    # Consecutive R's share their first one or two columns (three at r = 4),
+    # and 38 of the 84 R's, 73 of the 210, miss pairs.
+    @example((random_matrix(9, 2, 96, seed=9), 3, 2))
+    @example((random_matrix(10, 2, 200, seed=10), 4, 2))
+    # Column 0 is all 0: the first 28 R's hold it, and the prefix blocks
+    # they share keep no row, so each misses all its pairs.
+    @example((SymbolMatrix(n=9, q=2, rows=tuple(b"\0" + row[1:] for row in random_matrix(9, 2, 96, seed=9).rows)),
+              3, 2))
+    @settings(max_examples=CFF_FORM_EXAMPLES, deadline=None)
     def test_both_forms_match_the_definition(self, case):
         m, r, s = case
         index, size = _column_index(m.q, _columns(m))
@@ -373,6 +387,25 @@ class TestCffForms:
             assert peak <= _PACKED_CAP
         monkeypatch.setattr(verify, "_PACKED_CAP", 2**30)
         assert _packs(20, 1, 5, 296)
+
+    def test_the_packed_form_stays_within_its_cap_with_a_prefix_block(self, monkeypatch):
+        # (20, (2, 5)) has 15,504 fields, and each R's first column is kept
+        # as a prefix block. At 280 rows, 36-byte fields, its n + r + 6
+        # blocks fit the cap; at 288 rows, 37-byte fields, they would not,
+        # and only the cap keeps it from packing.
+        assert not _packs(20, 2, 5, 288)
+        assert _packs(20, 2, 5, 280)
+        m = random_matrix(20, 2, 280, seed=280)
+        tracemalloc.start()
+        try:
+            count = count_uncovered(m, CffSpec(20, 2, 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 210299  # as the per-pair form counts
+        assert peak <= _PACKED_CAP
+        monkeypatch.setattr(verify, "_PACKED_CAP", 2**30)
+        assert _packs(20, 2, 5, 288)
 
 
 class TestCountBuildsNoWitness:
