@@ -391,12 +391,15 @@ def _missing_cff(m: SymbolMatrix, spec: CffSpec) -> Iterator[Missed]:
     return form(index, size, n, r, s)
 
 
-# The packed form keeps at most n + r + 5 ints of its block's size alive:
-# the block, its e-bits and fill, the n repeated columns, r - 1 prefix
-# blocks and three while an R is decided. It runs only while n + r + 6 of
-# them fit in _PACKED_CAP bytes, the one more for the index and the rest;
-# an int takes 16 bytes for each 15 it holds, as CPython stores 30 bits in
-# each 4-byte digit.
+# The packed form keeps at most n + r + 5 ints of its block's size alive
+# while it scans: the block, its e-bits and fill, the n repeated columns,
+# r - 1 prefix blocks and three while an R is decided. While it repeats
+# the columns, n + 4 are alive, beside the e-bit marks: ``_kinds``' byte
+# planes of the elements of each S, 2 * s bytes a field for each byte of an
+# element, and about 4 bytes a field for one column's marks. It runs only
+# while the larger of the two, with one block more for the index and the
+# rest, fits in _PACKED_CAP bytes; an int takes 16 bytes for each 15 it
+# holds, as CPython stores 30 bits in each 4-byte digit.
 _PACKED_CAP = 2**24
 
 
@@ -404,15 +407,21 @@ def _packs(n: int, r: int, s: int, rows: int) -> bool:
     """Whether ``_packed_cff`` should scan the (n, (r, s)) pairs of ``rows``
     rows: it fits ``_PACKED_CAP`` and is estimated, in units of 1/100 ns,
     to cost less than the per-pair loop. It loses on wide rows, and where
-    C(n, s) is much more than the C(n - r, s) pairs of one R."""
+    C(n, s) is much more than the C(n - r, s) pairs of one R. It never
+    packs s > 255 columns: ``_kinds`` gives position k of S the byte k + 1."""
     width, fields, heads = (rows + 1) // 8 + 1, comb(n, s), comb(n, r)
+    # bytes alive a field, scanning or repeating the columns, as counted above
+    element = max((n - 1).bit_length() + 7 >> 3, 1)
+    alive = max((n + r + 6) * width, (n + 5) * width + 2 * s * element + 4)
     # Per R, the loop lists the columns outside R; per pair, it takes an
     # interpreter step and an AND per column of S.
     pairwise = heads * (15000 * n + comb(n - r, s) * (10000 + s * (7000 + 2 * width)))
-    # Each field is packed and each column's set repeated once; per R, an
-    # AND, an add and an AND over the block, and a popcount where R misses.
-    packed = fields * (100000 + 130 * n * width) + heads * (50000 + 90 * fields * width)
-    return (n + r + 6) * fields * width * 16 <= _PACKED_CAP * 15 and packed < pairwise
+    # Each field is packed and each column's set repeated once, its e-bits
+    # marked by a translate per position of S the column can hold; per R,
+    # an AND, an add and an AND over the block, and a popcount where R misses.
+    packed = (n * 130000 + s * (n - s + 1) * (150000 + 300 * fields)
+              + fields * (100000 + 130 * n * width) + heads * (50000 + 70 * fields * width))
+    return s < 256 and alive * fields * 16 <= _PACKED_CAP * 15 and packed < pairwise
 
 
 def _pairwise_cff(index: list[list[int]], size: int, n: int, r: int, s: int) -> Iterator[Missed]:

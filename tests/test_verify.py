@@ -407,6 +407,40 @@ class TestCffForms:
         monkeypatch.setattr(verify, "_PACKED_CAP", 2**30)
         assert _packs(20, 2, 5, 288)
 
+    def test_the_packed_form_stays_within_its_cap_at_one_byte_fields(self, monkeypatch):
+        # (21, (1, 9)) at 6 rows has 293,930 fields of 1 byte. While the
+        # columns are repeated, _kinds' planes of the elements of each S,
+        # 18 bytes a field, outweigh the blocks; they fit the cap beside
+        # them. (21, (1, 10)), 352,716 fields and 20 bytes of planes each,
+        # would not, and only the cap keeps it from packing.
+        assert _packs(21, 1, 9, 6)
+        assert not _packs(21, 1, 10, 6)
+        m = random_matrix(21, 2, 6, seed=6)
+        tracemalloc.start()
+        try:
+            count = count_uncovered(m, CffSpec(21, 1, 9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 3526390  # as the per-pair form counts
+        assert peak <= _PACKED_CAP
+        monkeypatch.setattr(verify, "_PACKED_CAP", 2**30)
+        assert _packs(21, 1, 10, 6)
+
+    @pytest.mark.parametrize("r,s", [(0, 300), (0, 299), (1, 299)])
+    def test_more_than_255_columns_in_s_take_the_per_pair_form(self, r, s):
+        # _kinds marks position k of S by the byte k + 1, so the packed
+        # form takes s <= 255 only. Rows: the first three unit rows and an
+        # all-0 one, so R = (3,) is the first that misses at r = 1.
+        m = SymbolMatrix(n=300, q=2, rows=tuple(tuple(int(j == i) for j in range(300)) for i in range(3))
+                         + ((0,) * 300,))
+        assert not _packs(300, r, s, m.num_rows)
+        index, size = _column_index(m.q, _columns(m))
+        expected = witnesses(_pairwise_cff(index, size, 300, r, s))
+        assert len(expected) == (297 if r else 0)
+        assert count_uncovered(m, CffSpec(300, r, s)) == len(expected)
+        assert verify_cff(m, r, s).witness == (expected[0] if expected else None)
+
 
 class TestCountBuildsNoWitness:
     """``count_uncovered`` sums each kernel's group counts; only reading a
