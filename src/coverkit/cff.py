@@ -6,6 +6,8 @@ half-size subsets (``construct_cff_sperner``).
 The conditional-expectations engine, ``_greedy_cover``, is shared with
 ``construct_universal_greedy``: the density scheme of Bryce & Colbourn
 (2009), with symbol weights (s, r) here and (1,) * q for universal sets.
+Both number their constraints here (``_constraint_index``), in their
+verifiers' order, each block padded to whole bytes.
 
 Every constructor verifies its own output before returning it.
 """
@@ -14,13 +16,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, islice, pairwise
+from itertools import chain, combinations, islice, pairwise, product
 from math import comb
-from typing import Literal, Sequence, get_args
+from typing import Callable, Iterator, Literal, Sequence, get_args
 
-from .core import CffSpec, SymbolMatrix, _check_work, _num_constraints
+from .core import CffSpec, SymbolMatrix, UniversalSpec, _check_work, _num_constraints
 from .errors import ConvergenceError, ParameterError
-from .verify import Verdict, _constraint_index, _squeezer, verify_cff
+from .verify import Verdict, _column_index, verify_cff
 
 # Las Vegas batch cap; hitting it means the spec is far beyond desk scale.
 MAX_BATCHES = 10_000
@@ -66,6 +68,132 @@ def _checked(m: SymbolMatrix, verdict: Verdict) -> SymbolMatrix:
     if not verdict.valid:
         raise AssertionError(f"constructed matrix fails its own spec: {verdict.witness}")
     return m
+
+
+def _squeezer(keep: int) -> Callable[[int], int]:
+    """The map taking a bitset x to the bits of x at the set positions of
+    ``keep``, packed from bit 0 up in the same order.
+
+    This is the log-step compress of Warren, *Hacker's Delight*, section 7-4,
+    whose names it keeps. Each kept bit moves right by the count of unkept
+    positions below it, 2**k of the way at stage k when bit k of that count
+    is set, so ceil(log2 W) stages suffice for W = keep.bit_length(). The
+    stage masks ``mv`` are built once, from ``keep``; the map then costs an
+    AND, XOR, OR and shift per stage, each one pass in C over x's words.
+    """
+    width = keep.bit_length()
+    mk = ~keep << 1 & (1 << width) - 1  # bit i: position i - 1 is unkept
+    m, stages, shift = keep, [], 1
+    while shift < width:
+        # mp: bit i is the parity of mk's bits 0 to i
+        mp, step = mk ^ mk << 1, 2
+        while step < width:
+            mp ^= mp << step
+            step *= 2
+        mv = mp & m  # the kept bits that move at this stage
+        if mv:
+            stages.append((shift, mv))
+        m = m ^ mv | mv >> shift
+        mk &= ~mp
+        shift *= 2
+
+    def squeeze(x: int) -> int:
+        x &= keep
+        for shift, mv in stages:
+            t = x & mv
+            x = x ^ t | t >> shift
+        return x
+
+    return squeeze
+
+
+def _kinds(n: int, h: int, ranked: bool) -> Iterator[tuple[int, int, bytes]]:
+    """(lo, hi, kinds) for each column j < n: the h-subsets of range(n)
+    hold j at a position from lo to hi if at all, and byte i of ``kinds``
+    is j's kind in the i-th, in ``combinations`` order: k + 1 at position k,
+    capped at a byte (the cover-free blocks read it only as nonzero, and a
+    universal d stays far below 255), and 0 outside, or ranked, hi - lo + 2
+    inside and i outside, where i of its elements from lo on are less than
+    j. A kind is a sum over those positions, a ``translate`` a byte plane of
+    their elements, from the top among those equal to j above; a subset
+    holds j once, so no byte carries."""
+    # planes[k][b]: byte b of the element at position k of each subset
+    size, heads = max((n - 1).bit_length() + 7 >> 3, 1), comb(n, h)
+    raws = [bytes(chain.from_iterable(combinations([v >> 8 * b & 255 for v in range(n)], h)))
+            for b in range(size)]
+    planes = [[raw[k::h] for raw in raws] for k in range(h)]
+    # ramps[a][256 - y:512 - y]: bytes under y to ``ranked``, y to a, the rest to 0; ramps[-1]: y to 255
+    ramps = [bytes([ranked]) * 256 + bytes([a]) + bytes(255) for a in range(min(h + 2, 256))]
+    ramps.append(bytes(256) + b"\xff" + bytes(255))
+    for j in range(n):
+        lo, hi = max(0, j - n + h), min(j, h - 1)  # elements before lo are less than j, after hi more
+        kinds = 0
+        for k in range(lo, hi + 1):
+            at, equal = hi + 2 - k if ranked else min(k + 1, 255), None
+            for b in reversed(range(size)):
+                x = 256 - (j >> 8 * b & 255)
+                found = int.from_bytes(planes[k][b].translate(ramps[0 if b else at][x:x + 256]), "little")
+                kinds += found if equal is None else found & equal
+                if b:
+                    found = int.from_bytes(planes[k][b].translate(ramps[-1][x:x + 256]), "little")
+                    equal = found if equal is None else equal & found
+        yield lo, hi, kinds.to_bytes(heads, "little")
+
+
+def _constraint_index(spec: UniversalSpec | CffSpec) -> tuple[list[list[int]], int]:
+    """(index, keep), where bit i of ``index[j][c]`` is set when the i-th
+    of the constraints of ``spec`` its verifier scans, and of their byte
+    padding, requires symbol c at column j; ``keep`` masks the constraints.
+
+    The constraints come in blocks, each padded to whole bytes: the
+    C(n - r, s) pairs of one R, or the q**d patterns of one d-subset S. A
+    column is of one kind in a block (``_kinds``), and its set its kinds'
+    palette entries, w bytes each, in one ``int.from_bytes``, built a
+    column at a time: besides the index, only one column's kinds and bytes
+    are alive. The entries are joined, a step per head, or, for narrow
+    entries and many heads (``_translates``), byte o of all of them is one
+    ``kinds.translate`` of the entries' bytes o, written to ``out[o::w]``.
+    """
+    n, q = spec.n, spec.q
+    by_pattern = isinstance(spec, UniversalSpec)
+    if by_pattern:
+        h = spec.d
+        # kind 0: not in S; kind k + 1: at S[k], symbol k of each pattern
+        blocks = [bytes(p[k] for p in product(range(q), repeat=h)) for k in range(h)]
+        blocks.insert(0, bytes([q]) * len(blocks[0]))
+    else:
+        h, s, rest = spec.r, spec.s, n - spec.r
+        # kind t < n - r: the t-th column outside R, 0 where it is in S; kind n - r: in R
+        blocks = [kinds.translate(bytes([q]) + bytes(255)) for _, _, kinds in _kinds(rest, s, False)]
+        blocks.append(b"\1" * comb(rest, s))
+    kind_sets, block = _column_index(q, blocks)
+    width = -(-block // 8)
+    # palettes[c][kind]: the kind's set for symbol c over one block, in whole bytes
+    palettes = [[sets[c].to_bytes(width, "little") for sets in kind_sets] for c in range(q)]
+    heads, index = comb(n, h), []
+    for j, (lo, hi, kinds) in enumerate(_kinds(n, h, not by_pattern)):
+        # ranked kind i is the rank j - lo - i outside R, and hi - lo + 2 in R
+        column = palettes if by_pattern else [
+            [palette[t] if 0 <= t < rest else bytes(width) for t in range(j - lo, j - hi - 2, -1)]
+            + palette[-1:] for palette in palettes]
+        if _translates(width, heads):
+            sets = []
+            for palette in column:
+                flat, out = b"".join(palette), bytearray(heads * width)
+                for o in range(width):
+                    out[o::width] = kinds.translate(flat[o::width].ljust(256, b"\0"))
+                sets.append(int.from_bytes(out, "little"))
+        else:
+            sets = [int.from_bytes(b"".join(map(palette.__getitem__, kinds)), "little") for palette in column]
+        index.append(sets)
+    return index, int.from_bytes(((1 << block) - 1).to_bytes(width, "little") * heads, "little")
+
+
+def _translates(width: int, heads: int) -> bool:
+    """Whether ``_constraint_index`` translates a column's ``heads`` kinds
+    per byte of its ``width``-byte palette entries rather than join them;
+    on single sets the join won at 29 bytes and under 16 heads a byte."""
+    return width <= 8 and heads > 32 * width
 
 
 def _fold(
@@ -290,10 +418,10 @@ def construct_cff_sperner(n: int) -> SymbolMatrix:
     lexicographic order, with N minimal such that C(N, floor(N/2)) >= n.
     Distinct equal-size subsets are pairwise incomparable, which is exactly
     the (1, 1) cover-free property. Its work is its self-verify over n(n - 1)
-    (R, S) pairs, first checked at the n.bit_length() rows it has at least.
+    (R, S) pairs.
     """
-    _check_work(CffSpec(n, 1, 1), "verify", n.bit_length())
     rows = sperner_row_count(n)
+    _check_work(CffSpec(n, 1, 1), "verify", rows)
     chosen = [set(subset) for subset in islice(combinations(range(rows), rows // 2), n)]
     m = SymbolMatrix(n=n, q=CffSpec.q, rows=[bytes(i in block for block in chosen) for i in range(rows)])
     return _checked(m, verify_cff(m, 1, 1))

@@ -6,9 +6,9 @@ alphabet).
 
 from __future__ import annotations
 
-from .cff import CffMethod, GreedyTrace, _checked, _construct, _greedy_cover
+from .cff import CffMethod, GreedyTrace, _checked, _constraint_index, _construct, _greedy_cover
 from .core import CffSpec, SymbolMatrix, UniversalSpec, _check_work, complement, dedup_rows
-from .verify import _constraint_index, verify_universal
+from .verify import verify_universal
 
 
 def build_universal_lemma1(

@@ -5,7 +5,8 @@ Both verifiers enumerate every constraint: every d-subset S of columns
 must show all q**d patterns (``_missing_universal``), and every disjoint
 pair (R, S) with |R| = r, |S| = s must have a row that is all-1 on R and
 all-0 on S (``_missing_cff``). A count sums how many constraints each
-block misses; only a verdict builds a witness.
+block misses; only a verdict builds a witness. Both read only the
+matrix, by column; the constructors number the constraints in ``cff``.
 
 Edge conventions for the cover-free check: r = 0 reads the empty
 intersection as the full ground set, so the requirement becomes "some row
@@ -21,7 +22,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, combinations, filterfalse, product, repeat
+from itertools import combinations, filterfalse, repeat
 from math import comb
 from typing import Callable, Iterable, Iterator, Literal, Union
 
@@ -257,130 +258,6 @@ def _column_index(q: int, columns: Iterable[bytes]) -> tuple[list[list[int]], in
     return index, size
 
 
-def _squeezer(keep: int) -> Callable[[int], int]:
-    """The map taking a bitset x to the bits of x at the set positions of
-    ``keep``, packed from bit 0 up in the same order.
-
-    This is the log-step compress of Warren, *Hacker's Delight*, section 7-4,
-    whose names it keeps. Each kept bit moves right by the count of unkept
-    positions below it, 2**k of the way at stage k when bit k of that count
-    is set, so ceil(log2 W) stages suffice for W = keep.bit_length(). The
-    stage masks ``mv`` are built once, from ``keep``; the map then costs an
-    AND, XOR, OR and shift per stage, each one pass in C over x's words.
-    """
-    width = keep.bit_length()
-    mk = ~keep << 1 & (1 << width) - 1  # bit i: position i - 1 is unkept
-    m, stages, shift = keep, [], 1
-    while shift < width:
-        # mp: bit i is the parity of mk's bits 0 to i
-        mp, step = mk ^ mk << 1, 2
-        while step < width:
-            mp ^= mp << step
-            step *= 2
-        mv = mp & m  # the kept bits that move at this stage
-        if mv:
-            stages.append((shift, mv))
-        m = m ^ mv | mv >> shift
-        mk &= ~mp
-        shift *= 2
-
-    def squeeze(x: int) -> int:
-        x &= keep
-        for shift, mv in stages:
-            t = x & mv
-            x = x ^ t | t >> shift
-        return x
-
-    return squeeze
-
-
-def _kinds(n: int, h: int, ranked: bool) -> Iterator[tuple[int, int, bytes]]:
-    """(lo, hi, kinds) for each column j < n: the h-subsets of range(n)
-    hold j at a position from lo to hi if at all, and byte i of ``kinds``
-    is j's kind in the i-th, in ``combinations`` order: k + 1 at position k
-    and 0 outside, or ranked, hi - lo + 2 inside and i outside, where i of
-    its elements from lo on are less than j. A kind is a sum over those
-    positions, a ``translate`` a byte plane of their elements, from the top
-    among those equal to j above; a subset holds j once, so no byte carries."""
-    # planes[k][b]: byte b of the element at position k of each subset
-    size, heads = max((n - 1).bit_length() + 7 >> 3, 1), comb(n, h)
-    raws = [bytes(chain.from_iterable(combinations([v >> 8 * b & 255 for v in range(n)], h)))
-            for b in range(size)]
-    planes = [[raw[k::h] for raw in raws] for k in range(h)]
-    # ramps[a][256 - y:512 - y]: bytes under y to ``ranked``, y to a, the rest to 0; ramps[-1]: y to 255
-    ramps = [bytes([ranked]) * 256 + bytes([a]) + bytes(255) for a in range(min(h + 2, 256))]
-    ramps.append(bytes(256) + b"\xff" + bytes(255))
-    for j in range(n):
-        lo, hi = max(0, j - n + h), min(j, h - 1)  # elements before lo are less than j, after hi more
-        kinds = 0
-        for k in range(lo, hi + 1):
-            at, equal = hi + 2 - k if ranked else k + 1, None
-            for b in reversed(range(size)):
-                x = 256 - (j >> 8 * b & 255)
-                found = int.from_bytes(planes[k][b].translate(ramps[0 if b else at][x:x + 256]), "little")
-                kinds += found if equal is None else found & equal
-                if b:
-                    found = int.from_bytes(planes[k][b].translate(ramps[-1][x:x + 256]), "little")
-                    equal = found if equal is None else equal & found
-        yield lo, hi, kinds.to_bytes(heads, "little")
-
-
-def _constraint_index(spec: UniversalSpec | CffSpec) -> tuple[list[list[int]], int]:
-    """(index, keep), where bit i of ``index[j][c]`` is set when the i-th
-    of the constraints of ``spec`` its verifier scans, and of their byte
-    padding, requires symbol c at column j; ``keep`` masks the constraints.
-
-    The constraints come in blocks, each padded to whole bytes: the
-    C(n - r, s) pairs of one R, or the q**d patterns of one d-subset S. A
-    column is of one kind in a block (``_kinds``), and its set its kinds'
-    palette entries, w bytes each, in one ``int.from_bytes``, built a
-    column at a time: besides the index, only one column's kinds and bytes
-    are alive. The entries are joined, a step per head, or, for narrow
-    entries and many heads (``_translates``), byte o of all of them is one
-    ``kinds.translate`` of the entries' bytes o, written to ``out[o::w]``.
-    """
-    n, q = spec.n, spec.q
-    by_pattern = isinstance(spec, UniversalSpec)
-    if by_pattern:
-        h = spec.d
-        # kind 0: not in S; kind k + 1: at S[k], symbol k of each pattern
-        blocks = [bytes(p[k] for p in product(range(q), repeat=h)) for k in range(h)]
-        blocks.insert(0, bytes([q]) * len(blocks[0]))
-    else:
-        h, s, rest = spec.r, spec.s, n - spec.r
-        # kind t < n - r: the t-th column outside R, 0 where it is in S; kind n - r: in R
-        blocks = [kinds.translate(bytes([q]) + bytes(255)) for _, _, kinds in _kinds(rest, s, False)]
-        blocks.append(b"\1" * comb(rest, s))
-    kind_sets, block = _column_index(q, blocks)
-    width = -(-block // 8)
-    # palettes[c][kind]: the kind's set for symbol c over one block, in whole bytes
-    palettes = [[sets[c].to_bytes(width, "little") for sets in kind_sets] for c in range(q)]
-    heads, index = comb(n, h), []
-    for j, (lo, hi, kinds) in enumerate(_kinds(n, h, not by_pattern)):
-        # ranked kind i is the rank j - lo - i outside R, and hi - lo + 2 in R
-        column = palettes if by_pattern else [
-            [palette[t] if 0 <= t < rest else bytes(width) for t in range(j - lo, j - hi - 2, -1)]
-            + palette[-1:] for palette in palettes]
-        if _translates(width, heads):
-            sets = []
-            for palette in column:
-                flat, out = b"".join(palette), bytearray(heads * width)
-                for o in range(width):
-                    out[o::width] = kinds.translate(flat[o::width].ljust(256, b"\0"))
-                sets.append(int.from_bytes(out, "little"))
-        else:
-            sets = [int.from_bytes(b"".join(map(palette.__getitem__, kinds)), "little") for palette in column]
-        index.append(sets)
-    return index, int.from_bytes(((1 << block) - 1).to_bytes(width, "little") * heads, "little")
-
-
-def _translates(width: int, heads: int) -> bool:
-    """Whether ``_constraint_index`` translates a column's ``heads`` kinds
-    per byte of its ``width``-byte palette entries rather than join them;
-    on single sets the join won at 29 bytes and under 16 heads a byte."""
-    return width <= 8 and heads > 32 * width
-
-
 def _missing_cff(m: SymbolMatrix, spec: CffSpec) -> Iterator[Missed]:
     """Every (R, S) pair no row of ``m`` separates, in (R, then S) order, by
     ``_packed_cff`` (a group per R) or ``_pairwise_cff`` (one per pair) as
@@ -393,12 +270,10 @@ def _missing_cff(m: SymbolMatrix, spec: CffSpec) -> Iterator[Missed]:
 
 # The packed form keeps at most n + r + 5 ints of its block's size alive
 # while it scans: the block, its e-bits and fill, the n repeated columns,
-# r - 1 prefix blocks and three while an R is decided. While it repeats
-# the columns, n + 4 are alive, beside the e-bit marks: ``_kinds``' byte
-# planes of the elements of each S, 2 * s bytes a field for each byte of an
-# element, and about 4 bytes a field for one column's marks. It runs only
-# while the larger of the two, with one block more for the index and the
-# rest, fits in _PACKED_CAP bytes; an int takes 16 bytes for each 15 it
+# r - 1 prefix blocks and three while an R is decided. Its e-bit marks, n
+# bytes a field, are freed as the columns are repeated, so never outweigh
+# them. It runs only while these, with one block more for the index and the
+# rest, fit in _PACKED_CAP bytes; an int takes 16 bytes for each 15 it
 # holds, as CPython stores 30 bits in each 4-byte digit.
 _PACKED_CAP = 2**24
 
@@ -407,21 +282,15 @@ def _packs(n: int, r: int, s: int, rows: int) -> bool:
     """Whether ``_packed_cff`` should scan the (n, (r, s)) pairs of ``rows``
     rows: it fits ``_PACKED_CAP`` and is estimated, in units of 1/100 ns,
     to cost less than the per-pair loop. It loses on wide rows, and where
-    C(n, s) is much more than the C(n - r, s) pairs of one R. It never
-    packs s > 255 columns: ``_kinds`` gives position k of S the byte k + 1."""
+    C(n, s) is much more than the C(n - r, s) pairs of one R."""
     width, fields, heads = (rows + 1) // 8 + 1, comb(n, s), comb(n, r)
-    # bytes alive a field, scanning or repeating the columns, as counted above
-    element = max((n - 1).bit_length() + 7 >> 3, 1)
-    alive = max((n + r + 6) * width, (n + 5) * width + 2 * s * element + 4)
     # Per R, the loop lists the columns outside R; per pair, it takes an
     # interpreter step and an AND per column of S.
     pairwise = heads * (15000 * n + comb(n - r, s) * (10000 + s * (7000 + 2 * width)))
-    # Each field is packed and each column's set repeated once, its e-bits
-    # marked by a translate per position of S the column can hold; per R,
-    # an AND, an add and an AND over the block, and a popcount where R misses.
-    packed = (n * 130000 + s * (n - s + 1) * (150000 + 300 * fields)
-              + fields * (100000 + 130 * n * width) + heads * (50000 + 70 * fields * width))
-    return s < 256 and alive * fields * 16 <= _PACKED_CAP * 15 and packed < pairwise
+    # Each field is packed and marked, and each column's set repeated once;
+    # per R, a step and an AND, an add and an AND over the block.
+    packed = n * 130000 + fields * (100000 + 200 * n * width) + heads * (50000 + 70 * fields * width)
+    return (n + r + 6) * width * fields * 16 <= _PACKED_CAP * 15 and packed < pairwise
 
 
 def _pairwise_cff(index: list[list[int]], size: int, n: int, r: int, s: int) -> Iterator[Missed]:
@@ -454,11 +323,12 @@ def _packed_cff(index: list[list[int]], size: int, n: int, r: int, s: int) -> It
     the columns, in ``combinations`` order: the rows all-0 on S in bits 0
     to size - 1, then an e-bit at bit ``size``, then an overflow bit. Each
     column j's rows all-1 are repeated into every field of an int of the
-    same size, with the e-bit set where j is not in S. The block sets every
-    e-bit, so ANDing it with the ints of R leaves in each field the rows
-    that separate (R, S), and the e-bit just where S is disjoint from R.
-    A field whose S meets R is then all 0: no row is both 1 and 0 on a
-    column of both.
+    same size, with the e-bit set where j is not in S: one ``translate`` of
+    j's marks, a byte a field set as the fields are packed where S holds j.
+    The block sets every e-bit, so ANDing it with the ints of R leaves in
+    each field the rows that separate (R, S), and the e-bit just where S is
+    disjoint from R. A field whose S meets R is then all 0: no row is both
+    1 and 0 on a column of both.
 
     Adding 2**size - 1 to every field carries out of the rows exactly where
     one is left. With the e-bit set the carry clears it and sets the
@@ -476,26 +346,18 @@ def _packed_cff(index: list[list[int]], size: int, n: int, r: int, s: int) -> It
     full = (1 << size) - 1
     fields = comb(n, s)
     packed = bytearray()
-    for S in combinations(range(n), s):
+    inside = [bytearray(fields) for _ in range(n)]  # inside[j][f]: the f-th S holds j
+    for f, S in enumerate(combinations(range(n), s)):
         zero = full
         for j in S:
             zero &= index[j][0]
+            inside[j][f] = 1
         packed += zero.to_bytes(width, "little")
     # spare: the e-bits; the block's fields sit below them, so adding sets them
     spare = int.from_bytes(b"\1".ljust(width, b"\0") * fields, "little") << size
     block = int.from_bytes(packed, "little") + spare
     del packed
     fill = spare - (spare >> size)
-    # Byte ``at`` of each field holds the e-bit, as bit ``bit``, above its top rows.
-    at, bit = divmod(size, 8)
-    ones = []
-    for sets, (_, _, kinds) in zip(index, _kinds(n, s, False)):
-        row = sets[1].to_bytes(width, "little")
-        # kind 0: the column is not in S
-        marked = bytearray(row) * fields
-        marked[at::width] = kinds.translate(bytes([row[at] | 1 << bit]) + bytes([row[at]]) * 255)
-        ones.append(int.from_bytes(marked, "little"))
-        del marked
 
     def group(R: tuple, unmet: int) -> Missed:
         return unmet.bit_count(), map(CffWitness, repeat(R), _unseparated(index, full, n, R, s))
@@ -505,6 +367,15 @@ def _packed_cff(index: list[list[int]], size: int, n: int, r: int, s: int) -> It
         if unmet:
             yield group((), unmet)
         return
+    # Byte ``at`` of each field holds the e-bit, as bit ``bit``, above its top rows.
+    at, bit = divmod(size, 8)
+    ones = []
+    for sets in index:
+        row = sets[1].to_bytes(width, "little")
+        marked = bytearray(row) * fields
+        marked[at::width] = inside.pop(0).translate(bytes([row[at] | 1 << bit, row[at]]).ljust(256, b"\0"))
+        ones.append(int.from_bytes(marked, "little"))
+        del marked
     # R is a head of h columns and one column after it. partial[k]: the
     # block ANDed with the ints of the head's first k columns; a head keeps
     # those of the last head up to the first column where they differ.

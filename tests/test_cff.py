@@ -215,7 +215,7 @@ class TestSperner:
             assert sperner_row_count(n) == rows, n
 
     def test_rejects_tiny_n(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="^need n >= 2, got 1$"):
             construct_cff_sperner(1)
         with pytest.raises(ParameterError, match="^need n >= 2, got 1$"):
             sperner_row_count(1)

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coverkit import CffSpec, SymbolMatrix, UniversalSpec
+from coverkit.cff import _constraint_index, _squeezer, _translates
 from coverkit.core import MAX_ALPHABET
-from coverkit.verify import _column_index, _columns, _constraint_index, _squeezer, _translates
+from coverkit.verify import _column_index, _columns
 
 
 def reference_column_index(n, q, items):
@@ -209,6 +210,8 @@ def test_a_palette_of_300_kinds():
     CffSpec(257, 0, 2),
     # heads whose elements reach 259, two bytes each
     UniversalSpec(260, 2, 2),
+    # blocks over the 299-subsets of 299 ranks, whose positions pass a byte
+    CffSpec(300, 1, 299),
 ], ids=str)
 def test_elements_past_a_byte(spec):
     assert packed_index(spec) == reference_column_index(spec.n, spec.q, requirements(spec))

@@ -27,12 +27,12 @@ from coverkit import (
     verify_universal,
 )
 from coverkit import oracle
+from coverkit.cff import _constraint_index
 from coverkit.core import _check_work, _work
 from coverkit.oracle import (
     SearchOutcome, _OutOfNodes, _cover_bound, _crowding, _last_covers, _layout, _scan_tables, _suffix_tables,
     _joined_tie_list, _tie_list,
 )
-from coverkit.verify import _constraint_index
 
 
 def kleitman_spencer(n):

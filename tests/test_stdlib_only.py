@@ -1,5 +1,6 @@
 """coverkit imports nothing outside the standard library and parses as
-Python 3.10, the oldest version pyproject.toml admits."""
+Python 3.10, the oldest version pyproject.toml admits. The verifiers and
+the oracle import from the package only its core and errors."""
 
 import ast
 import sys
@@ -21,6 +22,20 @@ def absolute_imports(path):
             yield node.module.split(".")[0]
 
 
+def package_imports(path):
+    """The module of coverkit that each import from the package in
+    ``path``, a module of the package, names."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["coverkit" if node.level else "", node.module]))
+            names = [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        yield from (name.split(".")[1] for name in names if name.startswith("coverkit."))
+
+
 def test_every_module_is_checked():
     assert "core.py" in {path.name for path in SOURCES}
 
@@ -34,3 +49,9 @@ def test_imports_only_the_standard_library(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_parses_as_the_oldest_supported_python(path):
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("name", ["verify.py", "oracle.py"])
+def test_imports_from_the_package_only_core_and_errors(name):
+    path = Path(coverkit.__file__).parent / name
+    assert set(package_imports(path)) <= {"core", "errors"}
