@@ -6,8 +6,8 @@ half-size subsets (``construct_cff_sperner``).
 The conditional-expectations engine, ``_greedy_cover``, is shared with
 ``construct_universal_greedy``: the density scheme of Bryce & Colbourn
 (2009), with symbol weights (s, r) here and (1,) * q for universal sets.
-Both number their constraints here (``_constraint_index``), in their
-verifiers' order, each block padded to whole bytes.
+Both number their constraints here (``_constraint_index``, on bitsets from
+``core._column_index``) in their verifiers' order, blocks padded to bytes.
 
 Every constructor verifies its own output before returning it.
 """
@@ -20,9 +20,9 @@ from itertools import chain, combinations, islice, pairwise, product
 from math import comb
 from typing import Callable, Iterator, Literal, Sequence, get_args
 
-from .core import CffSpec, SymbolMatrix, UniversalSpec, _check_work, _num_constraints
+from .core import CffSpec, SymbolMatrix, UniversalSpec, _check_work, _column_index, _num_constraints
 from .errors import ConvergenceError, ParameterError
-from .verify import Verdict, _column_index, verify_cff
+from .verify import Verdict, verify_cff
 
 # Las Vegas batch cap; hitting it means the spec is far beyond desk scale.
 MAX_BATCHES = 10_000

@@ -7,7 +7,8 @@ row, a test vector (a ground-set element in the cover-free reading), is
 it is an incidence matrix. All types are immutable; transforms return
 new values. This module alone owns the alphabet: ``CffSpec.q`` is always
 2, only ``decode_row`` and ``encode_row`` read and write the base-36
-digits that stand for symbols, and only ``_digits`` turns a rank into a row.
+digits that stand for symbols, only ``_digits`` turns a rank into a row,
+and only ``_column_index`` reads symbol bytes as one bitset per symbol.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .errors import AlphabetError, ParameterError, ResourceLimitError
 # File format and repr encode one symbol per character; q is capped where
 # the digit alphabet ends. _ENCODE maps a symbol's byte to its digit's,
 # _DECODE a digit's byte to its symbol's and any other byte to 255, and
-# _SYMBOLS[:q] holds the symbols below q. _ONE_AT[c] maps byte c to the
-# binary digit "1" and every other byte to "0".
+# _SYMBOLS[:q] holds the symbols below q. _ONE_AT[c], ``_column_index``'s
+# table, maps byte c to the binary digit "1" and every other byte to "0".
 SYMBOL_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 MAX_ALPHABET = len(SYMBOL_DIGITS)
 _SYMBOLS = bytes(range(MAX_ALPHABET))
@@ -33,6 +34,24 @@ _ONE_AT = [bytes(48 + (b == c) for b in range(256)) for c in range(MAX_ALPHABET)
 # In ``_work``'s units, about a bit operation of big-integer arithmetic each,
 # 2**35 is a few seconds; 2**20 more admits 2**24 patterns on a few rows.
 WORK_BUDGET = 2**35 + 2**20
+
+
+def _column_index(q: int, columns: Iterable[bytes]) -> tuple[list[list[int]], int]:
+    """(index, size) for ``size`` items, where bit i of the int
+    ``index[j][c]`` is set when byte i of the j-th of ``columns`` is c.
+
+    A column holds one byte per item: the symbol the item holds there, or q
+    for none. The sets of one column are disjoint, so their sum is their
+    union. Each set is one ``translate`` and one ``int(..., 2)`` in C, and
+    the columns are taken one at a time, so a lazy ``columns`` keeps
+    O(size) bytes alive besides the index.
+    """
+    index, size = [], 0
+    for column in columns:
+        size = len(column)
+        digits = column[::-1]  # item 0 is the last digit
+        index.append([int(digits.translate(_ONE_AT[c]) or b"0", 2) for c in range(q)])
+    return index, size
 
 
 def _check_shape(n: int, q: int) -> None:

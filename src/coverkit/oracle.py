@@ -69,7 +69,7 @@ from itertools import combinations, compress, pairwise, product
 from math import comb
 from typing import Callable, Literal
 
-from .core import _ONE_AT, CffSpec, SymbolMatrix, UniversalSpec, _check_work, _digits, _num_constraints
+from .core import CffSpec, SymbolMatrix, UniversalSpec, _check_work, _column_index, _digits, _num_constraints
 from .errors import ParameterError, ResourceLimitError
 
 
@@ -212,10 +212,8 @@ def _layout(spec: UniversalSpec | CffSpec) -> tuple[int, list[list[int]], int]:
     patterns = (list(product(range(q), repeat=d)) if isinstance(spec, UniversalSpec) else
                 [tuple(int(k in R) for k in range(d)) for R in combinations(range(d), spec.r)])
     field = 1 << (len(patterns) - 1).bit_length()
-    # masks[k][c]: the patterns of a field holding c at position k, read
-    # from their symbols there as binary digits, pattern 0 last
-    masks = [[int(symbols[::-1].translate(_ONE_AT[c]), 2) for c in range(q)]
-             for symbols in map(bytes, zip(*patterns))]
+    # masks[k][c]: bit i is set when pattern i holds c at position k
+    masks = _column_index(q, map(bytes, zip(*patterns)))[0]
     # feet[j][k]: a 1 at the foot of the field of each d-subset holding j at
     # k; foot: the next d-subset's, and at the end one past the last
     feet, foot = [[0] * d for _ in range(n)], 1

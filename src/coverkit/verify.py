@@ -4,9 +4,9 @@ cover-free properties, with concrete violation witnesses.
 Both verifiers enumerate every constraint: every d-subset S of columns
 must show all q**d patterns (``_missing_universal``), and every disjoint
 pair (R, S) with |R| = r, |S| = s must have a row that is all-1 on R and
-all-0 on S (``_missing_cff``). A count sums how many constraints each
-block misses; only a verdict builds a witness. Both read only the
-matrix, by column; the constructors number the constraints in ``cff``.
+all-0 on S (``_missing_cff``, on ``core._column_index``'s bitsets). A
+count sums how many constraints each block misses; only a verdict builds
+a witness. Both read the matrix alone, by column, never ``cff``'s index.
 
 Edge conventions for the cover-free check: r = 0 reads the empty
 intersection as the full ground set, so the requirement becomes "some row
@@ -26,7 +26,7 @@ from itertools import combinations, filterfalse, repeat
 from math import comb
 from typing import Callable, Iterable, Iterator, Literal, Union
 
-from .core import _ONE_AT, CffSpec, SymbolMatrix, UniversalSpec, _check_work, _digits, _num_constraints
+from .core import CffSpec, SymbolMatrix, UniversalSpec, _check_work, _column_index, _digits, _num_constraints
 from .errors import AlphabetError, ParameterError
 
 
@@ -238,24 +238,6 @@ def _window_length(n: int, d: int, q: int, rows: int) -> int:
             best, length = cost, window
         window *= 2
     return length
-
-
-def _column_index(q: int, columns: Iterable[bytes]) -> tuple[list[list[int]], int]:
-    """(index, size) for ``size`` items, where bit i of the int
-    ``index[j][c]`` is set when byte i of the j-th of ``columns`` is c.
-
-    A column holds one byte per item: the symbol the item holds there, or q
-    for none. The sets of one column are disjoint, so their sum is their
-    union. Each set is one ``translate`` and one ``int(..., 2)`` in C, and
-    the columns are taken one at a time, so a lazy ``columns`` keeps
-    O(size) bytes alive besides the index.
-    """
-    index, size = [], 0
-    for column in columns:
-        size = len(column)
-        digits = column[::-1]  # item 0 is the last digit
-        index.append([int(digits.translate(_ONE_AT[c]) or b"0", 2) for c in range(q)])
-    return index, size
 
 
 def _missing_cff(m: SymbolMatrix, spec: CffSpec) -> Iterator[Missed]:

@@ -13,7 +13,7 @@ from coverkit import (CffSpec, SymbolMatrix, UniversalSpec, construct_cff_derand
                       construct_universal_greedy)
 from coverkit import cff
 from coverkit.cff import MAX_BATCHES, GreedyTrace, GreedyTraceRow, _greedy_cover, _squeezer
-from coverkit.verify import _column_index
+from coverkit.core import _column_index
 
 # The reference tests take at least 150 examples, and the profile's budget
 # where it is larger: 2,000 under --hypothesis-profile=thorough.
@@ -241,6 +241,15 @@ class TestCompaction:
         # Each width is the first live count at most a third of the last,
         # down to the floor: the next would be 633 and 275 constraints.
         assert compacted(build)[1] == widths
+
+    def test_a_third_live_compacts(self):
+        # Row (0, 0) meets constraints 0 and 1 of the three, leaving exactly
+        # a third of the width live: that compacts, to the one left.
+        need = [[0b001, 0b100], [0b010, 0]]
+        with patch.object(cff, "_COMPACT_FLOOR", 1):
+            (m, _), widths = compacted(lambda: _greedy_cover(need, 0b111, (1, 1)))
+        assert widths == [1]
+        assert m == SymbolMatrix(n=2, q=2, rows=((0, 0), (1, 0)))
 
 
 def gather(x, keep):

@@ -12,8 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from coverkit import CffSpec, SymbolMatrix, UniversalSpec
 from coverkit.cff import _constraint_index, _squeezer, _translates
-from coverkit.core import MAX_ALPHABET
-from coverkit.verify import _column_index, _columns
+from coverkit.core import MAX_ALPHABET, _column_index
+from coverkit.verify import _columns
 
 
 def reference_column_index(n, q, items):

@@ -26,10 +26,9 @@ from coverkit import (
     verify_universal,
 )
 from coverkit import verify
-from coverkit.core import WORK_BUDGET
+from coverkit.core import WORK_BUDGET, _column_index
 from coverkit.verify import (
     _PACKED_CAP,
-    _column_index,
     _columns,
     _missing_universal,
     _packed_cff,
@@ -267,6 +266,28 @@ class TestWindows:
         m, spec = random_matrix(n, q, 12, seed=n), UniversalSpec(n, d, q)
         monkeypatch.setattr(verify, "_WINDOW_CAP", (n + room) * width)
         assert witnesses(_missing_universal(m, spec, length)) == list(uncovered(m, spec))
+
+    @pytest.mark.parametrize("room,builds", [(0, 14), (1, 4), (2, 2)])
+    def test_the_windows_in_the_room_are_built_once(self, room, builds, monkeypatch):
+        # (12, 2, 2) at length 8 has one-column tails, so each build is one
+        # slice of the packed columns. Its 12 tails fill 2 windows of 96
+        # bytes on 12 rows, the first 4 slots padding: 3 of the 11 heads
+        # take both, 8 the last. A window the cap leaves room for, the last
+        # first, is built once; any other, once for each head that takes it.
+        slices = []
+
+        class Columns(list):
+            def __getitem__(self, key):
+                if isinstance(key, slice):
+                    slices.append(key)
+                return super().__getitem__(key)
+
+        m, spec = random_matrix(12, 2, 12, seed=12), UniversalSpec(12, 2, 2)
+        monkeypatch.setattr(verify, "_columns", lambda m, columns=verify._columns: Columns(columns(m)))
+        monkeypatch.setattr(verify, "_WINDOW_CAP", (12 + room) * 96)
+        count = sum(count for count, _ in _missing_universal(m, spec, 8))
+        assert count == len(list(uncovered(m, spec)))
+        assert len(slices) == builds
 
     def test_a_verdict_that_fails_at_once_builds_one_window(self):
         # Column 0 is all 0, so the first subset misses (1, 0, 0). All the
