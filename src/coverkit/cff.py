@@ -8,6 +8,7 @@ The conditional-expectations engine, ``_greedy_cover``, is shared with
 (2009), with symbol weights (s, r) here and (1,) * q for universal sets.
 Both number their constraints here (``_constraint_index``, on bitsets from
 ``core._column_index``) in their verifiers' order, blocks padded to bytes.
+The engine tallies each symbol c > 0 of a column as its gain less 0's.
 
 Every constructor verifies its own output before returning it.
 """
@@ -198,27 +199,23 @@ def _translates(width: int, heads: int) -> bool:
 
 def _fold(
     groups: dict[int, int], sets: list[int], num: Sequence[int], den: Sequence[int]
-) -> tuple[dict[int, int], list[list[tuple[int, int]]]]:
+) -> tuple[dict[int, int], list[dict[int, int]]]:
     """(moved, classes) for one column ``sets`` of the engine's index, where
     ``groups`` maps each numerator v to the set of constraints holding it.
 
     The members of ``sets[c]`` holding v move to v // den[c] * num[c], and
     the constraints with no requirement at the column keep v. ``classes[c]``
-    holds (multiplier, set) pairs whose sum of multiplier * popcount(x & set)
-    is the sum of v // den[c] over the members of ``sets[c]`` in x:
-    ``sets[c]`` itself at the first such value, and the members at each
-    other value at the difference from it. So a column's sets are not held
-    twice.
+    maps each u = v // den[c] to the members of ``sets[c]`` holding u * den[c].
     """
     moved: dict[int, int] = {}
-    classes: list[list[tuple[int, int]]] = [[] for _ in sets]
+    classes: list[dict[int, int]] = [{} for _ in sets]
     for v, held in groups.items():
         for c, s in enumerate(sets):
             part = held & s
             if part:
                 held ^= part
-                u, pairs = v // den[c], classes[c]
-                pairs.append((u - pairs[0][0], part) if pairs else (u, s))
+                u = v // den[c]
+                classes[c][u] = part
                 to = u * num[c]
                 moved[to] = moved.get(to, 0) | part
         if held:
@@ -228,15 +225,21 @@ def _fold(
 
 def _classes(
     need: list[list[int]], start: dict[int, int], weights: Sequence[int]
-) -> list[list[list[tuple[int, int]]]]:
-    """``_fold``'s classes for each column of ``need``, carrying ``start``
+) -> list[list[tuple[int, list[tuple[int, int]]]]]:
+    """The signed terms of each column j of ``need``, carrying ``start``
     through the columns: a member of ``need[j][c]`` with numerator v gains
-    v // weights[c] at column j and then holds v // weights[c] * W."""
+    v // weights[c] at j and then holds v // weights[c] * W. With S[c][u]
+    ``_fold``'s members of ``need[j][c]`` gaining u, ``classes[j][c - 1]``
+    is (const, pairs) for each c > 0: a pair (u, S[0][u] | S[c][u]) for
+    each u either symbol holds, and const the sum of u * popcount(S[0][u]).
+    """
     spread = (sum(weights),) * len(weights)
     classes = []
     for sets in need:
-        start, column = _fold(start, sets, spread, weights)
-        classes.append(column)
+        start, (zero, *others) = _fold(start, sets, spread, weights)
+        const = sum(u * s.bit_count() for u, s in zero.items())
+        classes.append([(const, [(u, zero.get(u, 0) | other.get(u, 0)) for u in zero.keys() | other.keys()])
+                        for other in others])
     return classes
 
 
@@ -269,10 +272,17 @@ def _greedy_cover(
     before j. So the numerators are folded through the columns once, not
     per row: ``start`` maps each numerator at the start of a row to its
     constraints, and ``_classes`` carries it through the columns. A row
-    keeps one mask, ``consistent``, which starts as the live set: column
-    j's gain for c is the sum of ``classes[j][c]`` at x = ``consistent``,
-    and fixing the column to c drops the members of the other ``need[j]``
-    sets, their union ``drops[j][c]`` (``_drops``), in one AND and XOR.
+    keeps one mask, ``consistent``, which starts as the live set, and
+    tallies column j from one XOR, y = consistent ^ need[j][0]: as the S
+    are disjoint, popcount(y & U) counts the members of S[c][u] in
+    ``consistent`` and of S[0][u] outside it, so c's pairs sum, less
+    const, to c's gain less 0's. The S hold only constraints live when the
+    classes were built: padding and constraints met before, though in
+    need[j][0] and y, meet no U, and the members of S[0][u] met or dropped
+    since are in const too. So c > 0 wins only with the largest positive
+    difference, the smallest on a tie: the rule above. Fixing column j to
+    c drops the members of the other ``need[j]`` sets, their union
+    ``drops[j][c]`` (``_drops``), in one AND and XOR.
     Once every column is decided, ``consistent`` is what the row met.
     The chosen symbol never lowers the sum of the numerators, so a row
     meets a live constraint unless one requires two symbols at a column; a
@@ -300,12 +310,12 @@ def _greedy_cover(
     while live:
         consistent = live
         row = []
-        for drop, column in zip(drops, classes):
-            best, best_gain = 0, -1
-            for c, pairs in enumerate(column):
-                gain = 0
-                for v, s in pairs:
-                    gain += v * (consistent & s).bit_count()
+        for sets, drop, column in zip(need, drops, classes):
+            y, best, best_gain = consistent ^ sets[0], 0, 0
+            for c, (const, pairs) in enumerate(column, 1):
+                gain = -const
+                for u, s in pairs:
+                    gain += u * (y & s).bit_count()
                 if gain > best_gain:
                     best, best_gain = c, gain
             row.append(best)

@@ -1,8 +1,10 @@
 """The bit-sliced greedy engine and Las Vegas filter against the
-per-constraint list code they replaced, kept here as slow references, and
-the engine's squeeze against a gather of one bit at a time."""
+per-constraint list code they replaced, kept here as slow references, the
+engine's squeeze against a gather of one bit at a time, and the engine's
+memory."""
 
 import random
+import tracemalloc
 from itertools import combinations, compress, product
 from unittest.mock import patch
 
@@ -12,12 +14,14 @@ from hypothesis import example, given, settings, strategies as st
 from coverkit import (CffSpec, SymbolMatrix, UniversalSpec, construct_cff_derandomized, construct_cff_randomized,
                       construct_universal_greedy)
 from coverkit import cff
-from coverkit.cff import MAX_BATCHES, GreedyTrace, GreedyTraceRow, _greedy_cover, _squeezer
+from coverkit.cff import MAX_BATCHES, GreedyTrace, GreedyTraceRow, _constraint_index, _greedy_cover, _squeezer
 from coverkit.core import _column_index
 
-# The reference tests take at least 150 examples, and the profile's budget
-# where it is larger: 2,000 under --hypothesis-profile=thorough.
-REFERENCE_EXAMPLES = max(150, settings.default.max_examples)
+
+def at_least(n):
+    """n Hypothesis examples, or the profile's budget where it is larger:
+    2,000 under --hypothesis-profile=thorough."""
+    return max(n, settings.default.max_examples)
 
 
 def reference_greedy_cover(n, requirements, weights):
@@ -115,7 +119,16 @@ class TestAgainstReference:
     @example((3, [], (1, 1)))
     @example((2, [[(0, 1)], [(0, 0)], [(1, 1), (0, 0)]], (1, 3)))
     @example((3, [[(0, 2), (1, 0)], [(2, 1)], [(1, 1), (2, 2), (0, 0)]], (2, 1, 1)))
-    @settings(max_examples=REFERENCE_EXAMPLES, deadline=None)
+    # Gain 2 at column 1 only for symbol 0, from the first constraint, which
+    # the first row's symbol 0 at column 0 drops: symbol 1 wins there.
+    @example((2, [[(0, 1), (1, 0)], [(1, 1)], [(0, 0)]], (1, 1)))
+    # Gain 2 at column 1 only for symbol 1: its gain 3 beats symbol 0's 2.
+    @example((2, [[(0, 0), (1, 1)], [(1, 0)], [(1, 0)], [(1, 1)]], (1, 1)))
+    # At q = 3, symbols 1 and 2 tie above symbol 0, and 1 takes the column.
+    @example((2, [[(0, 1)], [(0, 2), (1, 1)], [(0, 0)], [(0, 1), (1, 2)], [(0, 2)]], (2, 1, 1)))
+    # All three tie at column 0, and symbol 0 takes it.
+    @example((1, [[(0, 0)], [(0, 1)], [(0, 2)]], (1, 1, 1)))
+    @settings(max_examples=at_least(150), deadline=None)
     def test_same_rows_and_trace(self, case):
         # At the floor's default these never compact, and at a floor of 1
         # they compact as often as the rule allows.
@@ -163,7 +176,7 @@ class TestWideAlphabets:
     @given(wide_alphabet_inputs())
     @example((2, [[(0, 4), (1, 0)], [(1, 4)], [(0, 2)], [(1, 3), (0, 1)]], (1, 2, 3, 4, 5)))
     @example((3, [[(2, 5)], [(0, 5), (1, 5)], [(1, 0)], [(0, 3), (2, 1)]], (6, 1, 1, 2, 1, 3)))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=at_least(100), deadline=None)
     def test_same_rows_and_trace_at_q_5_and_6(self, case):
         n, requirements, weights = case
         assert greedy_cover(n, requirements, weights) == reference_greedy_cover(
@@ -225,7 +238,7 @@ class TestProgress:
 
 class TestCompaction:
     @given(compacting_inputs())
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=at_least(50), deadline=None)
     def test_same_rows_and_trace_across_compactions(self, case):
         n, requirements, weights = case
         with patch.object(cff, "_COMPACT_FLOOR", 1):
@@ -250,6 +263,21 @@ class TestCompaction:
             (m, _), widths = compacted(lambda: _greedy_cover(need, 0b111, (1, 1)))
         assert widths == [1]
         assert m == SymbolMatrix(n=2, q=2, rows=((0, 0), (1, 0)))
+
+
+class TestMemory:
+    def test_peak_at_derandomized_24_2_2(self):
+        # At q = 2 the signed terms hold one set per gain for both symbols;
+        # a set per (symbol, gain) peaks here at 0.92 MiB.
+        need, live = _constraint_index(CffSpec(24, 2, 2))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _greedy_cover(need, live, (2, 2))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.8 * 2**20
 
 
 def gather(x, keep):
@@ -322,7 +350,7 @@ def las_vegas_inputs(draw):
 
 class TestLasVegasAgainstReference:
     @given(las_vegas_inputs())
-    @settings(max_examples=REFERENCE_EXAMPLES, deadline=None)
+    @settings(max_examples=at_least(150), deadline=None)
     def test_same_rows(self, case):
         spec, seed, batch = case
         built = construct_cff_randomized(spec, seed, batch)
